@@ -3,8 +3,8 @@ ensemble of random bipartite quantum states, together with independent
 numerical oracles (quadrature, Monte Carlo) and an exact verifier for the
 summation-identity apparatus behind the closed forms."""
 
-from .ring import ConstPoly, GAMMA, LN2, ZETA2, ZETA3, poly_combine, poly_eval, poly_is_zero
-from .polygamma import HalfInteger, psi_exact, psi_float
+from .ring import ConstPoly, GAMMA, LN2, ZETA2, ZETA3
+from .polygamma import HalfInteger, psi_exact
 from .cumulants import (
     CumulantSet,
     EnsembleDims,
@@ -24,12 +24,8 @@ __all__ = [
     "LN2",
     "ZETA2",
     "ZETA3",
-    "poly_combine",
-    "poly_eval",
-    "poly_is_zero",
     "HalfInteger",
     "psi_exact",
-    "psi_float",
     "EnsembleDims",
     "CumulantSet",
     "cumulant_set",

@@ -22,21 +22,15 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .cumulants import (
-    EnsembleDims,
-    cumulant_set,
-    kappa1,
-    kappa2,
-    kappa3,
-)
+from .cumulants import EnsembleDims, cumulant_set
 from .distribution import density_comparison, write_density_csv
+from .fileio import write_atomic
 from .identities import (
     default_grid,
     degenerate_anomaly_check,
@@ -54,20 +48,6 @@ def _resolve_out(path: str) -> str:
     if os.path.dirname(path):
         return path
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
-
-
-def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _sha256(path: str) -> str:
@@ -101,7 +81,7 @@ def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
         ],
     )
     path = (outputs[0] if outputs else command) + ".manifest.json"
-    _write_atomic(path, json.dumps(asdict(manifest), indent=2) + "\n")
+    write_atomic(path, json.dumps(asdict(manifest), indent=2) + "\n")
     return path
 
 
@@ -194,47 +174,30 @@ def _params_dict(case_obj) -> dict:
     return out
 
 
-def verify_identities_report(max_m: int = 8) -> dict:
-    cases = []
-    failures = 0
+def _identity_checks(max_m: int):
+    """(identity_id, params, residual_is_zero, residual text) for every case:
+    the identity grid, then the degeneracy relations, then the telescopes."""
     for cs in default_grid(max_m=max_m):
         res = identity_residual(cs)
-        ok = res.is_zero()
-        failures += 0 if ok else 1
-        entry = {
-            "identity_id": cs.identity_id,
-            "params": _params_dict(cs),
-            "residual_is_zero": ok,
-        }
-        if not ok:
-            entry["residual_text_if_nonzero"] = res.to_text()
-        cases.append(entry)
+        yield cs.identity_id, _params_dict(cs), res.is_zero(), res.to_text()
     for m in range(1, 21):
         for rel in degenerate_anomaly_check(m):
-            ok = rel.passed
-            failures += 0 if ok else 1
-            entry = {
-                "identity_id": rel.name,
-                "params": {"m": m},
-                "residual_is_zero": ok,
-            }
-            if not ok:
-                entry["residual_text_if_nonzero"] = rel.residual_text
-            cases.append(entry)
+            yield rel.name, {"m": m}, rel.passed, rel.residual_text
     for fid in telescope_fixture_ids():
         for m in range(1, 7):
             for b in (1, 2, 3, Fraction(1, 2)):
                 res = resummation_telescope_check(fid, m, b)
-                ok = res.is_zero()
-                failures += 0 if ok else 1
-                entry = {
-                    "identity_id": fid,
-                    "params": {"m": m, "b": str(b)},
-                    "residual_is_zero": ok,
-                }
-                if not ok:
-                    entry["residual_text_if_nonzero"] = res.to_text()
-                cases.append(entry)
+                yield fid, {"m": m, "b": str(b)}, res.is_zero(), res.to_text()
+
+
+def verify_identities_report(max_m: int = 8) -> dict:
+    cases = []
+    for identity_id, params, ok, text in _identity_checks(max_m):
+        entry = {"identity_id": identity_id, "params": params, "residual_is_zero": ok}
+        if not ok:
+            entry["residual_text_if_nonzero"] = text
+        cases.append(entry)
+    failures = sum(not c["residual_is_zero"] for c in cases)
     return {
         "target": "identities",
         "max_m": max_m,
@@ -248,43 +211,35 @@ def verify_identities_report(max_m: int = 8) -> dict:
 _ORACLE_GRID = {2: ((2, 3, 5, 10), 1e-8, 1e-10), 3: ((3, 4, 6), 1e-6, 1e-7)}
 
 
+def _oracle_check(m: int, n: int, kind: str, res, target: float, tol: float) -> dict:
+    abs_diff = abs(res.value - target)
+    return {
+        "m": m,
+        "n": n,
+        "kind": kind,
+        "value": res.value,
+        "target": target,
+        "abs_diff": abs_diff,
+        "tolerance": tol,
+        "error_estimate": res.error_estimate,
+        "evaluations": res.evaluations,
+        "converged": bool(res.converged),
+        "passed": abs_diff <= tol and bool(res.converged),
+    }
+
+
 def verify_oracles_report() -> dict:
     checks = []
     for m, (ns, tol_k, tol_norm) in _ORACLE_GRID.items():
         for n in ns:
             dims = EnsembleDims(m, n)
-            norm = normalization_check(dims)
             checks.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "kind": "normalization",
-                    "value": norm.value,
-                    "target": 1.0,
-                    "abs_diff": abs(norm.value - 1.0),
-                    "tolerance": tol_norm,
-                    "error_estimate": norm.error_estimate,
-                    "evaluations": norm.evaluations,
-                    "passed": abs(norm.value - 1.0) <= tol_norm,
-                }
+                _oracle_check(m, n, "normalization", normalization_check(dims), 1.0, tol_norm)
             )
-            oracle = oracle_cumulants(dims)
-            exact = [float(kappa1(dims)), float(kappa2(dims)), float(kappa3(dims))]
-            for order, (res, ref) in enumerate(zip(oracle, exact), start=1):
-                checks.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "kind": f"kappa{order}",
-                        "value": res.value,
-                        "target": ref,
-                        "abs_diff": abs(res.value - ref),
-                        "tolerance": tol_k,
-                        "error_estimate": res.error_estimate,
-                        "evaluations": res.evaluations,
-                        "passed": abs(res.value - ref) <= tol_k,
-                    }
-                )
+            cs = cumulant_set(dims)
+            exact = (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f)
+            for order, (res, ref) in enumerate(zip(oracle_cumulants(dims), exact), start=1):
+                checks.append(_oracle_check(m, n, f"kappa{order}", res, ref, tol_k))
     failures = sum(not c["passed"] for c in checks)
     return {
         "target": "oracles",
@@ -330,7 +285,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
         values = []
         for m in range(3, 13):
             dims = EnsembleDims(m, ratio * m)
-            values.append(float(kappa3(dims)))
+            values.append(cumulant_set(dims).kappa3_f)
             rows.append({"m": m, "n": ratio * m, "kappa3": values[-1]})
         mags = [abs(v) for v in values]
         if any(v >= 0 for v in values) or any(
@@ -344,7 +299,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
             samples=samples, burn_in=2000, thinning=20, chain_count=100, seed=seed + i
         )
         st = k_statistics(mcmc_chain(dims, config).entropies)
-        ref = float(kappa3(dims))
+        ref = cumulant_set(dims).kappa3_f
         z = (st.k3 - ref) / st.se3
         spot_checks.append(
             {"m": m, "n": n, "k3": st.k3, "se3": st.se3, "kappa3": ref, "z": z,
@@ -352,7 +307,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
         )
     if csv_path:
         lines = ["m,n,kappa3"] + [f"{r['m']},{r['n']},{r['kappa3']!r}" for r in rows]
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
+        write_atomic(csv_path, "\n".join(lines) + "\n")
     passed = monotone_ok and all(c["passed"] for c in spot_checks)
     return {
         "target": "figure2",
@@ -384,7 +339,7 @@ def _cmd_verify(args) -> int:
         default_name = f"figure{args.fig}_report.json"
 
     report_path = _resolve_out(args.out or default_name)
-    _write_atomic(report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
+    write_atomic(report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
     outputs.insert(0, report_path)
     seeds = [args.seed] if getattr(args, "seed", None) is not None else []
     _write_manifest(f"verify-{args.target}", seeds, outputs)
@@ -399,6 +354,23 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value >= high):
+            bound = f"in [{low}, {high})" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_SEED = _int_in(0, 2 ** 64)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -418,20 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw spectra and write a sample CSV")
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--samples", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--samples", type=_int_in(3), required=True)  # k3 needs three values
+    p_sim.add_argument("--seed", type=_SEED, required=True)
     p_sim.add_argument("--backend", choices=("mcmc", "matrix"), default="mcmc")
     p_sim.add_argument("--out", default="samples.csv")
-    p_sim.add_argument("--burn-in", type=int, default=2000)
-    p_sim.add_argument("--thinning", type=int, default=10)
-    p_sim.add_argument("--chains", type=int, default=64)
+    p_sim.add_argument("--burn-in", type=_int_in(0), default=2000)
+    p_sim.add_argument("--thinning", type=_int_in(1), default=10)
+    p_sim.add_argument("--chains", type=_int_in(1), default=64)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification target")
     ver_sub = p_ver.add_subparsers(dest="target", required=True)
 
     p_ids = ver_sub.add_parser("identities", help="exact summation-identity grid")
-    p_ids.add_argument("--max-m", type=int, default=8)
+    p_ids.add_argument("--max-m", type=_int_in(1), default=8)
     p_ids.add_argument("--out", default=None)
     p_ids.set_defaults(func=_cmd_verify)
 
@@ -441,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = ver_sub.add_parser("figures", help="distribution comparisons")
     p_fig.add_argument("--fig", type=int, choices=(1, 2), required=True)
-    p_fig.add_argument("--samples", type=int, default=200_000)
-    p_fig.add_argument("--seed", type=int, required=True)
+    p_fig.add_argument("--samples", type=_int_in(10_000), default=200_000)
+    p_fig.add_argument("--seed", type=_SEED, required=True)
     p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=_cmd_verify)
 
@@ -459,6 +431,9 @@ def main(argv=None) -> int:
             parser.error("m must be a positive integer")
     if args.command == "simulate" and args.backend == "matrix" and args.m != args.n:
         parser.error("the matrix backend requires n = m")
+    if getattr(args, "fig", None) == 2 and args.seed + len(_FIG2_SPOTS) > 2 ** 64:
+        parser.error(f"figure 2 uses seeds --seed .. --seed+{len(_FIG2_SPOTS) - 1}, "
+                     "which must stay below 2^64")
     return args.func(args)
 
 

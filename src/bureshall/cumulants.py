@@ -27,6 +27,10 @@ from .polygamma import HalfInteger, psi_exact
 from .ring import ConstPoly
 
 
+#: decimal digits of every numeric evaluation of the exact forms
+_DPS = 40
+
+
 class DegenerateEnsembleError(ValueError):
     """Raised for m = 1, where S is identically zero."""
 
@@ -90,16 +94,6 @@ def kappa3(dims: EnsembleDims) -> ConstPoly:
     )
 
 
-def skewness(dims: EnsembleDims, dps: int = 40) -> float:
-    """kappa3 / kappa2^(3/2), evaluated at high precision before dividing."""
-    if dims.m < 2:
-        raise DegenerateEnsembleError("S is identically 0 for m = 1; skewness undefined")
-    with mpmath.workdps(dps):
-        k2 = kappa2(dims).evalf(dps)
-        k3 = kappa3(dims).evalf(dps)
-        return float(k3 / k2 ** mpmath.mpf("1.5"))
-
-
 def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
     """Third cumulant of T = sum x_i ln x_i over the unconstrained ensemble."""
     m, n = dims.m, dims.n
@@ -133,7 +127,13 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
 
 @dataclass(frozen=True)
 class CumulantSet:
-    """Exact and floating forms of the first three cumulants of S."""
+    """Exact and floating forms of the first three cumulants of S.
+
+    The floats all come from one evaluation of the exact forms at _DPS
+    digits; the ratios are taken at that precision before rounding.  sd,
+    skewness and skew_coefficient (the Hermite-correction coefficient
+    kappa3 / (6 kappa2^(3/2))) are None for m = 1, where S is identically 0.
+    """
 
     kappa1: ConstPoly
     kappa2: ConstPoly
@@ -142,19 +142,36 @@ class CumulantSet:
     kappa2_f: float
     kappa3_f: float
     skewness: Optional[float]
+    sd: Optional[float]
+    skew_coefficient: Optional[float]
 
 
 def cumulant_set(dims: EnsembleDims) -> CumulantSet:
     k1, k2, k3 = kappa1(dims), kappa2(dims), kappa3(dims)
-    return CumulantSet(
-        kappa1=k1,
-        kappa2=k2,
-        kappa3=k3,
-        kappa1_f=float(k1),
-        kappa2_f=float(k2),
-        kappa3_f=float(k3),
-        skewness=skewness(dims) if dims.m >= 2 else None,
-    )
+    sd = skew = coef = None
+    with mpmath.workdps(_DPS):
+        v1, v2, v3 = (k.evalf(_DPS) for k in (k1, k2, k3))
+        if dims.m >= 2:
+            scale = v2 ** mpmath.mpf("1.5")
+            sd, skew, coef = float(mpmath.sqrt(v2)), float(v3 / scale), float(v3 / (6 * scale))
+        return CumulantSet(
+            kappa1=k1,
+            kappa2=k2,
+            kappa3=k3,
+            kappa1_f=float(v1),
+            kappa2_f=float(v2),
+            kappa3_f=float(v3),
+            skewness=skew,
+            sd=sd,
+            skew_coefficient=coef,
+        )
+
+
+def skewness(dims: EnsembleDims) -> float:
+    """kappa3 / kappa2^(3/2), evaluated at high precision before dividing."""
+    if dims.m < 2:
+        raise DegenerateEnsembleError("S is identically 0 for m = 1; skewness undefined")
+    return cumulant_set(dims).skewness
 
 
 def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
@@ -180,7 +197,7 @@ def entropy_moments(dims: EnsembleDims) -> tuple[ConstPoly, ConstPoly, ConstPoly
     )
 
 
-def third_moment_conversion(e_h_t3: float, dims: EnsembleDims, dps: int = 40) -> float:
+def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
     """Map E_h[T^3] over the unconstrained ensemble to E_f[S^3].
 
     E_f[S^3] = -E_h[T^3]/(d)_3 + 3 psi0(d+3) E_f[S^2]
@@ -196,12 +213,12 @@ def third_moment_conversion(e_h_t3: float, dims: EnsembleDims, dps: int = 40) ->
     p1 = psi_exact(1, arg)
     p2 = psi_exact(2, arg)
     es1, es2, _ = entropy_moments(dims)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_DPS):
         value = (
             -mpmath.mpf(e_h_t3) * poch3.denominator / poch3.numerator
-            + 3 * p0.evalf(dps) * es2.evalf(dps)
-            - 3 * (p1.evalf(dps) + p0.evalf(dps) ** 2) * es1.evalf(dps)
-            + (p2 + 3 * p1 * p0 + p0 ** 3).evalf(dps)
+            + 3 * p0.evalf(_DPS) * es2.evalf(_DPS)
+            - 3 * (p1.evalf(_DPS) + p0.evalf(_DPS) ** 2) * es1.evalf(_DPS)
+            + (p2 + 3 * p1 * p0 + p0 ** 3).evalf(_DPS)
         )
         return float(value)
 

@@ -15,15 +15,13 @@ because clipping would break the moment identities.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
-from .cumulants import DegenerateEnsembleError, EnsembleDims, kappa1, kappa2, kappa3
+from .cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set
+from .fileio import write_atomic
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 compat
 
@@ -46,29 +44,21 @@ class DensityComparison:
     n_samples: int
 
 
-def _mean_sd(dims: EnsembleDims, dps: int = 40) -> tuple[float, float]:
+def _nondegenerate_set(dims: EnsembleDims):
     if dims.m < 2:
         raise DegenerateEnsembleError("S is identically 0 for m = 1")
-    with mpmath.workdps(dps):
-        mu = kappa1(dims).evalf(dps)
-        sd = mpmath.sqrt(kappa2(dims).evalf(dps))
-        return float(mu), float(sd)
+    return cumulant_set(dims)
 
 
-def skew_coefficient(dims: EnsembleDims, dps: int = 40) -> float:
+def skew_coefficient(dims: EnsembleDims) -> float:
     """kappa3 / (6 kappa2^(3/2)), the coefficient of the Hermite correction."""
-    if dims.m < 2:
-        raise DegenerateEnsembleError("S is identically 0 for m = 1")
-    with mpmath.workdps(dps):
-        k2 = kappa2(dims).evalf(dps)
-        k3 = kappa3(dims).evalf(dps)
-        return float(k3 / (6 * k2 ** mpmath.mpf("1.5")))
+    return _nondegenerate_set(dims).skew_coefficient
 
 
 def standardize(samples, dims: EnsembleDims) -> np.ndarray:
     """(S - kappa1)/sqrt(kappa2) using the exact cumulants."""
-    mu, sd = _mean_sd(dims)
-    return (np.asarray(samples, dtype=float) - mu) / sd
+    cs = _nondegenerate_set(dims)
+    return (np.asarray(samples, dtype=float) - cs.kappa1_f) / cs.sd
 
 
 def gaussian_pdf(x):
@@ -138,14 +128,4 @@ def write_density_csv(grid: DensityGrid, path: str) -> None:
         lines.append(
             f"{float(x)!r},{float(grid.gaussian[i])!r},{float(grid.edgeworth[i])!r},{h}"
         )
-    content = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "\n".join(lines) + "\n")

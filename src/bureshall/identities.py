@@ -10,11 +10,13 @@ Three families of objects live here:
   in a few cases collapsing them to closed forms).  Each identity stores an
   admissibility predicate plus builders for its two sides; the residual
   LHS - RHS is an element of the constant ring and must be the zero
-  polynomial;
+  polynomial.  All but four left-hand sides are anomalies evaluated by
+  `omega`, so the identity grid checks the anomaly catalog too;
 
-* telescoping fixtures: re-summation functions G with their one-step
-  differences written via the shift recurrence psi_k(z+1) - psi_k(z)
-  = (-1)^k k! / z^(k+1); the check sums the differences back up to G.
+* telescoping fixtures: re-summation functions G, each an anomaly, with
+  their one-step differences written via the shift recurrence
+  psi_k(z+1) - psi_k(z) = (-1)^k k! / z^(k+1); the check sums the
+  differences back up to G.
 
 All evaluation is exact.  Inadmissible parameters raise, never skip silently.
 """
@@ -307,21 +309,20 @@ def _register(identity_id, params, check, lhs, rhs):
 
 # -- closed forms in m alone -------------------------------------------------
 
-def _lhs_psi0_over_mk(cs):
-    m = cs.m
-    return _sum_poly(m, lambda k: Fraction(1, m + 1 - k) * _p0(Fraction(k)))
-
-
 def _rhs_psi0_over_mk(cs):
     m1 = Fraction(cs.m + 1)
     return _p0(m1) ** 2 - _p0(Fraction(1)) * _p0(m1) + _p1(m1) - _p1(Fraction(1))
 
 
-_register("psi0_over_mk", ("m",), _check_m_only, _lhs_psi0_over_mk, _rhs_psi0_over_mk)
+_register(
+    "psi0_over_mk", ("m",), _check_m_only,
+    lambda cs: omega(anomaly(1, cs.m, a=cs.m)),
+    _rhs_psi0_over_mk,
+)
 
 _register(
     "psi0_mk_over_k", ("m",), _check_m_only,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k) * _p0(Fraction(cs.m + 1 - k))),
+    lambda cs: omega(anomaly(2, cs.m, a=cs.m)),
     _rhs_psi0_over_mk,
 )
 
@@ -338,7 +339,7 @@ def _rhs_psi0_over_k2(cs):
 
 _register(
     "psi0_over_k2", ("m",), _check_m_only,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k * k) * _p0(Fraction(k))),
+    lambda cs: omega(anomaly(3, cs.m, b=0, c=0)),
     _rhs_psi0_over_k2,
 )
 
@@ -355,7 +356,7 @@ def _rhs_psi0_mk_over_k2(cs):
 
 _register(
     "psi0_mk_over_k2", ("m",), _check_m_only,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k * k) * _p0(Fraction(cs.m + 1 - k))),
+    lambda cs: omega(anomaly(9, cs.m, a=cs.m)),
     _rhs_psi0_mk_over_k2,
 )
 
@@ -372,7 +373,7 @@ def _rhs_psi0sq_mk_over_k(cs):
 
 _register(
     "psi0sq_mk_over_k", ("m",), _check_m_only,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k) * _p0(Fraction(cs.m + 1 - k)) ** 2),
+    lambda cs: omega(anomaly(10, cs.m, a=cs.m)),
     _rhs_psi0sq_mk_over_k,
 )
 
@@ -391,7 +392,7 @@ def _rhs_psi0_kb_over_kb2(cs):
 
 _register(
     "psi0_kb_over_kb2", ("m", "b"), _check_b_nonneg,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(k + cs.b, "w", k) ** 2 * _p0(k + cs.b)),
+    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.b)),
     _rhs_psi0_kb_over_kb2,
 )
 
@@ -410,7 +411,7 @@ def _rhs_psi0_kb_over_k2(cs):
 
 _register(
     "psi0_kb_over_k2", ("m", "b"), _check_b_pos,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k * k) * _p0(k + cs.b)),
+    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=0)),
     _rhs_psi0_kb_over_k2,
 )
 
@@ -429,7 +430,7 @@ def _rhs_psi0_over_kb2(cs):
 
 _register(
     "psi0_over_kb2", ("m", "b"), _check_b_pos,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(k + cs.b, "psi0_over_kb2", k) ** 2 * _p0(Fraction(k))),
+    lambda cs: omega(anomaly(3, cs.m, b=0, c=cs.b)),
     _rhs_psi0_over_kb2,
 )
 
@@ -446,7 +447,7 @@ def _rhs_psi0_kb_over_kc_swap(cs):
 
 _register(
     "psi0_kb_over_kc_swap", ("m", "b", "c"), _check_bc_distinct_nonneg,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(k + cs.c, "swap", k) * _p0(k + cs.b)),
+    lambda cs: omega(anomaly(6, cs.m, b=cs.b, c=cs.c)),
     _rhs_psi0_kb_over_kc_swap,
 )
 
@@ -464,7 +465,7 @@ def _rhs_psi0_kb_over_kc2(cs):
 
 _register(
     "psi0_kb_over_kc2", ("m", "b", "c"), _check_bc_distinct_nonneg,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(k + cs.c, "pair", k) ** 2 * _p0(k + cs.b)),
+    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.c)),
     _rhs_psi0_kb_over_kc2,
 )
 
@@ -490,7 +491,7 @@ def _rhs_psi0_psi0kb_over_k(cs):
 
 _register(
     "psi0_psi0kb_over_k", ("m", "b"), _check_b_pos,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k) * _p0(Fraction(k)) * _p0(k + cs.b)),
+    lambda cs: omega(anomaly(16, cs.m, b=cs.b)),
     _rhs_psi0_psi0kb_over_k,
 )
 
@@ -515,9 +516,7 @@ def _rhs_psi0_psi0kb_over_kb(cs):
 
 _register(
     "psi0_psi0kb_over_kb", ("m", "b"), _check_b_pos,
-    lambda cs: _sum_poly(
-        cs.m, lambda k: _inv(k + cs.b, "w", k) * _p0(Fraction(k)) * _p0(k + cs.b)
-    ),
+    lambda cs: omega(anomaly(15, cs.m, b=cs.b)),
     _rhs_psi0_psi0kb_over_kb,
 )
 
@@ -539,7 +538,7 @@ def _rhs_psi0_ak_over_k(cs):
 
 _register(
     "psi0_ak_over_k", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k) * _p0(cs.a + 1 - k)),
+    lambda cs: omega(anomaly(2, cs.m, a=cs.a)),
     _rhs_psi0_ak_over_k,
 )
 
@@ -560,7 +559,7 @@ def _rhs_psi0_over_ak(cs):
 
 _register(
     "psi0_over_ak", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(cs.a + 1 - k, "w", k) * _p0(Fraction(k))),
+    lambda cs: omega(anomaly(1, cs.m, a=cs.a)),
     _rhs_psi0_over_ak,
 )
 
@@ -582,7 +581,7 @@ def _rhs_psi0_over_ak2(cs):
 
 _register(
     "psi0_over_ak2", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(cs.a + 1 - k, "w", k) ** 2 * _p0(Fraction(k))),
+    lambda cs: omega(anomaly(7, cs.m, a=cs.a)),
     _rhs_psi0_over_ak2,
 )
 
@@ -621,7 +620,7 @@ def _rhs_psi0sq_over_ak(cs):
 
 _register(
     "psi0sq_over_ak", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(cs.a + 1 - k, "w", k) * _p0(Fraction(k)) ** 2),
+    lambda cs: omega(anomaly(8, cs.m, a=cs.a)),
     _rhs_psi0sq_over_ak,
 )
 
@@ -643,7 +642,7 @@ def _rhs_psi1_ak_over_k(cs):
 
 _register(
     "psi1_ak_over_k", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k) * _p1(cs.a + 1 - k)),
+    lambda cs: omega(anomaly(18, cs.m, a=cs.a)),
     _rhs_psi1_ak_over_k,
 )
 
@@ -673,7 +672,7 @@ def _rhs_psi1_over_ak(cs):
 
 _register(
     "psi1_over_ak", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: _inv(cs.a + 1 - k, "w", k) * _p1(Fraction(k))),
+    lambda cs: omega(anomaly(17, cs.m, a=cs.a)),
     _rhs_psi1_over_ak,
 )
 
@@ -701,7 +700,7 @@ def _rhs_psi0_ak_over_k2(cs):
 
 _register(
     "psi0_ak_over_k2", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(cs.m, lambda k: Fraction(1, k * k) * _p0(cs.a + 1 - k)),
+    lambda cs: omega(anomaly(9, cs.m, a=cs.a)),
     _rhs_psi0_ak_over_k2,
 )
 
@@ -729,9 +728,7 @@ def _rhs_psi0_psi0ak_over_ak(cs):
 
 _register(
     "psi0_psi0ak_over_ak", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(
-        cs.m, lambda k: _inv(cs.a + 1 - k, "w", k) * _p0(Fraction(k)) * _p0(cs.a + 1 - k)
-    ),
+    lambda cs: omega(anomaly(13, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_ak,
 )
 
@@ -774,9 +771,7 @@ def _rhs_psi0_psi0ak_over_k(cs):
 
 _register(
     "psi0_psi0ak_over_k", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(
-        cs.m, lambda k: Fraction(1, k) * _p0(Fraction(k)) * _p0(cs.a + 1 - k)
-    ),
+    lambda cs: omega(anomaly(14, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_k,
 )
 
@@ -826,10 +821,7 @@ def _rhs_psi0_psi0ak_over_mk(cs):
 
 _register(
     "psi0_psi0ak_over_mk", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(
-        cs.m,
-        lambda k: Fraction(1, cs.m + 1 - k) * _p0(Fraction(k)) * _p0(cs.a + 1 - k),
-    ),
+    lambda cs: omega(anomaly(12, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_mk,
 )
 
@@ -867,10 +859,7 @@ def _rhs_psi0_psi0shift_over_mk(cs):
 
 _register(
     "psi0_psi0shift_over_mk", ("m", "a"), _check_a_gt_m,
-    lambda cs: _sum_poly(
-        cs.m,
-        lambda k: Fraction(1, cs.m + 1 - k) * _p0(Fraction(k)) * _p0(k + cs.a - cs.m),
-    ),
+    lambda cs: omega(anomaly(11, cs.m, a=cs.a)),
     _rhs_psi0_psi0shift_over_mk,
 )
 
@@ -1108,22 +1097,15 @@ def _tele_requires_b(m: int, b) -> Fraction:
     return b
 
 
-# Each fixture: (G(j, b), delta(i, b)) with delta the step G(i) - G(i-1)
+# Each fixture: (index, delta(i, b)).  G(j, b) is the anomaly Omega_index at
+# summation length j with a = b + j, and delta is the step G(i) - G(i-1)
 # rewritten through the one-step shift recurrence.  The check below verifies
 # sum_{i=1..m} delta(i) == G(m) exactly.
-
-def _g_psi0_ak_over_k(j, b):
-    return _sum_poly(j, lambda k: Fraction(1, k) * _p0(b + j + 1 - k))
-
 
 def _d_psi0_ak_over_k(i, b):
     acc = Fraction(1, i) * _p0(b + 1)
     rat = sum((Fraction(1, k) * _inv(b + i - k, "tele") for k in range(1, i)), Fraction(0))
     return acc + ConstPoly.const(rat)
-
-
-def _g_psi0_over_ak(j, b):
-    return _sum_poly(j, lambda k: _inv(k + b, "tele", k) * _p0(Fraction(j + 1 - k)))
 
 
 def _d_psi0_over_ak(i, b):
@@ -1132,18 +1114,10 @@ def _d_psi0_over_ak(i, b):
     return acc + ConstPoly.const(rat)
 
 
-def _g_psi0_over_ak2(j, b):
-    return _sum_poly(j, lambda k: _inv(k + b, "tele", k) ** 2 * _p0(Fraction(j + 1 - k)))
-
-
 def _d_psi0_over_ak2(i, b):
     acc = _inv(i + b, "tele") ** 2 * _p0(Fraction(1))
     rat = sum((_inv(k + b, "tele") ** 2 * Fraction(1, i - k) for k in range(1, i)), Fraction(0))
     return acc + ConstPoly.const(rat)
-
-
-def _g_psi0sq_over_ak(j, b):
-    return _sum_poly(j, lambda k: _inv(k + b, "tele", k) * _p0(Fraction(j + 1 - k)) ** 2)
 
 
 def _d_psi0sq_over_ak(i, b):
@@ -1158,18 +1132,10 @@ def _d_psi0sq_over_ak(i, b):
     return total
 
 
-def _g_psi1_ak_over_k(j, b):
-    return _sum_poly(j, lambda k: Fraction(1, k) * _p1(b + j + 1 - k))
-
-
 def _d_psi1_ak_over_k(i, b):
     acc = Fraction(1, i) * _p1(b + 1)
     rat = sum((-Fraction(1, k) * _inv((b + i - k) ** 2, "tele") for k in range(1, i)), Fraction(0))
     return acc + ConstPoly.const(rat)
-
-
-def _g_psi1_over_ak(j, b):
-    return _sum_poly(j, lambda k: _inv(k + b, "tele", k) * _p1(Fraction(j + 1 - k)))
 
 
 def _d_psi1_over_ak(i, b):
@@ -1178,20 +1144,10 @@ def _d_psi1_over_ak(i, b):
     return acc + ConstPoly.const(rat)
 
 
-def _g_psi0_ak_over_k2(j, b):
-    return _sum_poly(j, lambda k: Fraction(1, k * k) * _p0(b + j + 1 - k))
-
-
 def _d_psi0_ak_over_k2(i, b):
     acc = Fraction(1, i * i) * _p0(b + 1)
     rat = sum((Fraction(1, k * k) * _inv(b + i - k, "tele") for k in range(1, i)), Fraction(0))
     return acc + ConstPoly.const(rat)
-
-
-def _g_psi0_psi0ak_over_ak(j, b):
-    return _sum_poly(
-        j, lambda k: _inv(k + b, "tele", k) * _p0(Fraction(j + 1 - k)) * _p0(k + b)
-    )
 
 
 def _d_psi0_psi0ak_over_ak(i, b):
@@ -1201,10 +1157,6 @@ def _d_psi0_psi0ak_over_ak(i, b):
     return total
 
 
-def _g_psi0_psi0ak_over_k(j, b):
-    return _sum_poly(j, lambda k: Fraction(1, k) * _p0(Fraction(k)) * _p0(b + j + 1 - k))
-
-
 def _d_psi0_psi0ak_over_k(i, b):
     total = Fraction(1, i) * _p0(Fraction(i)) * _p0(b + 1)
     for k in range(1, i):
@@ -1212,21 +1164,11 @@ def _d_psi0_psi0ak_over_k(i, b):
     return total
 
 
-def _g_psi0_psi0ak_over_mk(j, b):
-    return _sum_poly(j, lambda k: Fraction(1, k) * _p0(Fraction(j + 1 - k)) * _p0(k + b))
-
-
 def _d_psi0_psi0ak_over_mk(i, b):
     total = Fraction(1, i) * _p0(Fraction(1)) * _p0(i + b)
     for k in range(1, i):
         total = total + Fraction(1, k) * Fraction(1, i - k) * _p0(k + b)
     return total
-
-
-def _g_psi0_psi0shift_over_mk(j, b):
-    return _sum_poly(
-        j, lambda k: Fraction(1, j + 1 - k) * _p0(Fraction(k)) * _p0(k + b)
-    )
 
 
 def _d_psi0_psi0shift_over_mk(i, b):
@@ -1240,17 +1182,17 @@ def _d_psi0_psi0shift_over_mk(i, b):
 
 
 _FIXTURES = {
-    "tele_psi0_ak_over_k": (_g_psi0_ak_over_k, _d_psi0_ak_over_k),
-    "tele_psi0_over_ak": (_g_psi0_over_ak, _d_psi0_over_ak),
-    "tele_psi0_over_ak2": (_g_psi0_over_ak2, _d_psi0_over_ak2),
-    "tele_psi0sq_over_ak": (_g_psi0sq_over_ak, _d_psi0sq_over_ak),
-    "tele_psi1_ak_over_k": (_g_psi1_ak_over_k, _d_psi1_ak_over_k),
-    "tele_psi1_over_ak": (_g_psi1_over_ak, _d_psi1_over_ak),
-    "tele_psi0_ak_over_k2": (_g_psi0_ak_over_k2, _d_psi0_ak_over_k2),
-    "tele_psi0_psi0ak_over_ak": (_g_psi0_psi0ak_over_ak, _d_psi0_psi0ak_over_ak),
-    "tele_psi0_psi0ak_over_k": (_g_psi0_psi0ak_over_k, _d_psi0_psi0ak_over_k),
-    "tele_psi0_psi0ak_over_mk": (_g_psi0_psi0ak_over_mk, _d_psi0_psi0ak_over_mk),
-    "tele_psi0_psi0shift_over_mk": (_g_psi0_psi0shift_over_mk, _d_psi0_psi0shift_over_mk),
+    "tele_psi0_ak_over_k": (2, _d_psi0_ak_over_k),
+    "tele_psi0_over_ak": (1, _d_psi0_over_ak),
+    "tele_psi0_over_ak2": (7, _d_psi0_over_ak2),
+    "tele_psi0sq_over_ak": (8, _d_psi0sq_over_ak),
+    "tele_psi1_ak_over_k": (18, _d_psi1_ak_over_k),
+    "tele_psi1_over_ak": (17, _d_psi1_over_ak),
+    "tele_psi0_ak_over_k2": (9, _d_psi0_ak_over_k2),
+    "tele_psi0_psi0ak_over_ak": (13, _d_psi0_psi0ak_over_ak),
+    "tele_psi0_psi0ak_over_k": (14, _d_psi0_psi0ak_over_k),
+    "tele_psi0_psi0ak_over_mk": (12, _d_psi0_psi0ak_over_mk),
+    "tele_psi0_psi0shift_over_mk": (11, _d_psi0_psi0shift_over_mk),
 }
 
 
@@ -1263,8 +1205,8 @@ def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
     if fixture_id not in _FIXTURES:
         raise KeyError(f"unknown telescope fixture {fixture_id!r}")
     b = _tele_requires_b(m, b)
-    g, delta = _FIXTURES[fixture_id]
+    index, delta = _FIXTURES[fixture_id]
     total = ZERO
     for i in range(1, m + 1):
         total = total + delta(i, b)
-    return g(m, b) - total
+    return omega(anomaly(index, m, a=b + m)) - total

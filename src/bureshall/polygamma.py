@@ -1,19 +1,13 @@
 """Polygamma functions psi_k (k = 0, 1, 2) at positive half-integer arguments.
 
-Two evaluation paths are provided:
+``psi_exact`` returns an element of the constant ring for integer or
+half-odd-integer arguments, using the finite-sum representations
 
-* ``psi_exact`` returns an element of the constant ring for integer or
-  half-odd-integer arguments, using the finite-sum representations
-
-      psi_0(l)       = -g + sum_{i<l} 1/i
-      psi_k(l)       = (-1)^(k+1) k! (zeta(k+1) - sum_{i<l} 1/i^(k+1))
-      psi_0(l+1/2)   = -g - 2*l2 + 2 sum_{i<l} 1/(2i+1)
-      psi_k(l+1/2)   = (-1)^(k+1) k! ((2^(k+1)-1) zeta(k+1)
-                                      - sum_{i<l} 2^(k+1)/(2i+1)^(k+1))
-
-* ``psi_float`` is a double-precision path for arbitrary positive real
-  arguments: upward recurrence to shift the argument above 12, then the
-  Bernoulli-number asymptotic series.
+    psi_0(l)       = -g + sum_{i<l} 1/i
+    psi_k(l)       = (-1)^(k+1) k! (zeta(k+1) - sum_{i<l} 1/i^(k+1))
+    psi_0(l+1/2)   = -g - 2*l2 + 2 sum_{i<l} 1/(2i+1)
+    psi_k(l+1/2)   = (-1)^(k+1) k! ((2^(k+1)-1) zeta(k+1)
+                                    - sum_{i<l} 2^(k+1)/(2i+1)^(k+1))
 
 Orders k >= 3 are deliberately unsupported; nothing in this package needs
 them.
@@ -118,74 +112,3 @@ def psi_exact(order: int, arg) -> ConstPoly:
     _cache[key] = poly
     return poly
 
-
-# Bernoulli numbers B_2, B_4, ..., B_22 for the asymptotic series.
-_BERNOULLI = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-)
-
-_SHIFT_THRESHOLD = 12.0
-
-
-def psi_float(order: int, x: float) -> float:
-    """Double-precision psi_order(x) for real x > 0.
-
-    Relative error is below 1e-13 for x <= 1e6 (verified against the exact
-    half-integer path and against the raw asymptotic series).
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"polygamma argument must be positive, got {x}")
-
-    k = order
-    # upward recurrence: psi_k(x) = psi_k(x+1) - (-1)^k k! / x^(k+1)
-    shift = 0.0
-    sign_k = -1.0 if k % 2 else 1.0
-    fact_k = float(math.factorial(k))
-    while x < _SHIFT_THRESHOLD:
-        shift -= sign_k * fact_k / x ** (k + 1)
-        x += 1.0
-
-    inv = 1.0 / x
-    inv2 = inv * inv
-    if k == 0:
-        total = math.log(x) - 0.5 * inv
-        power = inv2
-        prev = math.inf
-        for j, b in enumerate(_BERNOULLI, start=1):
-            term = b / (2 * j) * power
-            if abs(term) >= prev:
-                break
-            total -= term
-            prev = abs(term)
-            power *= inv2
-    else:
-        # psi_k(x) = (-1)^(k-1) [ (k-1)!/x^k + k!/(2 x^(k+1))
-        #                         + sum_j B_2j (2j+k-1)!/(2j)! x^(-2j-k) ]
-        total = math.factorial(k - 1) * inv ** k + fact_k / 2.0 * inv ** (k + 1)
-        power = inv ** (k + 2)
-        prev = math.inf
-        for j, b in enumerate(_BERNOULLI, start=1):
-            coef = b * math.factorial(2 * j + k - 1) / math.factorial(2 * j)
-            term = coef * power
-            if abs(term) >= prev:
-                break
-            total += term
-            prev = abs(term)
-            power *= inv2
-        if k % 2 == 0:  # (-1)^(k-1)
-            total = -total
-
-    return total + shift

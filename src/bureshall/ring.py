@@ -263,27 +263,8 @@ class ConstPoly:
 
 
 ZERO = ConstPoly()
-ONE = ConstPoly.const(1)
 GAMMA = ConstPoly.symbol("g")
 LN2 = ConstPoly.symbol("l2")
 ZETA2 = ConstPoly.symbol("z2")
 ZETA3 = ConstPoly.symbol("z3")
 
-
-def poly_combine(a: ConstPoly, b: ConstPoly, op: str) -> ConstPoly:
-    """Exact ring arithmetic: op is one of 'add', 'sub', 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}; expected 'add', 'sub' or 'mul'")
-
-
-def poly_is_zero(a: ConstPoly) -> bool:
-    return a.is_zero()
-
-
-def poly_eval(a: ConstPoly, precision: int = 30) -> mpmath.mpf:
-    return a.evalf(precision)

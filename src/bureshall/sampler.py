@@ -28,14 +28,13 @@ batch-means standard errors used by every Monte Carlo acceptance check.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .cumulants import EnsembleDims
+from .fileio import write_atomic
 
 
 class DegenerateInputError(ValueError):
@@ -151,16 +150,11 @@ def log_density_unconstrained(x, dims: EnsembleDims) -> float:
         raise ValueError(f"expected {dims.m} coordinates, got shape {x.shape}")
     if np.any(x <= 0):
         raise ValueError("coordinates must be positive")
-    m = dims.m
+    if np.unique(x).size < dims.m:
+        raise DegenerateInputError(f"coincident coordinates in {x}")
+    iu = np.triu_indices(dims.m, 1) if dims.m > 1 else None
     alpha = float(dims.alpha)
-    total = float(alpha * np.log(x).sum() - x.sum())
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = x[i] - x[j]
-            if diff == 0.0:
-                raise DegenerateInputError(f"coincident coordinates x[{i}] == x[{j}]")
-            total += 2.0 * math.log(abs(diff)) - math.log(x[i] + x[j])
-    return total
+    return float(alpha * np.log(x).sum() - x.sum() + _pair_term(x[None, :], iu)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +415,7 @@ def write_sample_csv(batch: SampleBatch, path: str) -> None:
             f"{int(batch.chain_index[i])},{int(batch.step_index[i])},"
             f"{float(batch.thetas[i])!r},{float(batch.entropies[i])!r},{lam}"
         )
-    content = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_sample_csv(path: str):

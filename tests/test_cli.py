@@ -63,7 +63,8 @@ ORACLES_REPORT_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["m", "n", "kind", "value", "target", "abs_diff",
-                             "tolerance", "passed"],
+                             "tolerance", "converged", "passed"],
+                "properties": {"converged": {"type": "boolean"}},
             },
         },
     },
@@ -175,6 +176,7 @@ class TestVerifyCommands:
         report = json.loads((outdir / "oracles_report.json").read_text())
         jsonschema.validate(report, ORACLES_REPORT_SCHEMA)
         assert report["all_passed"]
+        assert all(c["converged"] for c in report["cases"])
         kinds = {c["kind"] for c in report["cases"]}
         assert kinds == {"normalization", "kappa1", "kappa2", "kappa3"}
 
@@ -204,3 +206,25 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "figures", "--fig", "1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "2", "--n", "2", "--samples", "0", "--seed", "1"],
+    # k-statistics need three values
+    ["simulate", "--m", "2", "--n", "2", "--samples", "2", "--seed", "1"],
+    ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "-1"],
+    ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "1", "--chains", "0"],
+    ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "1", "--thinning", "0"],
+    ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "1", "--burn-in", "-1"],
+    ["verify", "figures", "--fig", "1", "--samples", "5000", "--seed", "1"],
+    # figure 2 seeds its three spot checks with seed, seed + 1, seed + 2
+    ["verify", "figures", "--fig", "2", "--seed", str(2 ** 64 - 2)],
+    # max-m 0 would check no catalog identity at all
+    ["verify", "identities", "--max-m", "0"],
+])
+def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []

@@ -55,7 +55,7 @@ class TestDegeneracy:
     def test_cumulant_set_m1(self):
         cs = cumulant_set(EnsembleDims(1, 7))
         assert cs.kappa1_f == cs.kappa2_f == cs.kappa3_f == 0.0
-        assert cs.skewness is None
+        assert cs.skewness is None and cs.sd is None and cs.skew_coefficient is None
 
 
 class TestExactValues:
@@ -117,6 +117,9 @@ class TestBoundsAndSigns:
         assert cs.kappa1_f == pytest.approx(float(cs.kappa1.evalf(30)), abs=1e-12)
         assert cs.kappa2_f == pytest.approx(float(cs.kappa2.evalf(30)), abs=1e-12)
         assert cs.kappa3_f == pytest.approx(float(cs.kappa3.evalf(30)), abs=1e-12)
+        assert cs.sd == pytest.approx(math.sqrt(cs.kappa2_f), rel=1e-15)
+        assert cs.skewness == pytest.approx(cs.kappa3_f / cs.kappa2_f ** 1.5, rel=1e-14)
+        assert cs.skew_coefficient == pytest.approx(cs.skewness / 6, rel=1e-15)
 
 
 class TestConversions:

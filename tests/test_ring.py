@@ -1,5 +1,6 @@
 """Exact-ring tests: arithmetic axioms, evaluation, canonical text form."""
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -7,65 +8,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bureshall.ring import (
-    GAMMA,
-    LN2,
-    ZETA2,
-    ZETA3,
-    ConstPoly,
-    poly_combine,
-    poly_eval,
-    poly_is_zero,
-)
+from bureshall.ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 
 
 class TestCombineExamples:
     def test_additive_inverse(self):
-        assert poly_combine(GAMMA, GAMMA, "sub").is_zero()
+        assert (GAMMA - GAMMA).is_zero()
 
     def test_scalar_distribution(self):
-        p = poly_combine(GAMMA + Fraction(1, 2), ConstPoly.const(2), "mul")
+        p = (GAMMA + Fraction(1, 2)) * ConstPoly.const(2)
         assert p == 2 * GAMMA + 1
 
     def test_hand_expansion(self):
         one_minus_g = ConstPoly.const(1) - GAMMA
-        assert poly_combine(one_minus_g, one_minus_g, "mul") == 1 - 2 * GAMMA + GAMMA ** 2
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            poly_combine(GAMMA, GAMMA, "div")
+        assert one_minus_g * one_minus_g == 1 - 2 * GAMMA + GAMMA ** 2
 
 
 class TestIsZero:
     def test_zero(self):
-        assert poly_is_zero(ConstPoly())
+        assert ConstPoly().is_zero()
 
     def test_gamma_minus_gamma(self):
-        assert poly_is_zero(GAMMA - GAMMA)
+        assert (GAMMA - GAMMA).is_zero()
 
     def test_structural_not_numeric(self):
         # 822/500 = 1.644 is numerically close to zeta(2) but structurally distinct
-        assert not poly_is_zero(ZETA2 - Fraction(822, 500))
+        assert not (ZETA2 - Fraction(822, 500)).is_zero()
 
 
 class TestEval:
     def test_gamma(self):
-        assert float(poly_eval(GAMMA, 15)) == pytest.approx(0.5772157, abs=5e-8)
+        assert float(GAMMA.evalf(15)) == pytest.approx(0.5772157, abs=5e-8)
 
     def test_zeta2(self):
-        assert float(poly_eval(ZETA2, 20)) == pytest.approx(1.6449341, abs=5e-8)
+        assert float(ZETA2.evalf(20)) == pytest.approx(1.6449341, abs=5e-8)
 
     def test_linear_combination(self):
         # 2 ln 2 - 7/6
-        value = float(poly_eval(2 * LN2 - Fraction(7, 6), 30))
+        value = float((2 * LN2 - Fraction(7, 6)).evalf(30))
         assert value == pytest.approx(0.2196276944532239, abs=1e-14)
 
     def test_precision_floor(self):
         with pytest.raises(ValueError):
-            poly_eval(GAMMA, 14)
+            GAMMA.evalf(14)
 
     def test_zeta3(self):
-        assert float(poly_eval(ZETA3, 30)) == pytest.approx(1.2020569031595943, abs=1e-14)
+        assert float(ZETA3.evalf(30)) == pytest.approx(1.2020569031595943, abs=1e-14)
 
 
 # -- randomized ring properties -------------------------------------------------
@@ -93,11 +81,11 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys(), polys(), st.sampled_from(["add", "sub", "mul"]))
+@given(polys(), polys(), st.sampled_from([operator.add, operator.sub, operator.mul]))
 def test_eval_is_homomorphism(a, b, op):
-    combined = poly_eval(poly_combine(a, b, op), 30)
-    fa, fb = poly_eval(a, 30), poly_eval(b, 30)
-    direct = {"add": fa + fb, "sub": fa - fb, "mul": fa * fb}[op]
+    combined = op(a, b).evalf(30)
+    fa, fb = a.evalf(30), b.evalf(30)
+    direct = op(fa, fb)
     scale = max(1.0, abs(float(fa)), abs(float(fb)), abs(float(combined)))
     assert abs(float(combined - direct)) <= 1e-12 * scale
 
@@ -139,8 +127,8 @@ def test_pow_and_degree():
 
 def test_eval_high_precision_consistency():
     p = Fraction(75, 8) * ZETA3 - Fraction(33, 160) * ZETA2 - Fraction(295, 27)
-    v30 = poly_eval(p, 30)
-    v60 = poly_eval(p, 60)
+    v30 = p.evalf(30)
+    v60 = p.evalf(60)
     assert abs(float(v30 - v60)) < 1e-25
     with mpmath.workdps(40):
         assert float(v60) == pytest.approx(0.004089889907823797, abs=1e-16)

@@ -262,3 +262,10 @@ class TestCsv:
         np.testing.assert_array_equal(theta, batch.thetas)  # exact round-trip
         np.testing.assert_array_equal(s, batch.entropies)
         np.testing.assert_array_equal(lam, batch.spectra)
+
+    def test_creates_missing_directory(self, tmp_path):
+        cfg = ChainConfig(samples=20, burn_in=10, thinning=1, chain_count=2, seed=3)
+        path = tmp_path / "new" / "samples.csv"
+        write_sample_csv(mcmc_chain(EnsembleDims(2, 2), cfg), str(path))
+        assert len(path.read_text().splitlines()) == 21
+        assert [p.name for p in path.parent.iterdir()] == ["samples.csv"]
