@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cumulants import EnsembleDims, cumulant_set
+from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
 from .distribution import density_comparison, write_density_csv
 from .fileio import write_atomic
 from .identities import (
@@ -38,7 +38,6 @@ from .identities import (
     resummation_telescope_check,
     telescope_fixture_ids,
 )
-from .quadrature import normalization_check, oracle_cumulants
 from .sampler import ChainConfig, k_statistics, mcmc_chain, sample_matrix_model_batch, write_sample_csv
 
 OUT_DIR_ENV = "BURESHALL_OUT_DIR"
@@ -102,6 +101,9 @@ def _json_default(value):
 def _cmd_cumulants(args) -> int:
     dims = EnsembleDims(args.m, args.n)
     cs = cumulant_set(dims)
+    exact = {}
+    if args.exact:
+        exact = {f"kappa{i}": k(dims).to_text() for i, k in enumerate((kappa1, kappa2, kappa3), 1)}
     if args.format == "json":
         payload = {
             "m": args.m,
@@ -111,18 +113,12 @@ def _cmd_cumulants(args) -> int:
             "kappa3": cs.kappa3_f,
             "skewness": cs.skewness,
         }
-        if args.exact:
-            payload["exact"] = {
-                "kappa1": cs.kappa1.to_text(),
-                "kappa2": cs.kappa2.to_text(),
-                "kappa3": cs.kappa3.to_text(),
-            }
+        if exact:
+            payload["exact"] = exact
         print(json.dumps(payload, indent=2))
     else:
-        if args.exact:
-            print(f"kappa1 = {cs.kappa1.to_text()}")
-            print(f"kappa2 = {cs.kappa2.to_text()}")
-            print(f"kappa3 = {cs.kappa3.to_text()}")
+        for name, text in exact.items():
+            print(f"{name} = {text}")
         print(f"kappa1 = {cs.kappa1_f!r}")
         print(f"kappa2 = {cs.kappa2_f!r}")
         print(f"kappa3 = {cs.kappa3_f!r}")
@@ -229,6 +225,9 @@ def _oracle_check(m: int, n: int, kind: str, res, target: float, tol: float) -> 
 
 
 def verify_oracles_report() -> dict:
+    # imported here so that only this target pays for loading scipy
+    from .quadrature import normalization_check, oracle_cumulants
+
     checks = []
     for m, (ns, tol_k, tol_norm) in _ORACLE_GRID.items():
         for n in ns:
@@ -292,6 +291,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
             mags[i + 1] >= mags[i] for i in range(1, len(mags) - 1)
         ):
             monotone_ok = False
+    curve = {(r["m"], r["n"]): r["kappa3"] for r in rows}
     spot_checks = []
     for i, (m, n) in enumerate(_FIG2_SPOTS):
         dims = EnsembleDims(m, n)
@@ -299,7 +299,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
             samples=samples, burn_in=2000, thinning=20, chain_count=100, seed=seed + i
         )
         st = k_statistics(mcmc_chain(dims, config).entropies)
-        ref = cumulant_set(dims).kappa3_f
+        ref = curve[m, n]
         z = (st.k3 - ref) / st.se3
         spot_checks.append(
             {"m": m, "n": n, "k3": st.k3, "se3": st.se3, "kappa3": ref, "z": z,

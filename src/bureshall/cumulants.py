@@ -11,8 +11,12 @@ Neumann entropy S are
 
 with a1, a2 rational in (m, n).  The companion unconstrained ensemble (trace
 not fixed to 1) has entropy T = sum x_i ln x_i whose third cumulant kappa3_T
-is also in closed form.  All rational coefficients are evaluated exactly, so
-every cumulant is an element of the constant ring.
+is also in closed form.
+
+kappa1..kappa3 return exact elements of the constant ring; their cost grows
+like lcm(1..d)^3 through the polygamma partial sums.  cumulant_set evaluates
+the same closed forms numerically with mpmath.psi at _DPS digits, which
+takes about a millisecond at any (m, n).
 """
 
 from __future__ import annotations
@@ -69,9 +73,12 @@ def kappa1(dims: EnsembleDims) -> ConstPoly:
 
 def kappa2(dims: EnsembleDims) -> ConstPoly:
     """Variance of S."""
-    m, n = dims.m, dims.n
-    coef = Fraction(2 * n * (2 * n + m) - m * m + 1, 2 * n * (2 * m * n - m * m + 2))
+    coef = _kappa2_coeff(dims.m, dims.n)
     return -psi_exact(1, dims.d + 1) + ConstPoly.const(coef) * psi_exact(1, dims.n_half)
+
+
+def _kappa2_coeff(m: int, n: int) -> Fraction:
+    return Fraction(2 * n * (2 * n + m) - m * m + 1, 2 * n * (2 * m * n - m * m + 2))
 
 
 def _kappa3_coeffs(m: int, n: int) -> tuple[Fraction, Fraction]:
@@ -125,19 +132,35 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
     return m * (2 * n - m) * inner
 
 
+def _mpf(value: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def _numeric_cumulants(dims: EnsembleDims) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """kappa1, kappa2, kappa3 at the working precision, from mpmath.psi on
+    the closed forms; call inside mpmath.workdps(_DPS)."""
+    a1, a2 = _kappa3_coeffs(dims.m, dims.n)
+    top, half = _mpf(dims.d.as_fraction()) + 1, _mpf(dims.n_half.as_fraction())
+    p0, p1, p2 = (mpmath.psi(k, top) for k in (0, 1, 2))
+    h0, h1, h2 = (mpmath.psi(k, half) for k in (0, 1, 2))
+    return (
+        p0 - h0,
+        -p1 + _mpf(_kappa2_coeff(dims.m, dims.n)) * h1,
+        p2 + _mpf(a1) * h2 + _mpf(a2) * h1,
+    )
+
+
 @dataclass(frozen=True)
 class CumulantSet:
-    """Exact and floating forms of the first three cumulants of S.
+    """Floating forms of the first three cumulants of S.
 
-    The floats all come from one evaluation of the exact forms at _DPS
+    The floats all come from one evaluation of the closed forms at _DPS
     digits; the ratios are taken at that precision before rounding.  sd,
     skewness and skew_coefficient (the Hermite-correction coefficient
     kappa3 / (6 kappa2^(3/2))) are None for m = 1, where S is identically 0.
+    The exact polynomials are kappa1(dims), kappa2(dims) and kappa3(dims).
     """
 
-    kappa1: ConstPoly
-    kappa2: ConstPoly
-    kappa3: ConstPoly
     kappa1_f: float
     kappa2_f: float
     kappa3_f: float
@@ -147,17 +170,13 @@ class CumulantSet:
 
 
 def cumulant_set(dims: EnsembleDims) -> CumulantSet:
-    k1, k2, k3 = kappa1(dims), kappa2(dims), kappa3(dims)
     sd = skew = coef = None
     with mpmath.workdps(_DPS):
-        v1, v2, v3 = (k.evalf(_DPS) for k in (k1, k2, k3))
+        v1, v2, v3 = _numeric_cumulants(dims)
         if dims.m >= 2:
             scale = v2 ** mpmath.mpf("1.5")
             sd, skew, coef = float(mpmath.sqrt(v2)), float(v3 / scale), float(v3 / (6 * scale))
         return CumulantSet(
-            kappa1=k1,
-            kappa2=k2,
-            kappa3=k3,
             kappa1_f=float(v1),
             kappa2_f=float(v2),
             kappa3_f=float(v3),
@@ -204,21 +223,20 @@ def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
                - 3 (psi1(d+3) + psi0^2(d+3)) E_f[S]
                + psi2(d+3) + 3 psi1(d+3) psi0(d+3) + psi0^3(d+3)
 
-    with (d)_3 = d(d+1)(d+2).  E_f[S], E_f[S^2] come from the closed forms.
+    with (d)_3 = d(d+1)(d+2).  E_f[S] = kappa1 and E_f[S^2] = kappa2 + kappa1^2
+    come from the closed forms, all evaluated at _DPS digits.
     """
     d = dims.d.as_fraction()
     poch3 = d * (d + 1) * (d + 2)
-    arg = dims.d + 3
-    p0 = psi_exact(0, arg)
-    p1 = psi_exact(1, arg)
-    p2 = psi_exact(2, arg)
-    es1, es2, _ = entropy_moments(dims)
     with mpmath.workdps(_DPS):
+        v1, v2, _ = _numeric_cumulants(dims)
+        es1, es2 = v1, v2 + v1 ** 2
+        p0, p1, p2 = (mpmath.psi(k, _mpf(d + 3)) for k in (0, 1, 2))
         value = (
             -mpmath.mpf(e_h_t3) * poch3.denominator / poch3.numerator
-            + 3 * p0.evalf(_DPS) * es2.evalf(_DPS)
-            - 3 * (p1.evalf(_DPS) + p0.evalf(_DPS) ** 2) * es1.evalf(_DPS)
-            + (p2 + 3 * p1 * p0 + p0 ** 3).evalf(_DPS)
+            + 3 * p0 * es2
+            - 3 * (p1 + p0 ** 2) * es1
+            + p2 + 3 * p1 * p0 + p0 ** 3
         )
         return float(value)
 

@@ -57,7 +57,10 @@ def skew_coefficient(dims: EnsembleDims) -> float:
 
 def standardize(samples, dims: EnsembleDims) -> np.ndarray:
     """(S - kappa1)/sqrt(kappa2) using the exact cumulants."""
-    cs = _nondegenerate_set(dims)
+    return _standardize(samples, _nondegenerate_set(dims))
+
+
+def _standardize(samples, cs) -> np.ndarray:
     return (np.asarray(samples, dtype=float) - cs.kappa1_f) / cs.sd
 
 
@@ -69,7 +72,10 @@ def gaussian_pdf(x):
 
 def edgeworth_pdf(x, dims: EnsembleDims):
     """Gaussian density with the cubic skewness correction for these dims."""
-    coef = skew_coefficient(dims)
+    return _edgeworth_pdf(x, skew_coefficient(dims))
+
+
+def _edgeworth_pdf(x, coef: float):
     x = np.asarray(x, dtype=float)
     out = gaussian_pdf(x) * (1.0 + coef * (x ** 3 - 3.0 * x))
     return float(out) if np.ndim(out) == 0 else out
@@ -103,9 +109,10 @@ def density_comparison(
     if not (hi > lo and count >= 2):
         raise ValueError("grid must be (lo, hi, count) with hi > lo and count >= 2")
     xs = np.linspace(lo, hi, int(count))
-    std = standardize(samples, dims)
+    cs = _nondegenerate_set(dims)
+    std = _standardize(samples, cs)
     gauss = gaussian_pdf(xs)
-    edge = edgeworth_pdf(xs, dims)
+    edge = _edgeworth_pdf(xs, cs.skew_coefficient)
     hist = _histogram_on_grid(std, xs, bins)
     l1_g = float(_trapezoid(np.abs(hist - gauss), xs))
     l1_e = float(_trapezoid(np.abs(hist - edge), xs))

@@ -3,10 +3,14 @@ and JSON-schema validity of machine-readable reports."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import bureshall
 from bureshall.cli import main
 
 CUMULANTS_SCHEMA = {
@@ -228,3 +232,13 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only `verify oracles` needs scipy; every other command skips its import cost
+    src = os.path.dirname(os.path.dirname(bureshall.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, bureshall.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

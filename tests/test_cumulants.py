@@ -4,11 +4,13 @@ conversions, and the Gamma-law oracle for the single-eigenvalue case."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bureshall.cumulants import (
+    _DPS,
     DegenerateEnsembleError,
     EnsembleDims,
     cumulant_set,
@@ -113,13 +115,52 @@ class TestBoundsAndSigns:
                 assert float(kappa2(EnsembleDims(m, n))) > 0.0
 
     def test_cumulant_set_consistency(self):
-        cs = cumulant_set(EnsembleDims(3, 5))
-        assert cs.kappa1_f == pytest.approx(float(cs.kappa1.evalf(30)), abs=1e-12)
-        assert cs.kappa2_f == pytest.approx(float(cs.kappa2.evalf(30)), abs=1e-12)
-        assert cs.kappa3_f == pytest.approx(float(cs.kappa3.evalf(30)), abs=1e-12)
+        dims = EnsembleDims(3, 5)
+        cs = cumulant_set(dims)
+        assert cs.kappa1_f == pytest.approx(float(kappa1(dims).evalf(_DPS)), abs=1e-12)
+        assert cs.kappa2_f == pytest.approx(float(kappa2(dims).evalf(_DPS)), abs=1e-12)
+        assert cs.kappa3_f == pytest.approx(float(kappa3(dims).evalf(_DPS)), abs=1e-12)
         assert cs.sd == pytest.approx(math.sqrt(cs.kappa2_f), rel=1e-15)
         assert cs.skewness == pytest.approx(cs.kappa3_f / cs.kappa2_f ** 1.5, rel=1e-14)
         assert cs.skew_coefficient == pytest.approx(cs.skewness / 6, rel=1e-15)
+
+
+def _exact_set_floats(dims: EnsembleDims) -> tuple:
+    """cumulant_set's six floats, taken from the exact ring at _DPS digits."""
+    with mpmath.workdps(_DPS):
+        v1, v2, v3 = (k(dims).evalf(_DPS) for k in (kappa1, kappa2, kappa3))
+        if dims.m < 2:
+            return float(v1), float(v2), float(v3), None, None, None
+        scale = v2 ** mpmath.mpf("1.5")
+        return (float(v1), float(v2), float(v3),
+                float(mpmath.sqrt(v2)), float(v3 / scale), float(v3 / (6 * scale)))
+
+
+class TestNumericPath:
+    def test_bit_identical_to_exact_ring(self):
+        grid = [(m, n) for m in range(1, 13) for n in range(m, 2 * m + 3)] + [(50, 100)]
+        for m, n in grid:
+            dims = EnsembleDims(m, n)
+            cs = cumulant_set(dims)
+            got = (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f, cs.sd, cs.skewness,
+                   cs.skew_coefficient)
+            assert got == _exact_set_floats(dims), (m, n)
+            if m == 1:
+                assert got == (0.0, 0.0, 0.0, None, None, None)
+
+    def test_large_dims(self):
+        cs = cumulant_set(EnsembleDims(10 ** 4, 10 ** 6))
+        for value in (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f, cs.sd, cs.skewness,
+                      cs.skew_coefficient):
+            assert math.isfinite(value)
+        assert cs.kappa2_f > 0
+
+    def test_skewness_halves_up_to_n_2_20(self):
+        s = [skewness(EnsembleDims(2 ** (k - 1), 2 ** k)) for k in range(12, 21)]
+        for big, small in zip(s, s[1:]):
+            assert big / small == pytest.approx(2.0, abs=1e-6)
+        # n * skewness approaches -10 sqrt(2) / 3 along m = n/2
+        assert 2 ** 20 * s[-1] == pytest.approx(-10 * math.sqrt(2) / 3, rel=1e-8)
 
 
 class TestConversions:
