@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
 from .distribution import density_comparison, write_density_csv
-from .fileio import write_atomic
+from .fileio import _write_csv, write_atomic
 from .identities import (
     default_grid,
     degenerate_anomaly_check,
@@ -306,8 +306,8 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
              "passed": abs(z) <= 4.0}
         )
     if csv_path:
-        lines = ["m,n,kappa3"] + [f"{r['m']},{r['n']},{r['kappa3']!r}" for r in rows]
-        write_atomic(csv_path, "\n".join(lines) + "\n")
+        columns = [[r[key] for r in rows] for key in ("m", "n", "kappa3")]
+        _write_csv(csv_path, "m,n,kappa3", columns)
     passed = monotone_ok and all(c["passed"] for c in spot_checks)
     return {
         "target": "figure2",

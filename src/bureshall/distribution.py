@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set
-from .fileio import write_atomic
+from .fileio import _write_csv
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 compat
 
@@ -31,7 +30,7 @@ class DensityGrid:
     xs: np.ndarray
     gaussian: np.ndarray
     edgeworth: np.ndarray
-    histogram: Optional[np.ndarray] = None
+    histogram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,5 @@ def density_comparison(
 
 def write_density_csv(grid: DensityGrid, path: str) -> None:
     """Write `x,gaussian,edgeworth,histogram` with round-trip floats."""
-    lines = ["x,gaussian,edgeworth,histogram"]
-    hist = grid.histogram
-    for i, x in enumerate(grid.xs):
-        h = repr(float(hist[i])) if hist is not None else ""
-        lines.append(
-            f"{float(x)!r},{float(grid.gaussian[i])!r},{float(grid.edgeworth[i])!r},{h}"
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x,gaussian,edgeworth,histogram",
+              [grid.xs, grid.gaussian, grid.edgeworth, grid.histogram])

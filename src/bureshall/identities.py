@@ -4,14 +4,15 @@ Three families of objects live here:
 
 * the anomaly catalog Omega_1 .. Omega_18: finite single sums of rational
   functions times polygamma values that admit no closed form individually but
-  cancel when cumulants are assembled;
+  cancel when cumulants are assembled, stated as one table of weights and
+  polygamma factors;
 
 * a declarative catalog of summation identities relating those anomalies (and
-  in a few cases collapsing them to closed forms).  Each identity stores an
-  admissibility predicate plus builders for its two sides; the residual
-  LHS - RHS is an element of the constant ring and must be the zero
-  polynomial.  All but four left-hand sides are anomalies evaluated by
-  `omega`, so the identity grid checks the anomaly catalog too;
+  in a few cases collapsing them to closed forms).  Each identity stores its
+  domain (admissibility rules and parameter grid) plus builders for its two
+  sides; the residual LHS - RHS is an element of the constant ring and must
+  be the zero polynomial.  All but four left-hand sides are anomalies
+  evaluated by `omega`, so the identity grid checks the anomaly catalog too;
 
 * telescoping fixtures: re-summation functions G, each an anomaly, with
   their one-step differences written via the shift recurrence
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import permutations
+from typing import Callable, NamedTuple, Optional
 
 from .polygamma import psi_exact
 from .ring import ConstPoly, ZERO
@@ -76,7 +78,7 @@ def _sum_poly(m: int, term: Callable[[int], ConstPoly]) -> ConstPoly:
 @dataclass(frozen=True)
 class AnomalySpec:
     """One anomaly instance: Omega_index at summation length m with whichever
-    of the parameters a, b, c it uses."""
+    of the parameters a, b, c its row in the anomaly table uses."""
 
     index: int
     m: int
@@ -85,11 +87,12 @@ class AnomalySpec:
     c: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.index not in _OMEGA_PARAMS:
+        if self.index not in _OMEGA:
             raise ValueError(f"anomaly index must be 1..18, got {self.index}")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        needed = _OMEGA_PARAMS[self.index]
+        den, _, factors = _OMEGA[self.index]
+        needed = {arg.param for arg in (den, *(arg for _, arg in factors))}
         for name in ("a", "b", "c"):
             value = getattr(self, name)
             if name in needed and value is None:
@@ -103,83 +106,60 @@ def anomaly(index: int, m: int, **params) -> AnomalySpec:
     return AnomalySpec(index, m, **coerced)
 
 
-_OMEGA_PARAMS = {
-    1: ("a",), 2: ("a",),
-    3: ("b", "c"), 4: ("b", "c"), 5: ("b", "c"), 6: ("b", "c"),
-    7: ("a",), 8: ("a",), 9: ("a",), 10: ("a",),
-    11: ("a",), 12: ("a",), 13: ("a",), 14: ("a",),
-    15: ("b",), 16: ("b",),
-    17: ("a",), 18: ("a",),
+class _Arg(NamedTuple):
+    """An argument form: a function of the summation index k and the spec,
+    reading at most one anomaly parameter."""
+
+    param: Optional[str]
+    at: Callable[[AnomalySpec, int], Fraction]
+
+
+_K = _Arg(None, lambda s, k: Fraction(k))
+_M1K = _Arg(None, lambda s, k: Fraction(s.m + 1 - k))
+_A1K = _Arg("a", lambda s, k: s.a + 1 - k)
+_KAM = _Arg("a", lambda s, k: k + s.a - s.m)
+_KB = _Arg("b", lambda s, k: k + s.b)
+_KC = _Arg("c", lambda s, k: k + s.c)
+
+# Omega_index = sum_{k=1..m} psi_o1(f1(k)) psi_o2(f2(k)) / den(k)^power, as
+# index: (den, power, ((o1, f1), (o2, f2))).  A squared polygamma is a repeated
+# factor.  The parameters an anomaly takes are those its argument forms read.
+_OMEGA = {
+    1: (_A1K, 1, ((0, _K),)),
+    2: (_K, 1, ((0, _A1K),)),
+    3: (_KC, 2, ((0, _KB),)),
+    4: (_KC, 1, ((0, _KB), (0, _KB))),
+    5: (_KC, 1, ((1, _KB),)),
+    6: (_KC, 1, ((0, _KB),)),
+    7: (_A1K, 2, ((0, _K),)),
+    8: (_A1K, 1, ((0, _K), (0, _K))),
+    9: (_K, 2, ((0, _A1K),)),
+    10: (_K, 1, ((0, _A1K), (0, _A1K))),
+    11: (_M1K, 1, ((0, _K), (0, _KAM))),
+    12: (_M1K, 1, ((0, _K), (0, _A1K))),
+    13: (_A1K, 1, ((0, _K), (0, _A1K))),
+    14: (_K, 1, ((0, _K), (0, _A1K))),
+    15: (_KB, 1, ((0, _K), (0, _KB))),
+    16: (_K, 1, ((0, _K), (0, _KB))),
+    17: (_A1K, 1, ((1, _K),)),
+    18: (_K, 1, ((1, _A1K),)),
 }
 
 
 def omega(spec: AnomalySpec) -> ConstPoly:
     """Exact value of the anomaly as a polynomial in the constant ring."""
-    m, a, b, c = spec.m, spec.a, spec.b, spec.c
-    i = spec.index
-    w = f"Omega_{i}"
+    den, power, factors = _OMEGA[spec.index]
+    what = f"Omega_{spec.index}"
 
-    if i == 1:
-        return _sum_poly(m, lambda k: _inv(a + 1 - k, w, k) * _psi(0, Fraction(k), w, k))
-    if i == 2:
-        return _sum_poly(m, lambda k: Fraction(1, k) * _psi(0, a + 1 - k, w, k))
-    if i == 3:
-        return _sum_poly(m, lambda k: _inv(k + c, w, k) ** 2 * _psi(0, k + b, w, k))
-    if i == 4:
-        return _sum_poly(m, lambda k: _inv(k + c, w, k) * _psi(0, k + b, w, k) ** 2)
-    if i == 5:
-        return _sum_poly(m, lambda k: _inv(k + c, w, k) * _psi(1, k + b, w, k))
-    if i == 6:
-        return _sum_poly(m, lambda k: _inv(k + c, w, k) * _psi(0, k + b, w, k))
-    if i == 7:
-        return _sum_poly(m, lambda k: _inv(a + 1 - k, w, k) ** 2 * _psi(0, Fraction(k), w, k))
-    if i == 8:
-        return _sum_poly(m, lambda k: _inv(a + 1 - k, w, k) * _psi(0, Fraction(k), w, k) ** 2)
-    if i == 9:
-        return _sum_poly(m, lambda k: Fraction(1, k * k) * _psi(0, a + 1 - k, w, k))
-    if i == 10:
-        return _sum_poly(m, lambda k: Fraction(1, k) * _psi(0, a + 1 - k, w, k) ** 2)
-    if i == 11:
-        return _sum_poly(
-            m,
-            lambda k: Fraction(1, m + 1 - k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, k + a - m, w, k),
-        )
-    if i == 12:
-        return _sum_poly(
-            m,
-            lambda k: Fraction(1, m + 1 - k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, a + 1 - k, w, k),
-        )
-    if i == 13:
-        return _sum_poly(
-            m,
-            lambda k: _inv(a + 1 - k, w, k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, a + 1 - k, w, k),
-        )
-    if i == 14:
-        return _sum_poly(
-            m,
-            lambda k: Fraction(1, k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, a + 1 - k, w, k),
-        )
-    if i == 15:
-        return _sum_poly(
-            m,
-            lambda k: _inv(k + b, w, k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, k + b, w, k),
-        )
-    if i == 16:
-        return _sum_poly(
-            m,
-            lambda k: Fraction(1, k)
-            * _psi(0, Fraction(k), w, k) * _psi(0, k + b, w, k),
-        )
-    if i == 17:
-        return _sum_poly(m, lambda k: _inv(a + 1 - k, w, k) * _psi(1, Fraction(k), w, k))
-    if i == 18:
-        return _sum_poly(m, lambda k: Fraction(1, k) * _psi(1, a + 1 - k, w, k))
-    raise AssertionError(i)
+    def term(k: int) -> ConstPoly:
+        value = _inv(den.at(spec, k), what, k) ** power
+        # a repeated factor costs one polygamma evaluation
+        psis = {(o, arg): _psi(o, arg.at(spec, k), what, k) for o, arg in dict.fromkeys(factors)}
+        for f in factors:
+            value = value * psis[f]
+        return value
+
+    return _sum_poly(spec.m, term)
 
 
 @dataclass(frozen=True)
@@ -192,18 +172,12 @@ class DegeneracyRelation:
 def degenerate_anomaly_check(m: int) -> list[DegeneracyRelation]:
     """At a = m the two-sided anomalies collapse pairwise onto single-sum
     anomalies: Omega7 = Omega9, Omega8 = Omega10, Omega11 = Omega10."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    am = Fraction(m)
-    pairs = [
-        ("omega7_equals_omega9", omega(anomaly(7, m, a=am)) - omega(anomaly(9, m, a=am))),
-        ("omega8_equals_omega10", omega(anomaly(8, m, a=am)) - omega(anomaly(10, m, a=am))),
-        ("omega11_equals_omega10", omega(anomaly(11, m, a=am)) - omega(anomaly(10, m, a=am))),
-    ]
-    return [
-        DegeneracyRelation(name, res.is_zero(), "0" if res.is_zero() else res.to_text())
-        for name, res in pairs
-    ]
+    relations = []
+    for i, j in ((7, 9), (8, 10), (11, 10)):
+        res = omega(anomaly(i, m, a=m)) - omega(anomaly(j, m, a=m))
+        name = f"omega{i}_equals_omega{j}"
+        relations.append(DegeneracyRelation(name, res.is_zero(), res.to_text()))
+    return relations
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +199,68 @@ def case(identity_id: str, m: int, **params) -> IdentityCase:
     return IdentityCase(identity_id, m, **coerced)
 
 
+class _Domain(NamedTuple):
+    """An identity's admissible parameters: rules (holds(case), message)
+    checked in order, the message formatted with the case's fields, and the
+    grid of parameter sets verified at summation length m."""
+
+    rules: tuple[tuple[Callable[[IdentityCase], bool], str], ...]
+    grid: Callable[[int], list[dict]]
+
+
+def _positive(name: str, strict: bool = True):
+    """The rule name > 0 (name >= 0 if not strict); a missing name fails it."""
+    def holds(cs):
+        v = getattr(cs, name)
+        return v is not None and (v > 0 if strict else v >= 0)
+    return holds, f"need {name} {'>' if strict else '>='} 0, got {name}={{{name}}}"
+
+
+def _positive_int(name: str):
+    def holds(cs):
+        v = getattr(cs, name)
+        return v is not None and v > 0 and v.denominator == 1
+    return holds, f"need positive integer {name}, got {{{name}}}"
+
+
+_HALVES = (Fraction(1, 2), Fraction(3, 2))
+
+# Integer spans: a in (m, m+6], b, c in [0, 6] subject to each domain's rules;
+# half-integer a and b values exercise the ln2 sector; alpha runs over the
+# positive half-odd values up to 7/2.
+_M_ONLY = _Domain((), lambda m: [{}])
+_A_GT_M = _Domain(
+    # a = m is a removable-singularity boundary of the written closed form
+    # (psi values at a - m = 0 appear); recorded as inadmissible, not guessed.
+    ((lambda cs: cs.a is not None and cs.a > cs.m, "need a > m, got a={a}, m={m}"),),
+    lambda m: [{"a": a} for a in [*range(m + 1, m + 7), *(m + h for h in _HALVES)]],
+)
+_B_POS = _Domain((_positive("b"),), lambda m: [{"b": b} for b in [*range(1, 7), *_HALVES]])
+_B_NONNEG = _Domain((_positive("b", strict=False),),
+                    lambda m: [{"b": b} for b in [*range(0, 7), *_HALVES]])
+_BC_DISTINCT_NONNEG = _Domain(
+    (_positive("b", strict=False), _positive("c", strict=False),
+     (lambda cs: cs.b != cs.c, "need b != c")),
+    lambda m: [{"b": b, "c": c} for b in range(0, 7) for c in range(0, 7) if b != c],
+)
+_AB_POS = _Domain((_positive("a"), _positive("b")),
+                  lambda m: [{"a": a, "b": b} for a in range(1, 5) for b in range(1, 5)])
+_ABC_DISTINCT_POS_INT = _Domain(
+    (_positive_int("a"), _positive_int("b"), _positive_int("c"),
+     (lambda cs: len({cs.a, cs.b, cs.c}) == 3, "need a, b, c pairwise distinct")),
+    lambda m: [dict(zip("abc", trip)) for trip in permutations(range(1, 5), 3)],
+)
+_ALPHA_POS = _Domain(
+    ((lambda cs: cs.alpha is not None and 2 * cs.alpha > 0,
+      "need alpha > 0 so every argument stays positive, got alpha={alpha}"),),
+    lambda m: [{"alpha": Fraction(twice, 2)} for twice in (1, 3, 5, 7)],
+)
+
+
 @dataclass(frozen=True)
 class IdentityDef:
     identity_id: str
-    params: tuple[str, ...]
-    check: Callable[[IdentityCase], None]
+    domain: _Domain
     lhs: Callable[[IdentityCase], ConstPoly]
     rhs: Callable[[IdentityCase], ConstPoly]
 
@@ -246,65 +277,11 @@ def _p2(x):
     return psi_exact(2, x)
 
 
-def _need(cond: bool, msg: str):
-    if not cond:
-        raise IdentityDomainError(msg)
-
-
-def _check_m_only(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-
-
-def _check_a_gt_m(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    # a = m is a removable-singularity boundary of the written closed form
-    # (psi values at a - m = 0 appear); recorded as inadmissible, not guessed.
-    _need(cs.a is not None and cs.a > cs.m, f"need a > m, got a={cs.a}, m={cs.m}")
-
-
-def _check_b_pos(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    _need(cs.b is not None and cs.b > 0, f"need b > 0, got b={cs.b}")
-
-
-def _check_b_nonneg(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    _need(cs.b is not None and cs.b >= 0, f"need b >= 0, got b={cs.b}")
-
-
-def _check_bc_distinct_nonneg(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    _need(cs.b is not None and cs.b >= 0, f"need b >= 0, got b={cs.b}")
-    _need(cs.c is not None and cs.c >= 0, f"need c >= 0, got c={cs.c}")
-    _need(cs.b != cs.c, "need b != c")
-
-
-def _check_ab_pos(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    _need(cs.a is not None and cs.a > 0, f"need a > 0, got a={cs.a}")
-    _need(cs.b is not None and cs.b > 0, f"need b > 0, got b={cs.b}")
-
-
-def _check_abc_distinct_pos_int(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    for name in ("a", "b", "c"):
-        v = getattr(cs, name)
-        _need(v is not None and v > 0 and v.denominator == 1,
-              f"need positive integer {name}, got {v}")
-    _need(len({cs.a, cs.b, cs.c}) == 3, "need a, b, c pairwise distinct")
-
-
-def _check_alpha(cs: IdentityCase):
-    _need(cs.m >= 1, "m must be a positive integer")
-    _need(cs.alpha is not None and 2 * cs.alpha > 0,
-          f"need alpha > 0 so every argument stays positive, got alpha={cs.alpha}")
-
-
 _IDENTITIES: dict[str, IdentityDef] = {}
 
 
-def _register(identity_id, params, check, lhs, rhs):
-    _IDENTITIES[identity_id] = IdentityDef(identity_id, params, check, lhs, rhs)
+def _register(identity_id, domain, lhs, rhs):
+    _IDENTITIES[identity_id] = IdentityDef(identity_id, domain, lhs, rhs)
 
 
 # -- closed forms in m alone -------------------------------------------------
@@ -315,13 +292,13 @@ def _rhs_psi0_over_mk(cs):
 
 
 _register(
-    "psi0_over_mk", ("m",), _check_m_only,
+    "psi0_over_mk", _M_ONLY,
     lambda cs: omega(anomaly(1, cs.m, a=cs.m)),
     _rhs_psi0_over_mk,
 )
 
 _register(
-    "psi0_mk_over_k", ("m",), _check_m_only,
+    "psi0_mk_over_k", _M_ONLY,
     lambda cs: omega(anomaly(2, cs.m, a=cs.m)),
     _rhs_psi0_over_mk,
 )
@@ -338,7 +315,7 @@ def _rhs_psi0_over_k2(cs):
 
 
 _register(
-    "psi0_over_k2", ("m",), _check_m_only,
+    "psi0_over_k2", _M_ONLY,
     lambda cs: omega(anomaly(3, cs.m, b=0, c=0)),
     _rhs_psi0_over_k2,
 )
@@ -355,7 +332,7 @@ def _rhs_psi0_mk_over_k2(cs):
 
 
 _register(
-    "psi0_mk_over_k2", ("m",), _check_m_only,
+    "psi0_mk_over_k2", _M_ONLY,
     lambda cs: omega(anomaly(9, cs.m, a=cs.m)),
     _rhs_psi0_mk_over_k2,
 )
@@ -372,7 +349,7 @@ def _rhs_psi0sq_mk_over_k(cs):
 
 
 _register(
-    "psi0sq_mk_over_k", ("m",), _check_m_only,
+    "psi0sq_mk_over_k", _M_ONLY,
     lambda cs: omega(anomaly(10, cs.m, a=cs.m)),
     _rhs_psi0sq_mk_over_k,
 )
@@ -391,7 +368,7 @@ def _rhs_psi0_kb_over_kb2(cs):
 
 
 _register(
-    "psi0_kb_over_kb2", ("m", "b"), _check_b_nonneg,
+    "psi0_kb_over_kb2", _B_NONNEG,
     lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.b)),
     _rhs_psi0_kb_over_kb2,
 )
@@ -410,7 +387,7 @@ def _rhs_psi0_kb_over_k2(cs):
 
 
 _register(
-    "psi0_kb_over_k2", ("m", "b"), _check_b_pos,
+    "psi0_kb_over_k2", _B_POS,
     lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=0)),
     _rhs_psi0_kb_over_k2,
 )
@@ -429,7 +406,7 @@ def _rhs_psi0_over_kb2(cs):
 
 
 _register(
-    "psi0_over_kb2", ("m", "b"), _check_b_pos,
+    "psi0_over_kb2", _B_POS,
     lambda cs: omega(anomaly(3, cs.m, b=0, c=cs.b)),
     _rhs_psi0_over_kb2,
 )
@@ -446,7 +423,7 @@ def _rhs_psi0_kb_over_kc_swap(cs):
 
 
 _register(
-    "psi0_kb_over_kc_swap", ("m", "b", "c"), _check_bc_distinct_nonneg,
+    "psi0_kb_over_kc_swap", _BC_DISTINCT_NONNEG,
     lambda cs: omega(anomaly(6, cs.m, b=cs.b, c=cs.c)),
     _rhs_psi0_kb_over_kc_swap,
 )
@@ -464,7 +441,7 @@ def _rhs_psi0_kb_over_kc2(cs):
 
 
 _register(
-    "psi0_kb_over_kc2", ("m", "b", "c"), _check_bc_distinct_nonneg,
+    "psi0_kb_over_kc2", _BC_DISTINCT_NONNEG,
     lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.c)),
     _rhs_psi0_kb_over_kc2,
 )
@@ -490,7 +467,7 @@ def _rhs_psi0_psi0kb_over_k(cs):
 
 
 _register(
-    "psi0_psi0kb_over_k", ("m", "b"), _check_b_pos,
+    "psi0_psi0kb_over_k", _B_POS,
     lambda cs: omega(anomaly(16, cs.m, b=cs.b)),
     _rhs_psi0_psi0kb_over_k,
 )
@@ -515,7 +492,7 @@ def _rhs_psi0_psi0kb_over_kb(cs):
 
 
 _register(
-    "psi0_psi0kb_over_kb", ("m", "b"), _check_b_pos,
+    "psi0_psi0kb_over_kb", _B_POS,
     lambda cs: omega(anomaly(15, cs.m, b=cs.b)),
     _rhs_psi0_psi0kb_over_kb,
 )
@@ -537,7 +514,7 @@ def _rhs_psi0_ak_over_k(cs):
 
 
 _register(
-    "psi0_ak_over_k", ("m", "a"), _check_a_gt_m,
+    "psi0_ak_over_k", _A_GT_M,
     lambda cs: omega(anomaly(2, cs.m, a=cs.a)),
     _rhs_psi0_ak_over_k,
 )
@@ -558,7 +535,7 @@ def _rhs_psi0_over_ak(cs):
 
 
 _register(
-    "psi0_over_ak", ("m", "a"), _check_a_gt_m,
+    "psi0_over_ak", _A_GT_M,
     lambda cs: omega(anomaly(1, cs.m, a=cs.a)),
     _rhs_psi0_over_ak,
 )
@@ -580,7 +557,7 @@ def _rhs_psi0_over_ak2(cs):
 
 
 _register(
-    "psi0_over_ak2", ("m", "a"), _check_a_gt_m,
+    "psi0_over_ak2", _A_GT_M,
     lambda cs: omega(anomaly(7, cs.m, a=cs.a)),
     _rhs_psi0_over_ak2,
 )
@@ -619,7 +596,7 @@ def _rhs_psi0sq_over_ak(cs):
 
 
 _register(
-    "psi0sq_over_ak", ("m", "a"), _check_a_gt_m,
+    "psi0sq_over_ak", _A_GT_M,
     lambda cs: omega(anomaly(8, cs.m, a=cs.a)),
     _rhs_psi0sq_over_ak,
 )
@@ -641,7 +618,7 @@ def _rhs_psi1_ak_over_k(cs):
 
 
 _register(
-    "psi1_ak_over_k", ("m", "a"), _check_a_gt_m,
+    "psi1_ak_over_k", _A_GT_M,
     lambda cs: omega(anomaly(18, cs.m, a=cs.a)),
     _rhs_psi1_ak_over_k,
 )
@@ -671,7 +648,7 @@ def _rhs_psi1_over_ak(cs):
 
 
 _register(
-    "psi1_over_ak", ("m", "a"), _check_a_gt_m,
+    "psi1_over_ak", _A_GT_M,
     lambda cs: omega(anomaly(17, cs.m, a=cs.a)),
     _rhs_psi1_over_ak,
 )
@@ -699,7 +676,7 @@ def _rhs_psi0_ak_over_k2(cs):
 
 
 _register(
-    "psi0_ak_over_k2", ("m", "a"), _check_a_gt_m,
+    "psi0_ak_over_k2", _A_GT_M,
     lambda cs: omega(anomaly(9, cs.m, a=cs.a)),
     _rhs_psi0_ak_over_k2,
 )
@@ -727,7 +704,7 @@ def _rhs_psi0_psi0ak_over_ak(cs):
 
 
 _register(
-    "psi0_psi0ak_over_ak", ("m", "a"), _check_a_gt_m,
+    "psi0_psi0ak_over_ak", _A_GT_M,
     lambda cs: omega(anomaly(13, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_ak,
 )
@@ -770,7 +747,7 @@ def _rhs_psi0_psi0ak_over_k(cs):
 
 
 _register(
-    "psi0_psi0ak_over_k", ("m", "a"), _check_a_gt_m,
+    "psi0_psi0ak_over_k", _A_GT_M,
     lambda cs: omega(anomaly(14, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_k,
 )
@@ -820,7 +797,7 @@ def _rhs_psi0_psi0ak_over_mk(cs):
 
 
 _register(
-    "psi0_psi0ak_over_mk", ("m", "a"), _check_a_gt_m,
+    "psi0_psi0ak_over_mk", _A_GT_M,
     lambda cs: omega(anomaly(12, cs.m, a=cs.a)),
     _rhs_psi0_psi0ak_over_mk,
 )
@@ -858,7 +835,7 @@ def _rhs_psi0_psi0shift_over_mk(cs):
 
 
 _register(
-    "psi0_psi0shift_over_mk", ("m", "a"), _check_a_gt_m,
+    "psi0_psi0shift_over_mk", _A_GT_M,
     lambda cs: omega(anomaly(11, cs.m, a=cs.a)),
     _rhs_psi0_psi0shift_over_mk,
 )
@@ -914,7 +891,7 @@ def _rhs_three_term(cs):
 
 
 _register(
-    "three_term_cycle", ("m", "a", "b", "c"), _check_abc_distinct_pos_int,
+    "three_term_cycle", _ABC_DISTINCT_POS_INT,
     _lhs_three_term, _rhs_three_term,
 )
 
@@ -946,7 +923,7 @@ def _rhs_block_diff(cs):
     )
 
 
-_register("psi0_block_difference_pair", ("m", "a", "b"), _check_ab_pos,
+_register("psi0_block_difference_pair", _AB_POS,
           _lhs_block_diff, _rhs_block_diff)
 
 
@@ -989,7 +966,7 @@ def _rhs_trigamma_closed_1(cs):
     )
 
 
-_register("trigamma_alpha_closed_1", ("m", "alpha"), _check_alpha,
+_register("trigamma_alpha_closed_1", _ALPHA_POS,
           _lhs_trigamma_closed_1, _rhs_trigamma_closed_1)
 
 
@@ -1019,7 +996,7 @@ def _rhs_trigamma_closed_2(cs):
     )
 
 
-_register("trigamma_alpha_closed_2", ("m", "alpha"), _check_alpha,
+_register("trigamma_alpha_closed_2", _ALPHA_POS,
           _lhs_trigamma_closed_2, _rhs_trigamma_closed_2)
 
 
@@ -1036,52 +1013,23 @@ def identity_residual(cs: IdentityCase) -> ConstPoly:
     spec = _IDENTITIES.get(cs.identity_id)
     if spec is None:
         raise KeyError(f"unknown identity {cs.identity_id!r}")
-    spec.check(cs)
+    if cs.m < 1:
+        raise IdentityDomainError("m must be a positive integer")
+    for holds, message in spec.domain.rules:
+        if not holds(cs):
+            raise IdentityDomainError(message.format(**vars(cs)))
     return spec.lhs(cs) - spec.rhs(cs)
 
 
 def default_grid(max_m: int = 8):
-    """Admissible parameter grid used by the verification suite.
-
-    Integer spans: a in (m, m+6], b, c in [0, 6] subject to each identity's
-    constraints; half-integer a and b values exercise the ln2 sector; alpha
-    runs over the positive half-odd values up to 7/2.
-    """
-    halves = [Fraction(1, 2), Fraction(3, 2)]
-    cases: list[IdentityCase] = []
-    for m in range(1, max_m + 1):
-        a_vals = [Fraction(a) for a in range(m + 1, m + 7)]
-        a_vals += [m + h for h in halves]
-        b_pos = [Fraction(b) for b in range(1, 7)] + halves
-        b_nonneg = [Fraction(b) for b in range(0, 7)]
-        for ident in _IDENTITIES.values():
-            p = set(ident.params)
-            if p == {"m"}:
-                cases.append(case(ident.identity_id, m))
-            elif p == {"m", "a"}:
-                cases += [case(ident.identity_id, m, a=a) for a in a_vals]
-            elif p == {"m", "b"}:
-                vals = b_pos if ident.check is _check_b_pos else b_nonneg + halves
-                cases += [case(ident.identity_id, m, b=b) for b in vals]
-            elif p == {"m", "b", "c"}:
-                for b in range(0, 7):
-                    for c in range(0, 7):
-                        if b != c:
-                            cases.append(case(ident.identity_id, m, b=b, c=c))
-            elif p == {"m", "a", "b"}:
-                for a in range(1, 5):
-                    for b in range(1, 5):
-                        cases.append(case(ident.identity_id, m, a=a, b=b))
-            elif p == {"m", "a", "b", "c"}:
-                from itertools import permutations
-                for trip in permutations(range(1, 5), 3):
-                    cases.append(case(ident.identity_id, m, a=trip[0], b=trip[1], c=trip[2]))
-            elif p == {"m", "alpha"}:
-                for twice in (1, 3, 5, 7):
-                    cases.append(case(ident.identity_id, m, alpha=Fraction(twice, 2)))
-            else:  # pragma: no cover
-                raise AssertionError(ident.identity_id)
-    return cases
+    """Admissible parameter grid used by the verification suite: for each
+    m = 1..max_m, every identity at each parameter set of its domain's grid."""
+    return [
+        case(ident.identity_id, m, **params)
+        for m in range(1, max_m + 1)
+        for ident in _IDENTITIES.values()
+        for params in ident.domain.grid(m)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ from typing import Mapping, Union
 
 import mpmath
 
-# Arbitrary-precision rational: always lowest terms, denominator > 0.
-Rational = Fraction
-
 #: symbol order used for exponent tuples
 SYMBOLS = ("g", "l2", "z2", "z3")
 
@@ -90,9 +87,6 @@ class ConstPoly:
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self._terms), default=0)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_ZERO_MONO, Fraction(0))
 
     # -- ring arithmetic ----------------------------------------------------
 

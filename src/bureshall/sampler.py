@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cumulants import EnsembleDims
-from .fileio import write_atomic
+from .fileio import _write_csv
 
 
 class DegenerateInputError(ValueError):
@@ -153,8 +153,7 @@ def log_density_unconstrained(x, dims: EnsembleDims) -> float:
     if np.unique(x).size < dims.m:
         raise DegenerateInputError(f"coincident coordinates in {x}")
     iu = np.triu_indices(dims.m, 1) if dims.m > 1 else None
-    alpha = float(dims.alpha)
-    return float(alpha * np.log(x).sum() - x.sum() + _pair_term(x[None, :], iu)[0])
+    return float(_log_density(x[None, :], np.log(x)[None, :], float(dims.alpha), iu)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +172,19 @@ def _pair_term(x: np.ndarray, iu) -> np.ndarray:
     s = x[:, iu[0]] + x[:, iu[1]]
     with np.errstate(divide="ignore"):
         return (2.0 * np.log(np.abs(d)) - np.log(s)).sum(axis=1)
+
+
+def _log_density(x: np.ndarray, y: np.ndarray, w: float, iu) -> np.ndarray:
+    """Row-wise pair term + w * sum(y) - sum(x): the unconstrained log-density
+    at x with y = ln x and w = alpha, or, with w = alpha + 1, the log-density
+    of y = ln x (the Jacobian adds sum(y))."""
+    return _pair_term(x, iu) + w * y.sum(axis=1) - x.sum(axis=1)
+
+
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """Row-wise von Neumann entropies with 0 ln 0 = 0."""
+    with np.errstate(invalid="ignore"):
+        return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1)
 
 
 def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
@@ -199,7 +211,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
             x[c] = g.gamma(alpha + 1.0, 1.0, size=m)
     y = np.log(x)
     theta = x.sum(axis=1)
-    logp = _pair_term(x, iu) + (alpha + 1.0) * y.sum(axis=1) - theta
+    logp = _log_density(x, y, alpha + 1.0, iu)
 
     sigma_comp = config.step_scale if config.step_scale is not None else 0.25 / math.sqrt(m)
     sigma_scale = 2.4 / math.sqrt(max(d_shape, 1.0))
@@ -226,11 +238,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
             # component move
             y_prop = y + sigma_comp * comp_steps[:, t, :]
             x_prop = np.exp(y_prop)
-            logp_prop = (
-                _pair_term(x_prop, iu)
-                + (alpha + 1.0) * y_prop.sum(axis=1)
-                - x_prop.sum(axis=1)
-            )
+            logp_prop = _log_density(x_prop, y_prop, alpha + 1.0, iu)
             accept = np.log(comp_u[:, t]) < logp_prop - logp
             y[accept] = y_prop[accept]
             x[accept] = x_prop[accept]
@@ -272,8 +280,6 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
 
     lam_flat = lam_out.reshape(-1, m)[: config.samples]
     theta_flat = theta_out.reshape(-1)[: config.samples]
-    with np.errstate(invalid="ignore"):
-        ent = -np.where(lam_flat > 0, lam_flat * np.log(lam_flat), 0.0).sum(axis=1)
     chain_idx = np.tile(np.arange(n_chains), kept_per_chain)[: config.samples]
     step_idx = np.repeat(
         config.burn_in + config.thinning * (np.arange(kept_per_chain) + 1) - 1, n_chains
@@ -281,7 +287,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     return SampleBatch(
         spectra=lam_flat,
         thetas=theta_flat,
-        entropies=ent,
+        entropies=_entropies(lam_flat),
         chain_index=chain_idx,
         step_index=step_idx,
         provenance=Provenance(dims, config, "mcmc"),
@@ -334,12 +340,10 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         lam_all[done : done + nb] = lam[:, ::-1]  # descending
         theta_all[done : done + nb] = trace
         done += nb
-    with np.errstate(invalid="ignore"):
-        ent = -np.where(lam_all > 0, lam_all * np.log(lam_all), 0.0).sum(axis=1)
     return SampleBatch(
         spectra=lam_all,
         thetas=theta_all,
-        entropies=ent,
+        entropies=_entropies(lam_all),
         chain_index=np.zeros(count, dtype=int),
         step_index=np.arange(count),
         provenance=Provenance(dims, None, "matrix"),
@@ -408,14 +412,8 @@ def write_sample_csv(batch: SampleBatch, path: str) -> None:
     """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats."""
     m = batch.spectra.shape[1]
     header = "chain,step,theta,S," + ",".join(f"lambda_{i+1}" for i in range(m))
-    lines = [header]
-    for i in range(len(batch)):
-        lam = ",".join(repr(float(v)) for v in batch.spectra[i])
-        lines.append(
-            f"{int(batch.chain_index[i])},{int(batch.step_index[i])},"
-            f"{float(batch.thetas[i])!r},{float(batch.entropies[i])!r},{lam}"
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    columns = [batch.chain_index, batch.step_index, batch.thetas, batch.entropies]
+    _write_csv(path, header, columns + list(batch.spectra.T))
 
 
 def read_sample_csv(path: str):

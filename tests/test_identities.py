@@ -2,10 +2,13 @@
 telescoping fixtures.  Everything here is exact; a residual passes only if it
 is the zero polynomial."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from bureshall import cli
 from bureshall.identities import (
     AnomalyDomainError,
     AnomalySpec,
@@ -51,6 +54,14 @@ class TestOmega:
     def test_half_integer_parameter_hits_ln2_sector(self):
         value = omega(anomaly(2, 3, a=Fraction(7, 2)))
         assert any(mono[1] > 0 for mono in value.terms)  # an l2 term appears
+
+    def test_rows_no_identity_reaches(self):
+        # Omega_4 and Omega_5 appear in no identity, telescope or degeneracy
+        # relation; values summed by hand from psi0(2) = 1 - g, psi0(3) = 3/2 - g,
+        # psi1(2) = z2 - 1, psi1(3) = z2 - 5/4
+        expected = Fraction(3, 2) * GAMMA ** 2 - Fraction(7, 2) * GAMMA + Fraction(17, 8)
+        assert omega(anomaly(4, 2, b=1, c=0)) == expected
+        assert omega(anomaly(5, 2, b=1, c=2)) == Fraction(7, 12) * ZETA2 - Fraction(31, 48)
 
     def test_degree_at_most_two(self):
         specs = [
@@ -110,6 +121,14 @@ class TestIdentityGrid:
                 res = identity_residual(case(ident, m, a=m + Fraction(1, 2)))
                 assert res.is_zero(), ident
 
+    def test_grid_size_and_order(self):
+        # the digest pins every identity id and parameter set, in order
+        grid = default_grid(8)
+        assert len(grid) == 2128
+        listing = json.dumps([[cs.identity_id, cli._params_dict(cs)] for cs in grid])
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "0384af302f8a07e31749550a7534fc2c580524389dbb53abd39350fc3f2524c8")
+
     def test_residual_degree_bounded(self):
         cat = identity_catalog()
         cs = case("psi0_psi0ak_over_k", 3, a=5)
@@ -135,6 +154,22 @@ class TestAdmissibility:
     def test_trigamma_needs_positive_alpha(self):
         with pytest.raises(IdentityDomainError):
             identity_residual(case("trigamma_alpha_closed_1", 2, alpha=Fraction(-1, 2)))
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(IdentityDomainError, match="m must be a positive integer"):
+            identity_residual(case("psi0_over_mk", 0))
+
+    def test_b_positive(self):
+        with pytest.raises(IdentityDomainError, match="need b > 0, got b=0"):
+            identity_residual(case("psi0_kb_over_k2", 2, b=0))
+
+    def test_b_nonnegative(self):
+        with pytest.raises(IdentityDomainError, match="need b >= 0, got b=-1"):
+            identity_residual(case("psi0_kb_over_kb2", 2, b=-1))
+
+    def test_block_difference_needs_positive_a(self):
+        with pytest.raises(IdentityDomainError, match="need a > 0, got a=0"):
+            identity_residual(case("psi0_block_difference_pair", 2, a=0, b=1))
 
     def test_unknown_identity(self):
         with pytest.raises(KeyError):

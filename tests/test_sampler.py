@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bureshall import fileio
 from bureshall.cumulants import EnsembleDims, kappa1
 from bureshall.sampler import (
     ChainConfig,
@@ -262,6 +263,21 @@ class TestCsv:
         np.testing.assert_array_equal(theta, batch.thetas)  # exact round-trip
         np.testing.assert_array_equal(s, batch.entropies)
         np.testing.assert_array_equal(lam, batch.spectra)
+
+    def test_blocks_match_per_row_repr(self, tmp_path, monkeypatch):
+        # rows are formatted a block at a time; with 64-row blocks the 200
+        # rows span four blocks, the last one partial
+        monkeypatch.setattr(fileio, "_CSV_BLOCK", 64)
+        cfg = ChainConfig(samples=200, burn_in=100, thinning=2, chain_count=4, seed=41)
+        batch = mcmc_chain(EnsembleDims(3, 4), cfg)
+        path = tmp_path / "samples.csv"
+        write_sample_csv(batch, str(path))
+        rows = ["chain,step,theta,S,lambda_1,lambda_2,lambda_3"]
+        for i in range(len(batch)):
+            values = [batch.thetas[i], batch.entropies[i], *batch.spectra[i]]
+            cells = [int(batch.chain_index[i]), int(batch.step_index[i])]
+            rows.append(",".join(map(str, cells)) + "," + ",".join(repr(float(v)) for v in values))
+        assert path.read_text() == "\n".join(rows) + "\n"
 
     def test_creates_missing_directory(self, tmp_path):
         cfg = ChainConfig(samples=20, burn_in=10, thinning=1, chain_count=2, seed=3)
