@@ -23,9 +23,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
@@ -36,7 +33,7 @@ from .identities import (
     degenerate_anomaly_check,
     identity_residual,
     resummation_telescope_check,
-    telescope_fixture_ids,
+    telescope_grid,
 )
 from .sampler import ChainConfig, k_statistics, mcmc_chain, sample_matrix_model_batch, write_sample_csv
 
@@ -82,16 +79,6 @@ def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
     path = (outputs[0] if outputs else command) + ".manifest.json"
     write_atomic(path, json.dumps(asdict(manifest), indent=2) + "\n")
     return path
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +166,9 @@ def _identity_checks(max_m: int):
     for m in range(1, 21):
         for rel in degenerate_anomaly_check(m):
             yield rel.name, {"m": m}, rel.passed, rel.residual_text
-    for fid in telescope_fixture_ids():
-        for m in range(1, 7):
-            for b in (1, 2, 3, Fraction(1, 2)):
-                res = resummation_telescope_check(fid, m, b)
-                yield fid, {"m": m, "b": str(b)}, res.is_zero(), res.to_text()
+    for cs in telescope_grid():
+        res = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
+        yield cs.identity_id, _params_dict(cs), res.is_zero(), res.to_text()
 
 
 def verify_identities_report(max_m: int = 8) -> dict:
@@ -339,7 +324,7 @@ def _cmd_verify(args) -> int:
         default_name = f"figure{args.fig}_report.json"
 
     report_path = _resolve_out(args.out or default_name)
-    write_atomic(report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
+    write_atomic(report_path, json.dumps(report, indent=2) + "\n")
     outputs.insert(0, report_path)
     seeds = [args.seed] if getattr(args, "seed", None) is not None else []
     _write_manifest(f"verify-{args.target}", seeds, outputs)

@@ -209,13 +209,6 @@ def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def entropy_moments(dims: EnsembleDims) -> tuple[ConstPoly, ConstPoly, ConstPoly]:
-    """Exact raw moments E[S], E[S^2], E[S^3] from the closed-form cumulants."""
-    return moments_cumulants_convert(
-        (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments"
-    )
-
-
 def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
     """Map E_h[T^3] over the unconstrained ensemble to E_f[S^3].
 

@@ -24,6 +24,9 @@ from .fileio import _write_csv
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 compat
 
+_GRID = (-6.0, 6.0, 1201)  # density_comparison's grid: lo, hi, point count
+_BINS = "fd"  # Freedman-Diaconis histogram bins
+
 
 @dataclass(frozen=True)
 class DensityGrid:
@@ -49,20 +52,6 @@ def _nondegenerate_set(dims: EnsembleDims):
     return cumulant_set(dims)
 
 
-def skew_coefficient(dims: EnsembleDims) -> float:
-    """kappa3 / (6 kappa2^(3/2)), the coefficient of the Hermite correction."""
-    return _nondegenerate_set(dims).skew_coefficient
-
-
-def standardize(samples, dims: EnsembleDims) -> np.ndarray:
-    """(S - kappa1)/sqrt(kappa2) using the exact cumulants."""
-    return _standardize(samples, _nondegenerate_set(dims))
-
-
-def _standardize(samples, cs) -> np.ndarray:
-    return (np.asarray(samples, dtype=float) - cs.kappa1_f) / cs.sd
-
-
 def gaussian_pdf(x):
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -71,7 +60,7 @@ def gaussian_pdf(x):
 
 def edgeworth_pdf(x, dims: EnsembleDims):
     """Gaussian density with the cubic skewness correction for these dims."""
-    return _edgeworth_pdf(x, skew_coefficient(dims))
+    return _edgeworth_pdf(x, _nondegenerate_set(dims).skew_coefficient)
 
 
 def _edgeworth_pdf(x, coef: float):
@@ -80,8 +69,8 @@ def _edgeworth_pdf(x, coef: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _histogram_on_grid(samples: np.ndarray, xs: np.ndarray, bins) -> np.ndarray:
-    counts, edges = np.histogram(samples, bins=bins, density=True)
+def _histogram_on_grid(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    counts, edges = np.histogram(samples, bins=_BINS, density=True)
     idx = np.searchsorted(edges, xs, side="right") - 1
     vals = np.zeros_like(xs)
     inside = (idx >= 0) & (idx < len(counts))
@@ -89,30 +78,22 @@ def _histogram_on_grid(samples: np.ndarray, xs: np.ndarray, bins) -> np.ndarray:
     return vals
 
 
-def density_comparison(
-    samples,
-    dims: EnsembleDims,
-    grid: tuple[float, float, int] = (-6.0, 6.0, 1201),
-    bins="fd",
-) -> DensityComparison:
+def density_comparison(samples, dims: EnsembleDims) -> DensityComparison:
     """Histogram of standardized samples against the two model densities.
 
-    Distances are computed on the grid: L1 by the trapezoid rule, sup as the
-    max pointwise gap.  Needs at least 10^4 samples; bins defaults to
-    Freedman-Diaconis.
+    Samples are standardized as (S - kappa1)/sqrt(kappa2) with the exact
+    cumulants.  Distances are computed on _GRID: L1 by the trapezoid rule,
+    sup as the max pointwise gap.  Needs at least 10^4 samples.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {len(samples)}")
-    lo, hi, count = grid
-    if not (hi > lo and count >= 2):
-        raise ValueError("grid must be (lo, hi, count) with hi > lo and count >= 2")
-    xs = np.linspace(lo, hi, int(count))
+    xs = np.linspace(*_GRID)
     cs = _nondegenerate_set(dims)
-    std = _standardize(samples, cs)
+    std = (samples - cs.kappa1_f) / cs.sd
     gauss = gaussian_pdf(xs)
     edge = _edgeworth_pdf(xs, cs.skew_coefficient)
-    hist = _histogram_on_grid(std, xs, bins)
+    hist = _histogram_on_grid(std, xs)
     l1_g = float(_trapezoid(np.abs(hist - gauss), xs))
     l1_e = float(_trapezoid(np.abs(hist - edge), xs))
     return DensityComparison(

@@ -1004,8 +1004,13 @@ _register("trigamma_alpha_closed_2", _ALPHA_POS,
 # residual evaluation and grid enumeration
 # ---------------------------------------------------------------------------
 
-def identity_catalog() -> dict[str, IdentityDef]:
-    return dict(_IDENTITIES)
+def _check_domain(cs: IdentityCase, domain: _Domain) -> None:
+    """Raise IdentityDomainError unless m >= 1 and every rule of domain holds."""
+    if cs.m < 1:
+        raise IdentityDomainError("m must be a positive integer")
+    for holds, message in domain.rules:
+        if not holds(cs):
+            raise IdentityDomainError(message.format(**vars(cs)))
 
 
 def identity_residual(cs: IdentityCase) -> ConstPoly:
@@ -1013,11 +1018,7 @@ def identity_residual(cs: IdentityCase) -> ConstPoly:
     spec = _IDENTITIES.get(cs.identity_id)
     if spec is None:
         raise KeyError(f"unknown identity {cs.identity_id!r}")
-    if cs.m < 1:
-        raise IdentityDomainError("m must be a positive integer")
-    for holds, message in spec.domain.rules:
-        if not holds(cs):
-            raise IdentityDomainError(message.format(**vars(cs)))
+    _check_domain(cs, spec.domain)
     return spec.lhs(cs) - spec.rhs(cs)
 
 
@@ -1035,15 +1036,6 @@ def default_grid(max_m: int = 8):
 # ---------------------------------------------------------------------------
 # telescoping re-summation fixtures
 # ---------------------------------------------------------------------------
-
-def _tele_requires_b(m: int, b) -> Fraction:
-    b = _frac(b)
-    if m < 1:
-        raise IdentityDomainError("m must be a positive integer")
-    if b <= 0:
-        raise IdentityDomainError(f"telescope fixtures need b > 0, got b={b}")
-    return b
-
 
 # Each fixture: (index, delta(i, b)).  G(j, b) is the anomaly Omega_index at
 # summation length j with a = b + j, and delta is the step G(i) - G(i-1)
@@ -1144,17 +1136,31 @@ _FIXTURES = {
 }
 
 
-def telescope_fixture_ids() -> tuple[str, ...]:
-    return tuple(_FIXTURES)
+# Every fixture needs b > 0; the suite checks each at m = 1.._TELESCOPE_MAX_M.
+_TELESCOPE = _Domain((_positive("b"),), lambda m: [{"b": b} for b in (1, 2, 3, Fraction(1, 2))])
+_TELESCOPE_MAX_M = 6
+
+
+def telescope_grid():
+    """Telescope cases used by the verification suite, one IdentityCase per
+    (fixture id, m, b): every fixture at m = 1.._TELESCOPE_MAX_M and each b
+    of the telescope grid."""
+    return [
+        case(fixture_id, m, **params)
+        for fixture_id in _FIXTURES
+        for m in range(1, _TELESCOPE_MAX_M + 1)
+        for params in _TELESCOPE.grid(m)
+    ]
 
 
 def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
     """Residual G(m) - sum_{i=1..m} (G(i) - G(i-1)); must be zero."""
     if fixture_id not in _FIXTURES:
         raise KeyError(f"unknown telescope fixture {fixture_id!r}")
-    b = _tele_requires_b(m, b)
+    cs = case(fixture_id, m, b=b)
+    _check_domain(cs, _TELESCOPE)
     index, delta = _FIXTURES[fixture_id]
     total = ZERO
     for i in range(1, m + 1):
-        total = total + delta(i, b)
-    return omega(anomaly(index, m, a=b + m)) - total
+        total = total + delta(i, cs.b)
+    return omega(anomaly(index, m, a=cs.b + m)) - total

@@ -42,11 +42,11 @@ class QuadratureResult:
     converged: bool = True
 
 
-def normalization_constant(dims: EnsembleDims, dps: int = 30) -> float:
+def normalization_constant(dims: EnsembleDims) -> float:
     """The constant C of the eigenvalue density, via Gamma functions."""
     m = dims.m
     two_alpha = dims.alpha.twice  # 2*alpha, an odd integer
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         a = mpmath.mpf(two_alpha) / 2
         c = mpmath.mpf(2) ** (-m * (m + two_alpha)) * mpmath.pi ** (mpmath.mpf(m) / 2)
         c /= mpmath.gamma(mpmath.mpf(m * (m + two_alpha + 1)) / 2)
@@ -65,7 +65,21 @@ def _entropy2(lam1: float) -> float:
     return s
 
 
-def _moments_m2(dims: EnsembleDims, powers: list[int], tol: float):
+# absolute tolerances of the moments, by m
+_TOL = {2: 1e-10, 3: 1e-7}
+
+
+def _quad(f, a: float, b: float, **kw) -> tuple[float, float, bool]:
+    """integrate.quad(f, a, b, **kw) as (value, error, converged), where
+    converged is False if any IntegrationWarning was raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", integrate.IntegrationWarning)
+        value, error = integrate.quad(f, a, b, **kw)
+    converged = not any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
+    return value, error, converged
+
+
+def _moments_m2(dims: EnsembleDims, powers: list[int]):
     """E[S^k] for m = 2 as 1-D integrals over u with lambda1 = sin^2 u."""
     c = normalization_constant(dims)
     two_alpha = dims.alpha.twice
@@ -85,21 +99,14 @@ def _moments_m2(dims: EnsembleDims, powers: list[int], tol: float):
 
     out = []
     for k in powers:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", integrate.IntegrationWarning)
-            val, err = integrate.quad(
-                make_integrand(k), math.pi / 4, math.pi / 2,
-                epsabs=tol / 10, epsrel=1e-13, limit=400,
-            )
-            converged = not any(
-                issubclass(w.category, integrate.IntegrationWarning) for w in caught
-            )
+        val, err, converged = _quad(make_integrand(k), math.pi / 4, math.pi / 2,
+                                    epsabs=_TOL[2] / 10, epsrel=1e-13, limit=400)
         out.append(QuadratureResult(val, max(err, 1e-16), counter[0], converged))
         counter[0] = 0
     return out
 
 
-def _moments_m3(dims: EnsembleDims, powers: list[int], tol: float):
+def _moments_m3(dims: EnsembleDims, powers: list[int]):
     """E[S^k] for m = 3 as nested integrals over the full triangle.
 
     Parametrization: lambda1 = sin^2 u, lambda2 = cos^2 u sin^2 v,
@@ -143,7 +150,7 @@ def _moments_m3(dims: EnsembleDims, powers: list[int], tol: float):
             su_cu_pow = su ** p_u_sin * cu ** p_u_cos
             val, err = integrate.quad(
                 inner, 0.0, half_pi, args=(lam1, su_cu_pow),
-                epsabs=tol / 100, epsrel=1e-12, limit=200,
+                epsabs=_TOL[3] / 100, epsrel=1e-12, limit=200,
             )
             inner_err_max[0] = max(inner_err_max[0], err)
             return val
@@ -154,57 +161,40 @@ def _moments_m3(dims: EnsembleDims, powers: list[int], tol: float):
     for k in powers:
         counter[0] = 0
         inner_err_max[0] = 0.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", integrate.IntegrationWarning)
-            val, err = integrate.quad(
-                make_integrand(k), 0.0, half_pi,
-                epsabs=tol / 10, epsrel=1e-11, limit=200,
-            )
-            converged = not any(
-                issubclass(w.category, integrate.IntegrationWarning) for w in caught
-            )
+        # the inner integrals run inside this call, so their warnings count too
+        val, err, converged = _quad(make_integrand(k), 0.0, half_pi,
+                                    epsabs=_TOL[3] / 10, epsrel=1e-11, limit=200)
         total_err = err + half_pi * inner_err_max[0]
         out.append(QuadratureResult(val, max(total_err, 1e-16), counter[0], converged))
     return out
 
 
-_TOL = {2: 1e-10, 3: 1e-7}
-
-
-def moment_oracle(dims: EnsembleDims, powers: list[int], tol: float | None = None):
+def moment_oracle(dims: EnsembleDims, powers: list[int]):
     """Raw entropy moments E[S^k] for the requested powers (m in {2, 3})."""
     if dims.m == 2:
-        return _moments_m2(dims, powers, tol or _TOL[2])
+        return _moments_m2(dims, powers)
     if dims.m == 3:
-        return _moments_m3(dims, powers, tol or _TOL[3])
+        return _moments_m3(dims, powers)
     raise ValueError(f"quadrature oracle supports m in {{2, 3}}, got m={dims.m}")
 
 
-def normalization_check(dims: EnsembleDims, tol: float | None = None) -> QuadratureResult:
+def normalization_check(dims: EnsembleDims) -> QuadratureResult:
     """Total mass of the density with the exact constant C; should be 1."""
-    return moment_oracle(dims, [0], tol)[0]
+    return moment_oracle(dims, [0])[0]
 
 
-def oracle_cumulants(dims: EnsembleDims, max_order: int = 3, tol: float | None = None):
-    """kappa_1..kappa_max_order by quadrature moments plus moment-cumulant
+def oracle_cumulants(dims: EnsembleDims) -> list[QuadratureResult]:
+    """kappa_1..kappa_3 by quadrature moments plus moment-cumulant
     conversion, with first-order error propagation."""
-    if not 1 <= max_order <= 3:
-        raise ValueError("max_order must be 1, 2 or 3")
-    moments = moment_oracle(dims, [1, 2, 3][:max_order], tol)
+    moments = moment_oracle(dims, [1, 2, 3])
     mu = [r.value for r in moments]
     err = [r.error_estimate for r in moments]
     evals = sum(r.evaluations for r in moments)
     converged = all(r.converged for r in moments)
-    while len(mu) < 3:
-        mu.append(0.0)
-        err.append(0.0)
-    k1, k2, k3 = moments_cumulants_convert(tuple(mu), "moments_to_cumulants")
-    e1 = err[0]
-    e2 = err[1] + 2 * abs(mu[0]) * err[0]
-    e3 = err[2] + 3 * (abs(mu[0]) * err[1] + abs(mu[1]) * err[0]) + 6 * mu[0] ** 2 * err[0]
-    results = [
-        QuadratureResult(k1, e1, evals, converged),
-        QuadratureResult(k2, e2, evals, converged),
-        QuadratureResult(k3, e3, evals, converged),
-    ]
-    return results[:max_order]
+    kappas = moments_cumulants_convert(tuple(mu), "moments_to_cumulants")
+    errors = (
+        err[0],
+        err[1] + 2 * abs(mu[0]) * err[0],
+        err[2] + 3 * (abs(mu[0]) * err[1] + abs(mu[1]) * err[0]) + 6 * mu[0] ** 2 * err[0],
+    )
+    return [QuadratureResult(k, e, evals, converged) for k, e in zip(kappas, errors)]

@@ -17,12 +17,12 @@ Two backends:
   from (seed, chain index), so batches are bit-reproducible and merging is
   deterministic by chain index.
 
-* ``sample_matrix_model`` draws the reduced density matrix directly for
+* ``sample_matrix_model_batch`` draws the reduced density matrix directly for
   n = m, where the unitary weight is flat: M = (I+U) Z Z* (I+U)* with Z
   complex Ginibre and U Haar unitary, spectrum = eig(M) / tr(M).
 
-Also here: entropy statistics and the unbiased k-statistics with
-batch-means standard errors used by every Monte Carlo acceptance check.
+Also here: the unbiased k-statistics with batch-means standard errors used
+by every Monte Carlo acceptance check, and the sample CSV writer.
 """
 
 from __future__ import annotations
@@ -37,50 +37,15 @@ from .cumulants import EnsembleDims
 from .fileio import _write_csv
 
 
-class DegenerateInputError(ValueError):
-    """Coincident eigenvalues, where the density vanishes."""
-
-
-@dataclass(frozen=True)
-class UnconstrainedSpectrum:
-    """Eigenvalues on the positive orthant with their trace."""
-
-    x: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        if np.any(x <= 0):
-            raise ValueError("all coordinates must be positive")
-        if not math.isclose(self.theta, float(x.sum()), rel_tol=0, abs_tol=1e-9 * max(1.0, x.sum())):
-            raise ValueError("theta must equal sum(x)")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """A point of the eigenvalue simplex."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        object.__setattr__(self, "lam", lam)
-        if np.any(lam < 0):
-            raise ValueError("eigenvalues must be nonnegative")
-        if abs(lam.sum() - 1.0) > 1e-12:
-            raise ValueError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
-
-
 @dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis chain settings.  step_scale None means 0.25/sqrt(m),
-    auto-tuned during burn-in to acceptance in [0.2, 0.5] and then frozen."""
+    """Metropolis chain settings.  The component step starts at 0.25/sqrt(m)
+    and the scale step at 2.4/sqrt(max(d, 1)); burn-in tunes both to
+    acceptance in [0.2, 0.5], and they stay frozen after it."""
 
     samples: int
     burn_in: int = 2000
     thinning: int = 10
-    step_scale: Optional[float] = None
     chain_count: int = 64
     seed: int = 0
 
@@ -95,8 +60,6 @@ class ChainConfig:
             raise ValueError("chain_count must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.step_scale is not None and not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,37 +88,6 @@ class SampleBatch:
         return self.thetas * np.log(self.thetas) - self.thetas * self.entropies
 
 
-def entropy(s) -> float:
-    """Von Neumann entropy -sum lam ln lam with the 0 ln 0 = 0 convention."""
-    lam = s.lam if isinstance(s, Spectrum) else np.asarray(s, dtype=float)
-    pos = lam[lam > 0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0
-
-
-def entropy_T(u) -> float:
-    """Unconstrained entropy T = sum x ln x."""
-    x = u.x if isinstance(u, UnconstrainedSpectrum) else np.asarray(u, dtype=float)
-    return float((x * np.log(x)).sum())
-
-
-def project_to_simplex(u: UnconstrainedSpectrum) -> tuple[Spectrum, float]:
-    """lambda = x / theta; the spectrum is Bures-Hall and independent of theta."""
-    return Spectrum(u.x / u.theta), u.theta
-
-
-def log_density_unconstrained(x, dims: EnsembleDims) -> float:
-    """Unnormalized log of the unconstrained eigenvalue density."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dims.m,):
-        raise ValueError(f"expected {dims.m} coordinates, got shape {x.shape}")
-    if np.any(x <= 0):
-        raise ValueError("coordinates must be positive")
-    if np.unique(x).size < dims.m:
-        raise DegenerateInputError(f"coincident coordinates in {x}")
-    iu = np.triu_indices(dims.m, 1) if dims.m > 1 else None
-    return float(_log_density(x[None, :], np.log(x)[None, :], float(dims.alpha), iu)[0])
-
-
 # ---------------------------------------------------------------------------
 # Metropolis backend
 # ---------------------------------------------------------------------------
@@ -163,6 +95,15 @@ def log_density_unconstrained(x, dims: EnsembleDims) -> float:
 _BLOCK = 512
 _TUNE_WINDOW = 100
 _SCALE_BOUNDS = (1e-3, 5.0)
+
+
+def _retune(sigma: float, rate: float) -> float:
+    """Shrink a step whose acceptance rate fell below 0.2, widen one above 0.5."""
+    if rate < 0.2:
+        return max(sigma * 0.6, _SCALE_BOUNDS[0])
+    if rate > 0.5:
+        return min(sigma * 1.5, _SCALE_BOUNDS[1])
+    return sigma
 
 
 def _pair_term(x: np.ndarray, iu) -> np.ndarray:
@@ -183,7 +124,7 @@ def _log_density(x: np.ndarray, y: np.ndarray, w: float, iu) -> np.ndarray:
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
     """Row-wise von Neumann entropies with 0 ln 0 = 0."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1)
 
 
@@ -213,7 +154,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     theta = x.sum(axis=1)
     logp = _log_density(x, y, alpha + 1.0, iu)
 
-    sigma_comp = config.step_scale if config.step_scale is not None else 0.25 / math.sqrt(m)
+    sigma_comp = 0.25 / math.sqrt(m)
     sigma_scale = 2.4 / math.sqrt(max(d_shape, 1.0))
 
     lam_out = np.empty((kept_per_chain, n_chains, m))
@@ -260,17 +201,8 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
                 acc_scale += int(accept_s.sum())
                 trials += n_chains
                 if trials >= _TUNE_WINDOW * n_chains:
-                    if config.step_scale is None:
-                        rate = acc_comp / trials
-                        if rate < 0.2:
-                            sigma_comp = max(sigma_comp * 0.6, _SCALE_BOUNDS[0])
-                        elif rate > 0.5:
-                            sigma_comp = min(sigma_comp * 1.5, _SCALE_BOUNDS[1])
-                    rate_s = acc_scale / trials
-                    if rate_s < 0.2:
-                        sigma_scale = max(sigma_scale * 0.6, _SCALE_BOUNDS[0])
-                    elif rate_s > 0.5:
-                        sigma_scale = min(sigma_scale * 1.5, _SCALE_BOUNDS[1])
+                    sigma_comp = _retune(sigma_comp, acc_comp / trials)
+                    sigma_scale = _retune(sigma_scale, acc_scale / trials)
                     acc_comp = acc_scale = trials = 0
             elif (step - config.burn_in) % config.thinning == config.thinning - 1:
                 lam_out[kept] = x / theta[:, None]
@@ -350,12 +282,6 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
     )
 
 
-def sample_matrix_model(m: int, seed: int) -> Spectrum:
-    """A single spectrum from the n = m matrix model."""
-    batch = sample_matrix_model_batch(m, 1, seed)
-    return Spectrum(batch.spectra[0])
-
-
 # ---------------------------------------------------------------------------
 # k-statistics
 # ---------------------------------------------------------------------------
@@ -380,13 +306,18 @@ def _k123(values: np.ndarray) -> tuple[float, float, float]:
     return float(mean), k2, k3
 
 
-def k_statistics(values, min_batches: int = 30, max_batches: int = 50) -> KStats:
+_MIN_BATCHES = 30
+_MAX_BATCHES = 50
+
+
+def k_statistics(values) -> KStats:
     """Unbiased cumulant estimators k1, k2, k3 with batch-means standard errors.
 
     k1 is the sample mean, k2 the unbiased variance and
     k3 = N^2/((N-1)(N-2)) times the mean cubed deviation.  Standard errors
     come from the dispersion of per-batch estimates over non-overlapping
-    batches (NaN when fewer than min_batches batches of length >= 2 fit).
+    batches: up to _MAX_BATCHES batches of length >= 3 (n // 3 caps their
+    number), and NaN when fewer than _MIN_BATCHES fit.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 3:
@@ -394,8 +325,8 @@ def k_statistics(values, min_batches: int = 30, max_batches: int = 50) -> KStats
     n = len(values)
     k1, k2, k3 = _k123(values)
 
-    n_batches = min(max_batches, n // 3)
-    if n_batches < min_batches:
+    n_batches = min(_MAX_BATCHES, n // 3)
+    if n_batches < _MIN_BATCHES:
         return KStats(k1, k2, k3, math.nan, math.nan, math.nan)
     batch_len = n // n_batches
     trimmed = values[: n_batches * batch_len].reshape(n_batches, batch_len)
@@ -415,17 +346,3 @@ def write_sample_csv(batch: SampleBatch, path: str) -> None:
     columns = [batch.chain_index, batch.step_index, batch.thetas, batch.entropies]
     _write_csv(path, header, columns + list(batch.spectra.T))
 
-
-def read_sample_csv(path: str):
-    """Read back a sample CSV; returns (chain, step, theta, S, lambdas)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    lam_cols = [n for n in names if n.startswith("lambda_")]
-    lam = np.stack([data[n] for n in lam_cols], axis=1)
-    return (
-        data["chain"].astype(int),
-        data["step"].astype(int),
-        np.atleast_1d(data["theta"]),
-        np.atleast_1d(data["S"]),
-        np.atleast_2d(lam),
-    )

@@ -32,7 +32,7 @@ from bureshall.identities import (
     identity_residual,
     omega,
     resummation_telescope_check,
-    telescope_fixture_ids,
+    telescope_grid,
 )
 from bureshall.quadrature import normalization_check, oracle_cumulants
 from bureshall.sampler import ChainConfig, k_statistics, mcmc_chain
@@ -88,17 +88,13 @@ def test_criterion_04_identity_suite():
     start = time.time()
     cases = default_grid(max_m=8)
     failures = [cs for cs in cases if not identity_residual(cs).is_zero()]
-    tele = 0
-    for fid in telescope_fixture_ids():
-        for m in (1, 3, 6):
-            for b in (1, 2, Fraction(1, 2)):
-                tele += 1
-                if not resummation_telescope_check(fid, m, b).is_zero():
-                    failures.append((fid, m, b))
+    tele = telescope_grid()
+    failures += [tc for tc in tele
+                 if not resummation_telescope_check(tc.identity_id, tc.m, tc.b).is_zero()]
     elapsed = time.time() - start
     report(4, "summation identities: exact zero residual on the full grid",
            len(cases) >= 500 and not failures and elapsed < 120,
-           f"{len(cases)} identity cases + {tele} telescopes, {elapsed:.1f}s")
+           f"{len(cases)} identity cases + {len(tele)} telescopes, {elapsed:.1f}s")
 
 
 def test_criterion_05_anomaly_degeneracies():

@@ -7,38 +7,29 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bureshall.cumulants import DegenerateEnsembleError, EnsembleDims, kappa3
+from bureshall.cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set, kappa3
 from bureshall.distribution import (
     DensityComparison,
     density_comparison,
     edgeworth_pdf,
     gaussian_pdf,
-    skew_coefficient,
-    standardize,
     write_density_csv,
 )
 from bureshall.sampler import ChainConfig, mcmc_chain
 
 
 class TestStandardize:
-    def test_fixed_points(self):
-        from bureshall.cumulants import kappa1, kappa2
-
-        dims = EnsembleDims(2, 2)
-        mu = float(kappa1(dims).evalf(40))
-        sd = math.sqrt(float(kappa2(dims).evalf(40)))
-        out = standardize([mu, mu + sd, mu - sd], dims)
-        np.testing.assert_allclose(out, [0.0, 1.0, -1.0], atol=1e-10)
-
     def test_m1_rejected(self):
+        # S is identically 0 at m = 1, so there is nothing to standardize by
         with pytest.raises(DegenerateEnsembleError):
-            standardize([0.0], EnsembleDims(1, 2))
+            density_comparison(np.zeros(20_000), EnsembleDims(1, 2))
 
     def test_mcmc_samples_standardized(self):
         dims = EnsembleDims(4, 6)
         cfg = ChainConfig(samples=40000, burn_in=2000, thinning=10, chain_count=50, seed=17)
         batch = mcmc_chain(dims, cfg)
-        x = standardize(batch.entropies, dims)
+        cs = cumulant_set(dims)
+        x = (batch.entropies - cs.kappa1_f) / cs.sd
         assert abs(x.mean()) < 4 / math.sqrt(len(x)) * 2  # crude 4-SE-ish bound
         assert x.std() == pytest.approx(1.0, abs=0.02)
 
@@ -72,8 +63,6 @@ class TestEdgeworth:
     def test_m1_rejected(self):
         with pytest.raises(DegenerateEnsembleError):
             edgeworth_pdf(0.0, EnsembleDims(1, 5))
-        with pytest.raises(DegenerateEnsembleError):
-            skew_coefficient(EnsembleDims(1, 5))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 6)])
     def test_moment_preservation(self, m, n):
@@ -107,10 +96,6 @@ class TestDensityComparison:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             density_comparison(np.zeros(9_999), EnsembleDims(2, 2))
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            density_comparison(np.zeros(20_000), EnsembleDims(2, 2), grid=(2.0, -2.0, 10))
 
     def test_small_dims_not_much_worse(self):
         dims = EnsembleDims(2, 2)

@@ -10,6 +10,7 @@ import pytest
 
 from bureshall import cli
 from bureshall.identities import (
+    _IDENTITIES,
     AnomalyDomainError,
     AnomalySpec,
     IdentityDomainError,
@@ -17,11 +18,10 @@ from bureshall.identities import (
     case,
     default_grid,
     degenerate_anomaly_check,
-    identity_catalog,
     identity_residual,
     omega,
     resummation_telescope_check,
-    telescope_fixture_ids,
+    telescope_grid,
 )
 from bureshall.ring import GAMMA, ZETA2, ConstPoly
 
@@ -101,7 +101,7 @@ class TestIdentityExamples:
     def test_lhs_value_m1(self):
         # at m = 1 the simplest identity's left side is psi0(1) = -gamma,
         # so the right side must equal it too
-        cat = identity_catalog()["psi0_over_mk"]
+        cat = _IDENTITIES["psi0_over_mk"]
         assert cat.lhs(case("psi0_over_mk", 1)) == -GAMMA
         assert cat.rhs(case("psi0_over_mk", 1)) == -GAMMA
 
@@ -130,7 +130,7 @@ class TestIdentityGrid:
             "0384af302f8a07e31749550a7534fc2c580524389dbb53abd39350fc3f2524c8")
 
     def test_residual_degree_bounded(self):
-        cat = identity_catalog()
+        cat = _IDENTITIES
         cs = case("psi0_psi0ak_over_k", 3, a=5)
         assert cat["psi0_psi0ak_over_k"].lhs(cs).total_degree() <= 2
         assert cat["psi0_psi0ak_over_k"].rhs(cs).total_degree() <= 3
@@ -185,14 +185,19 @@ class TestTelescopes:
         assert resummation_telescope_check("tele_psi0_psi0shift_over_mk", 4, 1).is_zero()
 
     def test_full_fixture_grid(self):
-        for fid in telescope_fixture_ids():
-            for m in (1, 2, 3, 5):
-                for b in (1, 3, Fraction(1, 2)):
-                    assert resummation_telescope_check(fid, m, b).is_zero(), (fid, m, b)
+        for cs in telescope_grid():
+            assert resummation_telescope_check(cs.identity_id, cs.m, cs.b).is_zero(), cs
 
     def test_fixture_count_and_validation(self):
-        assert len(telescope_fixture_ids()) == 11
-        with pytest.raises(IdentityDomainError):
+        # 11 fixtures, each at m = 1..6 and b in (1, 2, 3, 1/2), fixture-major
+        grid = telescope_grid()
+        assert len(grid) == 264
+        assert len({cs.identity_id for cs in grid}) == 11
+        assert [(cs.m, cs.b) for cs in grid[:5]] == [
+            (1, 1), (1, 2), (1, 3), (1, Fraction(1, 2)), (2, 1)]
+        with pytest.raises(IdentityDomainError, match="need b > 0, got b=0"):
             resummation_telescope_check("tele_psi0_ak_over_k", 2, 0)
+        with pytest.raises(IdentityDomainError, match="m must be a positive integer"):
+            resummation_telescope_check("tele_psi0_ak_over_k", 0, 1)
         with pytest.raises(KeyError):
             resummation_telescope_check("tele_nonexistent", 2, 1)

@@ -5,7 +5,6 @@ import pytest
 from bureshall.cumulants import EnsembleDims, kappa1, kappa2, kappa3
 from bureshall.quadrature import (
     QuadratureResult,
-    moment_oracle,
     normalization_check,
     normalization_constant,
     oracle_cumulants,
@@ -67,20 +66,8 @@ class TestOracleCumulants:
             assert r.evaluations > 0
             assert r.converged
 
-    def test_max_order_validation(self):
-        with pytest.raises(ValueError):
-            oracle_cumulants(EnsembleDims(2, 2), max_order=4)
-        res = oracle_cumulants(EnsembleDims(2, 2), max_order=1)
-        assert len(res) == 1
-
 
 class TestStability:
-    def test_value_stable_under_tolerance_halving(self):
-        dims = EnsembleDims(3, 3)
-        loose = moment_oracle(dims, [1], tol=1e-7)[0]
-        tight = moment_oracle(dims, [1], tol=5e-8)[0]
-        assert abs(loose.value - tight.value) <= max(loose.error_estimate, 1e-10)
-
     def test_singular_endpoint_case(self):
         # n = m means alpha = -1/2: integrable endpoint singularities
         res = normalization_check(EnsembleDims(2, 2))

@@ -11,17 +11,11 @@ from bureshall import fileio
 from bureshall.cumulants import EnsembleDims, kappa1
 from bureshall.sampler import (
     ChainConfig,
-    DegenerateInputError,
-    Spectrum,
-    UnconstrainedSpectrum,
-    entropy,
-    entropy_T,
+    SampleBatch,
+    _entropies,
+    _log_density,
     k_statistics,
-    log_density_unconstrained,
     mcmc_chain,
-    project_to_simplex,
-    read_sample_csv,
-    sample_matrix_model,
     sample_matrix_model_batch,
     write_sample_csv,
 )
@@ -29,66 +23,53 @@ from bureshall.sampler import (
 K1_22 = 0.2196276944532239  # 2 ln 2 - 7/6
 
 
+def log_density(x, dims: EnsembleDims) -> float:
+    """The unconstrained log-density at one point x (w = alpha)."""
+    x = np.array([x], dtype=float)
+    iu = np.triu_indices(dims.m, 1) if dims.m > 1 else None
+    return float(_log_density(x, np.log(x), float(dims.alpha), iu)[0])
+
+
 class TestLogDensity:
     def test_single_particle(self):
         # m = n = 1: alpha = -1/2, x = 1: alpha*ln(1) - 1
-        assert log_density_unconstrained([1.0], EnsembleDims(1, 1)) == pytest.approx(-1.0)
+        assert log_density([1.0], EnsembleDims(1, 1)) == pytest.approx(-1.0)
 
     def test_two_particles(self):
         expected = math.log(1 / 3) - 0.5 * (math.log(1) + math.log(2)) - 3.0
-        value = log_density_unconstrained([1.0, 2.0], EnsembleDims(2, 2))
+        value = log_density([1.0, 2.0], EnsembleDims(2, 2))
         assert value == pytest.approx(expected, abs=1e-14)
 
     def test_permutation_symmetry(self):
         dims = EnsembleDims(2, 2)
-        a = log_density_unconstrained([1.0, 2.0], dims)
-        b = log_density_unconstrained([2.0, 1.0], dims)
+        a = log_density([1.0, 2.0], dims)
+        b = log_density([2.0, 1.0], dims)
         assert a == pytest.approx(b, abs=0)
-
-    def test_coincident_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            log_density_unconstrained([1.0, 1.0], EnsembleDims(2, 2))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_density_unconstrained([1.0, -2.0], EnsembleDims(2, 2))
-        with pytest.raises(ValueError):
-            log_density_unconstrained([1.0], EnsembleDims(2, 2))
 
 
 class TestProjectionAndEntropy:
-    def test_project_examples(self):
-        spec, theta = project_to_simplex(UnconstrainedSpectrum(np.array([2.0, 2.0]), 4.0))
-        assert theta == 4.0
-        np.testing.assert_allclose(spec.lam, [0.5, 0.5])
-        spec, theta = project_to_simplex(UnconstrainedSpectrum(np.array([1.0, 3.0]), 4.0))
-        np.testing.assert_allclose(spec.lam, [0.25, 0.75])
-
     def test_entropy_endpoints(self):
-        assert entropy(Spectrum(np.array([1.0, 0.0, 0.0]))) == 0.0
+        assert _entropies(np.array([[1.0, 0.0, 0.0]]))[0] == 0.0
         m = 4
-        assert entropy(Spectrum(np.full(m, 1.0 / m))) == pytest.approx(math.log(m))
-        assert entropy(Spectrum(np.array([0.5, 0.5]))) == pytest.approx(math.log(2))
+        assert _entropies(np.full((1, m), 1.0 / m))[0] == pytest.approx(math.log(m))
+        assert _entropies(np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
 
     def test_entropy_bounds_on_random_projections(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.gamma(0.7, size=3)
-            spec, _ = project_to_simplex(UnconstrainedSpectrum(x, float(x.sum())))
-            assert 0.0 <= entropy(spec) <= math.log(3) + 1e-12
+        x = rng.gamma(0.7, size=(50, 3))
+        s = _entropies(x / x.sum(axis=1, keepdims=True))
+        assert np.all((0.0 <= s) & (s <= math.log(3) + 1e-12))
 
     def test_entropy_T_examples(self):
-        assert entropy_T(UnconstrainedSpectrum(np.array([1.0]), 1.0)) == 0.0
-        assert entropy_T(UnconstrainedSpectrum(np.array([math.e]), math.e)) == pytest.approx(math.e)
-        assert entropy_T(UnconstrainedSpectrum(np.array([2.0, 2.0]), 4.0)) == pytest.approx(
-            4 * math.log(2)
-        )
-
-    def test_spectrum_validation(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            Spectrum(np.array([-0.1, 1.1]))
+        # T = sum x ln x at x = (1), (e) and (2, 2), from theta = sum x and the
+        # entropy S of x / theta; entropies_T reads nothing else
+        batch = SampleBatch(spectra=None, thetas=np.array([1.0, math.e, 4.0]),
+                            entropies=np.array([0.0, 0.0, math.log(2)]),
+                            chain_index=None, step_index=None, provenance=None)
+        t = batch.entropies_T()
+        assert t[0] == 0.0
+        assert t[1] == pytest.approx(math.e)
+        assert t[2] == pytest.approx(4 * math.log(2))
 
 
 class TestKStatistics:
@@ -142,8 +123,6 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             ChainConfig(samples=10, burn_in=-1)
         with pytest.raises(ValueError):
-            ChainConfig(samples=10, step_scale=0.0)
-        with pytest.raises(ValueError):
             ChainConfig(samples=10, seed=-1)
 
 
@@ -169,7 +148,7 @@ class TestMcmc:
         assert len(batch) == 777
         assert batch.spectra.shape == (777, 3)
         np.testing.assert_allclose(batch.spectra.sum(axis=1), 1.0, atol=1e-12)
-        recomputed = [entropy(Spectrum(row)) for row in batch.spectra[:50]]
+        recomputed = [-(row * np.log(row)).sum() for row in batch.spectra[:50]]
         np.testing.assert_allclose(batch.entropies[:50], recomputed, atol=1e-12)
         assert batch.provenance.backend == "mcmc"
         assert batch.provenance.dims == EnsembleDims(3, 4)
@@ -211,10 +190,10 @@ class TestMcmc:
 
 class TestMatrixModel:
     def test_single_draw(self):
-        spec = sample_matrix_model(3, seed=21)
-        assert spec.lam.shape == (3,)
-        assert spec.lam.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(spec.lam) <= 0)  # sorted descending
+        lam = sample_matrix_model_batch(3, 1, seed=21).spectra[0]
+        assert lam.shape == (3,)
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(lam) <= 0)  # sorted descending
 
     @pytest.mark.parametrize("m,nsamp,seed_pair", [(2, 60000, (23, 29)), (3, 40000, (43, 47))])
     def test_batch_matches_mcmc_distribution(self, m, nsamp, seed_pair):
@@ -257,12 +236,12 @@ class TestCsv:
         write_sample_csv(batch, str(path))
         header = path.read_text().splitlines()[0]
         assert header == "chain,step,theta,S,lambda_1,lambda_2"
-        chain, step, theta, s, lam = read_sample_csv(str(path))
-        np.testing.assert_array_equal(chain, batch.chain_index)
-        np.testing.assert_array_equal(step, batch.step_index)
-        np.testing.assert_array_equal(theta, batch.thetas)  # exact round-trip
-        np.testing.assert_array_equal(s, batch.entropies)
-        np.testing.assert_array_equal(lam, batch.spectra)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(data[:, 0], batch.chain_index)
+        np.testing.assert_array_equal(data[:, 1], batch.step_index)
+        np.testing.assert_array_equal(data[:, 2], batch.thetas)  # exact round-trip
+        np.testing.assert_array_equal(data[:, 3], batch.entropies)
+        np.testing.assert_array_equal(data[:, 4:], batch.spectra)
 
     def test_blocks_match_per_row_repr(self, tmp_path, monkeypatch):
         # rows are formatted a block at a time; with 64-row blocks the 200
