@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
-from .distribution import density_comparison, write_density_csv
 from .fileio import _write_csv, write_atomic
 from .identities import (
     default_grid,
@@ -35,7 +34,6 @@ from .identities import (
     resummation_telescope_check,
     telescope_grid,
 )
-from .sampler import ChainConfig, k_statistics, mcmc_chain, sample_matrix_model_batch, write_sample_csv
 
 OUT_DIR_ENV = "BURESHALL_OUT_DIR"
 
@@ -118,6 +116,9 @@ def _cmd_cumulants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    # imported here (and in the figure targets) so that only sampling loads numpy
+    from .sampler import ChainConfig, k_statistics, mcmc_chain, sample_matrix_model_batch, write_sample_csv
+
     dims = EnsembleDims(args.m, args.n)
     if args.backend == "matrix":
         batch = sample_matrix_model_batch(args.m, args.samples, args.seed)
@@ -235,6 +236,9 @@ def verify_oracles_report() -> dict:
 
 
 def verify_figure1_report(samples: int, seed: int, csv_path: str | None = None) -> dict:
+    from .distribution import density_comparison, write_density_csv
+    from .sampler import ChainConfig, mcmc_chain
+
     dims = EnsembleDims(4, 6)
     config = ChainConfig(samples=samples, burn_in=2000, thinning=10, chain_count=100, seed=seed)
     batch = mcmc_chain(dims, config)
@@ -260,6 +264,8 @@ _FIG2_SPOTS = ((3, 3), (4, 8), (5, 15))
 
 
 def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) -> dict:
+    from .sampler import ChainConfig, k_statistics, mcmc_chain
+
     # kappa3 is negative over the plotted range (confirmed by quadrature at
     # m = 3 and by Monte Carlo beyond); a log-linear plot shows |kappa3|,
     # which decays in m from m = 4 on in every family.

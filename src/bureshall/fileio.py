@@ -7,8 +7,6 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-import numpy as np
-
 _CSV_BLOCK = 8192
 
 
@@ -33,6 +31,8 @@ def _write_csv(path: str, header: str, columns: Sequence) -> None:
     """Write equal-length columns as CSV rows under `header`, each value as
     its Python repr (round-trip floats).  Rows are formatted and written a
     block at a time, so the whole file never sits in memory."""
+    import numpy as np  # imported here so that only sampling loads numpy
+
     columns = [np.asarray(col) for col in columns]
 
     def chunks():

@@ -9,10 +9,15 @@ in Q[g, l2, z2, z3], the ring of polynomials with rational coefficients in
     z2 = zeta(2)
     z3 = zeta(3)
 
-Coefficients are `fractions.Fraction`, so all arithmetic is exact and a
-quantity is zero iff its term map is empty.  zeta(2) is kept opaque (never
-rewritten as pi^2/6) so that identity residuals cancel symbol by symbol; pi
-enters only when a polynomial is evaluated numerically.
+A polynomial is stored as integer numerators over one positive integer
+denominator, in lowest terms: the denominator shares no factor with every
+numerator at once, and zero has denominator 1.  So all arithmetic is exact,
+a product is integer products and one gcd reduction, a sum is one lcm and
+integer sums, and a quantity is zero iff it has no terms.  `fractions.Fraction`
+appears only at the boundary: the constructor and `const` take Fractions,
+and `terms`, `evalf` and the text form give them back.  zeta(2) is kept
+opaque (never rewritten as pi^2/6) so that identity residuals cancel symbol
+by symbol; pi enters only when a polynomial is evaluated numerically.
 
 Equality of polynomials is structural.  Treating `is_zero` as a proof of a
 numeric identity additionally assumes the four constants are algebraically
@@ -22,7 +27,10 @@ structurally, so nothing rests on that assumption in practice.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -38,35 +46,75 @@ _ZERO_MONO: Monomial = (0, 0, 0, 0)
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction coefficient, got {type(value).__name__}")
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift Python's int/str digit limit (3.10.7+) for one block, then restore
+    it: exact coefficients outgrow 4300 digits from (48,96) on."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class ConstPoly:
     """Immutable multivariate polynomial in (g, l2, z2, z3) over Q."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        parts: dict[Monomial, tuple[int, int]] = {}
         if terms:
             for mono, coef in terms.items():
-                coef = _as_fraction(coef)
-                if coef != 0:
-                    clean[tuple(mono)] = coef  # type: ignore[index]
-        self._terms = clean
+                p, q = _scalar(coef)
+                if p:
+                    parts[tuple(mono)] = (p, q)  # type: ignore[index]
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators already share no common factor with it
+        den = math.lcm(*(q for _, q in parts.values()))
+        self._num = {m: p * (den // q) for m, (p, q) in parts.items()}
+        self._den = den
         self._hash = None
+
+    @classmethod
+    def _make(cls, num: dict[Monomial, int], den: int) -> "ConstPoly":
+        """Wrap nonzero numerators over `den` > 0, already in lowest terms."""
+        poly = object.__new__(cls)
+        poly._num = num
+        poly._den = den if num else 1
+        poly._hash = None
+        return poly
+
+    @classmethod
+    def _reduced(cls, num: dict[Monomial, int], den: int) -> "ConstPoly":
+        """Wrap nonzero numerators over `den` > 0, divided by their common gcd."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return cls._make(num, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value: Scalar) -> "ConstPoly":
-        value = _as_fraction(value)
-        return cls({_ZERO_MONO: value}) if value else cls()
+        p, q = _scalar(value)
+        return cls._make({_ZERO_MONO: p} if p else {}, q)
 
     @classmethod
     def symbol(cls, name: str) -> "ConstPoly":
@@ -74,61 +122,73 @@ class ConstPoly:
             raise ValueError(f"unknown symbol {name!r}; expected one of {SYMBOLS}")
         mono = [0, 0, 0, 0]
         mono[SYMBOLS.index(name)] = 1
-        return cls({tuple(mono): Fraction(1)})  # type: ignore[arg-type]
+        return cls._make({tuple(mono): 1}, 1)  # type: ignore[dict-item]
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self._terms), default=0)
+        return max((sum(m) for m in self._num), default=0)
 
     # -- ring arithmetic ----------------------------------------------------
 
-    def _coerce(self, other) -> "ConstPoly":
-        if isinstance(other, ConstPoly):
-            return other
-        return ConstPoly.const(other)
-
     def __add__(self, other) -> "ConstPoly":
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            new = out.get(mono, Fraction(0)) + coef
+        if isinstance(other, ConstPoly):
+            o_num, o_den = other._num, other._den
+        else:
+            p, o_den = _scalar(other)
+            o_num = {_ZERO_MONO: p} if p else {}
+        den = self._den
+        if den == o_den:
+            out = dict(self._num)
+        else:
+            lcm = math.lcm(den, o_den)
+            scale, o_scale = lcm // den, lcm // o_den
+            out = {m: c * scale for m, c in self._num.items()}
+            o_num = {m: c * o_scale for m, c in o_num.items()}
+            den = lcm
+        for mono, coef in o_num.items():
+            new = out.get(mono, 0) + coef
             if new:
                 out[mono] = new
             else:
                 out.pop(mono, None)
-        return ConstPoly(out)
+        return ConstPoly._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ConstPoly":
-        return ConstPoly({m: -c for m, c in self._terms.items()})
+        return ConstPoly._make({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "ConstPoly":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "ConstPoly":
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "ConstPoly":
-        other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        if not isinstance(other, ConstPoly):
+            p, q = _scalar(other)
+            if not p:
+                return ConstPoly._make({}, 1)
+            return ConstPoly._reduced({m: c * p for m, c in self._num.items()}, self._den * q)
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                new = out.get(mono, Fraction(0)) + c1 * c2
+                new = out.get(mono, 0) + c1 * c2
                 if new:
                     out[mono] = new
                 else:
                     out.pop(mono, None)
-        return ConstPoly(out)
+        return ConstPoly._reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -145,11 +205,12 @@ class ConstPoly:
             other = ConstPoly.const(other)
         if not isinstance(other, ConstPoly):
             return NotImplemented
-        return self._terms == other._terms
+        # the lowest-terms form is canonical, so equal values have equal parts
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- numeric evaluation ---------------------------------------------------
@@ -166,7 +227,7 @@ class ConstPoly:
                 mpmath.zeta(3),
             )
             total = mpmath.mpf(0)
-            for mono, coef in self._terms.items():
+            for mono, coef in self.terms.items():
                 term = mpmath.mpf(coef.numerator) / coef.denominator
                 for v, e in zip(vals, mono):
                     if e:
@@ -196,23 +257,24 @@ class ConstPoly:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``75/8*z3 - 33/160*z2 - 295/27``."""
-        if not self._terms:
+        if not self._num:
             return "0"
-        items = sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]), reverse=True)
+        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]), reverse=True)
         chunks: list[str] = []
-        for i, (mono, coef) in enumerate(items):
-            mono_text = self._mono_text(mono)
-            mag = abs(coef)
-            if not mono_text:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_text
-            else:
-                body = f"{mag}*{mono_text}"
-            if i == 0:
-                chunks.append(body if coef > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if coef > 0 else f" - {body}")
+        with _unlimited_int_text():
+            for i, (mono, coef) in enumerate(items):
+                mono_text = self._mono_text(mono)
+                mag = abs(coef)
+                if not mono_text:
+                    body = str(mag)
+                elif mag == 1:
+                    body = mono_text
+                else:
+                    body = f"{mag}*{mono_text}"
+                if i == 0:
+                    chunks.append(body if coef > 0 else f"-{body}")
+                else:
+                    chunks.append(f" + {body}" if coef > 0 else f" - {body}")
         return "".join(chunks)
 
     @classmethod
@@ -230,23 +292,24 @@ class ConstPoly:
             chunks.append((1 if op == "+" else -1, chunk))
 
         terms: dict[Monomial, Fraction] = {}
-        for sgn, chunk in chunks:
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"malformed polynomial text: {text!r}")
-            coef = Fraction(1)
-            mono = [0, 0, 0, 0]
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if "^" in factor:
-                    name, _, exp = factor.partition("^")
-                    mono[SYMBOLS.index(name)] += int(exp)
-                elif factor in SYMBOLS:
-                    mono[SYMBOLS.index(factor)] += 1
-                else:
-                    coef *= Fraction(factor)
-            key = tuple(mono)
-            terms[key] = terms.get(key, Fraction(0)) + sgn * coef  # type: ignore[index]
+        with _unlimited_int_text():
+            for sgn, chunk in chunks:
+                chunk = chunk.strip()
+                if not chunk:
+                    raise ValueError(f"malformed polynomial text: {text!r}")
+                coef = Fraction(1)
+                mono = [0, 0, 0, 0]
+                for factor in chunk.split("*"):
+                    factor = factor.strip()
+                    if "^" in factor:
+                        name, _, exp = factor.partition("^")
+                        mono[SYMBOLS.index(name)] += int(exp)
+                    elif factor in SYMBOLS:
+                        mono[SYMBOLS.index(factor)] += 1
+                    else:
+                        coef *= Fraction(factor)
+                key = tuple(mono)
+                terms[key] = terms.get(key, Fraction(0)) + sgn * coef  # type: ignore[index]
         return cls(terms)
 
     def __repr__(self):

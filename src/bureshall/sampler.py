@@ -125,7 +125,8 @@ def _log_density(x: np.ndarray, y: np.ndarray, w: float, iu) -> np.ndarray:
 def _entropies(lam: np.ndarray) -> np.ndarray:
     """Row-wise von Neumann entropies with 0 ln 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1)
+        # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+        return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1) + 0.0
 
 
 def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:

@@ -4,8 +4,10 @@ and JSON-schema validity of machine-readable reports."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 
 import jsonschema
 import pytest
@@ -113,6 +115,16 @@ class TestCumulantsCommand:
         assert "kappa3 = 0.0" in out
         assert "skewness = None" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exact_past_int_digit_limit(self, capsys, fmt):
+        # from (48, 96) on, exact coefficients outgrow Python's 4300-digit
+        # int/str limit; the limit is lifted only while the text is written
+        limit = sys.get_int_max_str_digits()
+        assert main(["cumulants", "--m", "48", "--n", "96", "--exact", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert max(map(len, re.findall(r"\d+", out))) > limit
+        assert sys.get_int_max_str_digits() == limit
+
     def test_json_schema(self, capsys):
         assert main(["cumulants", "--m", "3", "--n", "4", "--format", "json",
                      "--exact"]) == 0
@@ -161,6 +173,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--m", "2", "--n", "2", "--backend", "matrix",
                      "--samples", "5000", "--seed", "4", "--out", "mat.csv"]) == 0
         assert (outdir / "mat.csv").exists()
+
+    def test_pure_spectrum_entropy_is_positive_zero(self, outdir, capsys):
+        # at m = 1 every spectrum is pure, so S is exactly 0 and reads 0.0
+        assert main(["simulate", "--m", "1", "--n", "3", "--samples", "3",
+                     "--seed", "1", "--out", "m1.csv"]) == 0
+        text = (outdir / "m1.csv").read_text()
+        assert "-0.0" not in text
+        header, *rows = text.splitlines()
+        column = header.split(",").index("S")
+        assert [row.split(",")[column] for row in rows] == ["0.0"] * 3
 
 
 class TestVerifyCommands:
@@ -234,11 +256,22 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     assert list(outdir.iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only `verify oracles` needs scipy; every other command skips its import cost
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # only `verify oracles` needs scipy and only the sampling commands need
+    # numpy; the exact commands skip both import costs
     src = os.path.dirname(os.path.dirname(bureshall.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, bureshall.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    code = textwrap.dedent("""
+        import sys, bureshall.cli as cli
+        def loaded():
+            print("loaded", [name for name in ("numpy", "scipy") if name in sys.modules])
+        loaded()
+        assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
+        loaded()
+        assert cli.main(["verify", "identities", "--max-m", "1"]) == 0
+        loaded()
+    """)
+    env = dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 3

@@ -2,6 +2,8 @@
 conversions, and the Gamma-law oracle for the single-eigenvalue case."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -76,6 +78,17 @@ class TestExactValues:
     def test_kappa3_2_2(self):
         expected = Fraction(75, 8) * ZETA3 - Fraction(33, 160) * ZETA2 - Fraction(295, 27)
         assert kappa3(EnsembleDims(2, 2)) == expected
+
+    def test_text_round_trip_past_int_digit_limit(self):
+        # at (50, 100) coefficients outgrow Python's 4300-digit int/str limit;
+        # the text form lifts it for itself only
+        limit = sys.get_int_max_str_digits()
+        d = EnsembleDims(50, 100)
+        for k in (kappa1, kappa2, kappa3):
+            text = k(d).to_text()
+            assert ConstPoly.from_text(text) == k(d)
+        assert max(map(len, re.findall(r"\d+", text))) > limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_floats(self):
         d = EnsembleDims(2, 2)

@@ -80,6 +80,17 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys())
+def test_canonical_form(a, b):
+    # equal values built by different routes compare equal and hash equal
+    for x, y in (((a + b) - b, a), (ConstPoly(a.terms), a), ((a * 3) * Fraction(1, 3), a),
+                 (a - a, ConstPoly())):
+        assert x == y
+        assert hash(x) == hash(y)
+    assert (a - a).is_zero()
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys(), st.sampled_from([operator.add, operator.sub, operator.mul]))
 def test_eval_is_homomorphism(a, b, op):
