@@ -20,20 +20,13 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
 from .fileio import _write_csv, write_atomic
-from .identities import (
-    default_grid,
-    degenerate_anomaly_check,
-    identity_residual,
-    resummation_telescope_check,
-    telescope_grid,
-)
 
 OUT_DIR_ENV = "BURESHALL_OUT_DIR"
 
@@ -52,30 +45,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    seeds: list[int]
-    version: str
-    timestamp: str
-    outputs: list[dict]
-
-
 def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
-    manifest = RunManifest(
-        command=command,
-        argv=sys.argv[1:],
-        seeds=seeds,
-        version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=[
+    manifest = {
+        "command": command,
+        "argv": sys.argv[1:],
+        "seeds": seeds,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": [
             {"path": p, "sha256": _sha256(p), "bytes": os.path.getsize(p)}
             for p in outputs
         ],
-    )
+    }
     path = (outputs[0] if outputs else command) + ".manifest.json"
-    write_atomic(path, json.dumps(asdict(manifest), indent=2) + "\n")
+    write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
@@ -117,7 +100,8 @@ def _cmd_cumulants(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # imported here (and in the figure targets) so that only sampling loads numpy
-    from .sampler import ChainConfig, k_statistics, mcmc_chain, sample_matrix_model_batch, write_sample_csv
+    from .sampler import (_MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
+                          sample_matrix_model_batch, write_sample_csv)
 
     dims = EnsembleDims(args.m, args.n)
     if args.backend == "matrix":
@@ -139,9 +123,14 @@ def _cmd_simulate(args) -> int:
     cs = cumulant_set(dims)
     print(f"wrote {out} ({len(batch)} samples, backend={args.backend})")
     print(f"manifest {manifest}")
-    print(f"k1 = {st.k1:.6f} +- {st.se1:.6f}   kappa1 = {cs.kappa1_f:.6f}")
-    print(f"k2 = {st.k2:.6f} +- {st.se2:.6f}   kappa2 = {cs.kappa2_f:.6f}")
-    print(f"k3 = {st.k3:.7f} +- {st.se3:.7f}   kappa3 = {cs.kappa3_f:.7f}")
+    se1, se2, se3 = ("n/a" if math.isnan(se) else f"{se:.{digits}f}"
+                     for se, digits in ((st.se1, 6), (st.se2, 6), (st.se3, 7)))
+    print(f"k1 = {st.k1:.6f} +- {se1}   kappa1 = {cs.kappa1_f:.6f}")
+    print(f"k2 = {st.k2:.6f} +- {se2}   kappa2 = {cs.kappa2_f:.6f}")
+    print(f"k3 = {st.k3:.7f} +- {se3}   kappa3 = {cs.kappa3_f:.7f}")
+    if len(batch) < 3 * _MIN_BATCHES:
+        print(f"standard errors need at least {3 * _MIN_BATCHES} samples "
+              f"({_MIN_BATCHES} batches of 3), got {len(batch)}")
     return 0
 
 
@@ -159,25 +148,29 @@ def _params_dict(case_obj) -> dict:
 
 
 def _identity_checks(max_m: int):
-    """(identity_id, params, residual_is_zero, residual text) for every case:
-    the identity grid, then the degeneracy relations, then the telescopes."""
+    """(identity_id, params, residual) for every case: the identity grid, then
+    the degeneracy relations, then the telescopes."""
+    # imported here so that only this target loads the identity catalog
+    from .identities import (default_grid, degenerate_anomaly_check, identity_residual,
+                             resummation_telescope_check, telescope_grid)
+
     for cs in default_grid(max_m=max_m):
-        res = identity_residual(cs)
-        yield cs.identity_id, _params_dict(cs), res.is_zero(), res.to_text()
+        yield cs.identity_id, _params_dict(cs), identity_residual(cs)
     for m in range(1, 21):
-        for rel in degenerate_anomaly_check(m):
-            yield rel.name, {"m": m}, rel.passed, rel.residual_text
+        for name, residual in degenerate_anomaly_check(m):
+            yield name, {"m": m}, residual
     for cs in telescope_grid():
-        res = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
-        yield cs.identity_id, _params_dict(cs), res.is_zero(), res.to_text()
+        residual = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
+        yield cs.identity_id, _params_dict(cs), residual
 
 
 def verify_identities_report(max_m: int = 8) -> dict:
     cases = []
-    for identity_id, params, ok, text in _identity_checks(max_m):
+    for identity_id, params, residual in _identity_checks(max_m):
+        ok = residual.is_zero()
         entry = {"identity_id": identity_id, "params": params, "residual_is_zero": ok}
         if not ok:
-            entry["residual_text_if_nonzero"] = text
+            entry["residual_text_if_nonzero"] = residual.to_text()
         cases.append(entry)
     failures = sum(not c["residual_is_zero"] for c in cases)
     return {

@@ -19,7 +19,13 @@ Three families of objects live here:
   psi_k(z+1) - psi_k(z) = (-1)^k k! / z^(k+1); the check sums the
   differences back up to G.
 
-All evaluation is exact.  Inadmissible parameters raise, never skip silently.
+All evaluation is exact.  Admissibility lives in the domain table alone: a
+right-hand side, left-hand side or telescope step is built only after every
+rule of its domain holds, and those rules exclude each zero denominator the
+builders meet, so the builders divide Fractions directly.  Anomalies have no
+domain entry; `omega` raises AnomalyDomainError naming the summation index k
+at which a denominator vanishes or a polygamma argument is nonpositive.
+Inadmissible parameters raise, never skip silently.
 """
 
 from __future__ import annotations
@@ -50,17 +56,15 @@ def _frac(x) -> Fraction:
     raise TypeError(f"parameter must be int or Fraction, got {type(x).__name__}")
 
 
-def _inv(x: Fraction, what: str, k: Optional[int] = None) -> Fraction:
+def _inv(x: Fraction, what: str, k: int) -> Fraction:
     if x == 0:
-        where = f" at k={k}" if k is not None else ""
-        raise AnomalyDomainError(f"zero denominator in {what}{where}")
-    return Fraction(1) / x
+        raise AnomalyDomainError(f"zero denominator in {what} at k={k}")
+    return 1 / x
 
 
-def _psi(order: int, x: Fraction, what: str, k: Optional[int] = None) -> ConstPoly:
+def _psi(order: int, x: Fraction, what: str, k: int) -> ConstPoly:
     if x <= 0:
-        where = f" at k={k}" if k is not None else ""
-        raise AnomalyDomainError(f"nonpositive polygamma argument {x} in {what}{where}")
+        raise AnomalyDomainError(f"nonpositive polygamma argument {x} in {what} at k={k}")
     return psi_exact(order, x)
 
 
@@ -162,22 +166,14 @@ def omega(spec: AnomalySpec) -> ConstPoly:
     return _sum_poly(spec.m, term)
 
 
-@dataclass(frozen=True)
-class DegeneracyRelation:
-    name: str
-    passed: bool
-    residual_text: str
-
-
-def degenerate_anomaly_check(m: int) -> list[DegeneracyRelation]:
+def degenerate_anomaly_check(m: int) -> list[tuple[str, ConstPoly]]:
     """At a = m the two-sided anomalies collapse pairwise onto single-sum
-    anomalies: Omega7 = Omega9, Omega8 = Omega10, Omega11 = Omega10."""
-    relations = []
-    for i, j in ((7, 9), (8, 10), (11, 10)):
-        res = omega(anomaly(i, m, a=m)) - omega(anomaly(j, m, a=m))
-        name = f"omega{i}_equals_omega{j}"
-        relations.append(DegeneracyRelation(name, res.is_zero(), res.to_text()))
-    return relations
+    anomalies: Omega7 = Omega9, Omega8 = Omega10, Omega11 = Omega10.  Returns
+    (relation name, residual) pairs; each residual must be zero."""
+    return [
+        (f"omega{i}_equals_omega{j}", omega(anomaly(i, m, a=m)) - omega(anomaly(j, m, a=m)))
+        for i, j in ((7, 9), (8, 10), (11, 10))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +357,7 @@ def _rhs_psi0_kb_over_kb2(cs):
     b, m = cs.b, cs.m
     bm1, b1 = b + m + 1, b + 1
     return (
-        _sum_poly(m, lambda k: _inv(k + b, "psi0_kb_over_kb2", k) * _p1(k + b))
+        _sum_poly(m, lambda k: 1 / (k + b) * _p1(k + b))
         - _p0(bm1) * _p1(bm1) - Fraction(1, 2) * _p2(bm1)
         + _p0(b1) * _p1(b1) + Fraction(1, 2) * _p2(b1)
     )
@@ -378,10 +374,10 @@ def _rhs_psi0_kb_over_k2(cs):
     b, m = cs.b, cs.m
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(m, lambda k: _inv(k + b, "psi0_kb_over_k2", k) * _p1(Fraction(k)))
-        - _inv(b * b, "1/b^2") * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        _sum_poly(m, lambda k: 1 / (k + b) * _p1(Fraction(k)))
+        - 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
         - _p1(m1) * _p0(bm1)
-        - _inv(b, "1/b") * (_p1(one) - _p1(m1))
+        - 1 / b * (_p1(one) - _p1(m1))
         + _p1(one) * _p0(b1)
     )
 
@@ -398,9 +394,9 @@ def _rhs_psi0_over_kb2(cs):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         _sum_poly(m, lambda k: Fraction(1, k) * _p1(k + b))
-        + _inv(b * b, "1/b^2") * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
         - _p0(m1) * _p1(bm1)
-        - _inv(b, "1/b") * (_p1(bm1) - _p1(b1))
+        - 1 / b * (_p1(bm1) - _p1(b1))
         + _p0(one) * _p1(b1)
     )
 
@@ -415,9 +411,9 @@ _register(
 def _rhs_psi0_kb_over_kc_swap(cs):
     b, c, m = cs.b, cs.c, cs.m
     return (
-        -_sum_poly(m, lambda k: _inv(k + b, "swap", k) * _p0(k + c))
+        -_sum_poly(m, lambda k: 1 / (k + b) * _p0(k + c))
         + _p0(m + c + 1) * _p0(m + b + 1) - _p0(b + 1) * _p0(c + 1)
-        + _inv(c - b, "1/(c-b)")
+        + 1 / (c - b)
         * (_p0(m + c + 1) - _p0(m + b + 1) - _p0(c + 1) + _p0(b + 1))
     )
 
@@ -433,9 +429,9 @@ def _rhs_psi0_kb_over_kc2(cs):
     b, c, m = cs.b, cs.c, cs.m
     cm1, c1, bm1, b1 = c + m + 1, c + 1, b + m + 1, b + 1
     return (
-        _sum_poly(m, lambda k: _inv(k + b, "pair", k) * _p1(k + c))
-        + _inv((c - b) ** 2, "1/(c-b)^2") * (_p0(cm1) - _p0(c1) - _p0(bm1) + _p0(b1))
-        + _inv(c - b, "1/(c-b)") * (_p1(c1) - _p1(cm1))
+        _sum_poly(m, lambda k: 1 / (k + b) * _p1(k + c))
+        + 1 / (c - b) ** 2 * (_p0(cm1) - _p0(c1) - _p0(bm1) + _p0(b1))
+        + 1 / (c - b) * (_p1(c1) - _p1(cm1))
         - _p1(cm1) * _p0(bm1) + _p1(c1) * _p0(b1)
     )
 
@@ -452,11 +448,11 @@ def _rhs_psi0_psi0kb_over_k(cs):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         -Fraction(1, 2) * _sum_poly(
-            m, lambda k: _inv(k + b, "w", k) * (_p1(Fraction(k)) + _p0(Fraction(k)) ** 2)
+            m, lambda k: 1 / (k + b) * (_p1(Fraction(k)) + _p0(Fraction(k)) ** 2)
         )
-        - _inv(b, "1/b") * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
-        + _inv(b * b, "1/b^2") * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
-        + Fraction(1, 2) * _inv(b, "1/b") * (
+        - 1 / b * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
+        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        + Fraction(1, 2) / b * (
             2 * _p0(m1) * _p0(bm1) - 2 * _p0(one) * _p0(b1)
             - _p0(m1) ** 2 - _p1(m1) + _p0(one) ** 2 + _p1(one)
         )
@@ -480,8 +476,8 @@ def _rhs_psi0_psi0kb_over_kb(cs):
         -Fraction(1, 2) * _sum_poly(
             m, lambda k: Fraction(1, k) * (_p0(k + b) ** 2 + _p1(k + b))
         )
-        - _inv(b, "1/b") * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
-        + Fraction(1, 2) * _inv(b, "1/b") * (
+        - 1 / b * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
+        + Fraction(1, 2) / b * (
             _p0(bm1) ** 2 + _p1(bm1) - _p0(b1) ** 2 - _p1(b1)
         )
         + Fraction(1, 2) * (
@@ -546,10 +542,10 @@ def _rhs_psi0_over_ak2(cs):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         _sum_poly(m, lambda k: Fraction(1, k) * _p1(k + am))
-        + _inv(am * am, "1/(a-m)^2") * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
+        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
         - _p1(a1) * _p0(m1)
         + _p0(a1) * (_p1(am1) - _p1(a1))
-        + _inv(am, "1/(a-m)") * (_p1(am1) - _p1(a1))
+        + 1 / am * (_p1(am1) - _p1(a1))
         + _p0(am1) * (_p1(a1) - _p1(am1))
         + _p0(one) * _p1(am1)
         + Fraction(1, 2) * _p2(am1) - Fraction(1, 2) * _p2(a1)
@@ -570,13 +566,13 @@ def _rhs_psi0sq_over_ak(cs):
         _sum_poly(
             m,
             lambda k: Fraction(1, k) * _p0(k + am) ** 2
-            + _inv(k + am, "w", k) * _p0(Fraction(k)) ** 2
-            + _inv(k + am, "w", k) * _p1(k + am),
+            + 1 / (k + am) * _p0(Fraction(k)) ** 2
+            + 1 / (k + am) * _p1(k + am),
         )
-        + (2 * _inv(am, "1/(a-m)") * ConstPoly.const(1) - 2 * _p0(a1))
+        + (2 / am - 2 * _p0(a1))
         * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
-        + _inv(am * am, "1/(a-m)^2") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        + _inv(am, "1/(a-m)") * (
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / am * (
             2 * _p0(a1) * (-_p0(am1) - _p0(m1) + _p0(one))
             + _p0(am1) ** 2 + _p0(a1) ** 2
         )
@@ -607,9 +603,9 @@ def _rhs_psi1_ak_over_k(cs):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         -_sum_poly(m, lambda k: Fraction(1, k) * _p1(k + am))
-        + _inv(am * am, "1/(a-m)^2") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + _p1(a1) * (-_p0(am1) + _p0(a1) + _p0(m1) - _p0(one))
-        + _inv(am, "1/(a-m)") * (_p1(a1) - _p1(am1))
+        + 1 / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 2) * (
             2 * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one)) * _p1(am1)
             - _p2(am1) + _p2(a1)
@@ -631,12 +627,12 @@ def _rhs_psi1_over_ak(cs):
         _sum_poly(
             m,
             lambda k: -Fraction(1, k) * _p1(k + am)
-            + _inv(k + am, "w", k) * _p1(Fraction(k))
-            - _inv(k + am, "w", k) * _p1(k + am),
+            + 1 / (k + am) * _p1(Fraction(k))
+            - 1 / (k + am) * _p1(k + am),
         )
         - _p1(m1) * _p0(am1)
-        + _inv(am * am, "1/(a-m)^2") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        + _inv(am, "1/(a-m)") * (_p1(a1) - _p1(am1))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 2) * (
             -2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(one))
             + 2 * _p1(m1) * _p0(am1)
@@ -661,11 +657,11 @@ def _rhs_psi0_ak_over_k2(cs):
         _sum_poly(
             m,
             lambda k: Fraction(1, k) * _p1(k + am)
-            - _inv(k + am, "w", k) * _p1(Fraction(k))
-            + _inv(k + am, "w", k) * _p1(k + am),
+            - 1 / (k + am) * _p1(Fraction(k))
+            + 1 / (k + am) * _p1(k + am),
         )
-        + _inv(am * am, "1/(a-m)^2") * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
-        + _inv(am, "1/(a-m)") * (_p1(am1) - _p1(a1))
+        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
+        + 1 / am * (_p1(am1) - _p1(a1))
         + Fraction(1, 2) * (
             2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(one))
             - 2 * _p1(m1) * _p0(am1)
@@ -690,8 +686,8 @@ def _rhs_psi0_psi0ak_over_ak(cs):
             m,
             lambda k: Fraction(1, k) * (_p0(a + 1 - k) ** 2 - _p1(k + am)),
         )
-        + Fraction(1, 2) * _inv(am * am, "w") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        + Fraction(1, 2) * _inv(am, "w") * (_p1(a1) - _p1(am1))
+        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + Fraction(1, 2) / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 4) * (
             2 * _p0(m1) * (_p1(a1) - _p0(am1) ** 2)
             + 2 * (_p0(a1) - _p0(am1)) * (_p1(a1) - _p1(am1))
@@ -717,14 +713,14 @@ def _rhs_psi0_psi0ak_over_k(cs):
         Fraction(1, 2) * _sum_poly(
             m,
             lambda k: Fraction(1, k) * _p0(k + am) ** 2
-            + _inv(k + am, "w", k) * _p0(Fraction(k)) ** 2
+            + 1 / (k + am) * _p0(Fraction(k)) ** 2
             - Fraction(1, k) * _p1(k + am)
-            + _inv(k + am, "w", k) * _p1(Fraction(k)),
+            + 1 / (k + am) * _p1(Fraction(k)),
         )
-        + (_inv(am, "w") * ConstPoly.const(1) - _p0(a1))
+        + (1 / am - _p0(a1))
         * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
-        + _inv(am * am, "w") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        - Fraction(1, 2) * _inv(am, "w") * (
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        - Fraction(1, 2) / am * (
             2 * _p0(a1) * (_p0(am1) + _p0(m1) - _p0(one))
             - _p0(am1) ** 2 + _p1(am1) - _p0(a1) ** 2 - _p1(a1)
         )
@@ -760,15 +756,15 @@ def _rhs_psi0_psi0ak_over_mk(cs):
         Fraction(1, 2) * _sum_poly(
             m,
             lambda k: Fraction(1, k) * _p0(a + 1 - k) ** 2
-            - _inv(k + am, "w", k) * _p0(Fraction(k)) ** 2
+            - 1 / (k + am) * _p0(Fraction(k)) ** 2
             + Fraction(1, k) * _p1(k + am)
-            - _inv(k + am, "w", k) * _p1(Fraction(k)),
+            - 1 / (k + am) * _p1(Fraction(k)),
         )
-        - (_inv(am, "w") * ConstPoly.const(1) - _p0(a1))
+        - (1 / am - _p0(a1))
         * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
-        + Fraction(1, 2) * _inv(am * am, "w")
+        + Fraction(1, 2) / (am * am)
         * (3 * (_p0(a1) - _p0(am1) - _p0(m1) + _p0(one)))
-        - Fraction(1, 2) * _inv(am, "w") * (
+        - Fraction(1, 2) / am * (
             _p0(a1) ** 2
             + 2 * (_p0(one) - 2 * _p0(m1)) * _p0(a1)
             - _p0(am1) ** 2
@@ -811,12 +807,12 @@ def _rhs_psi0_psi0shift_over_mk(cs):
             m,
             lambda k: Fraction(1, k) * _p0(a + 1 - k) ** 2
             + Fraction(1, k) * _p0(k + am) ** 2
-            + _inv(k + am, "w", k) * _p0(Fraction(k)) ** 2
-            + _inv(k + am, "w", k) * _p1(Fraction(k)),
+            + 1 / (k + am) * _p0(Fraction(k)) ** 2
+            + 1 / (k + am) * _p1(Fraction(k)),
         )
-        + _inv(am, "w") * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
-        + Fraction(1, 2) * _inv(am * am, "w") * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        + Fraction(1, 2) * _inv(am, "w") * (_p0(am1) ** 2 - _p0(a1) ** 2)
+        + 1 / am * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + Fraction(1, 2) / am * (_p0(am1) ** 2 - _p0(a1) ** 2)
         + Fraction(1, 12) * (
             6 * _p0(a1) ** 2 * (_p0(am1) + _p0(one))
             + 6 * _p0(a1) * (
@@ -847,9 +843,9 @@ def _lhs_three_term(cs):
     a, b, c, m = cs.a, cs.b, cs.c, cs.m
     return _sum_poly(
         m,
-        lambda k: _inv(k + a, "w", k) * _p0(k + b) * _p0(k + c)
-        + _inv(k + b, "w", k) * _p0(k + a) * _p0(k + c)
-        + _inv(k + c, "w", k) * _p0(k + a) * _p0(k + b),
+        lambda k: 1 / (k + a) * _p0(k + b) * _p0(k + c)
+        + 1 / (k + b) * _p0(k + a) * _p0(k + c)
+        + 1 / (k + c) * _p0(k + a) * _p0(k + b),
     )
 
 
@@ -857,33 +853,32 @@ def _rhs_three_term(cs):
     a, b, c, m = cs.a, cs.b, cs.c, cs.m
 
     def s(num, den):
-        return _sum_poly(m, lambda k: _inv(k + den, "w", k) * _p0(k + num))
+        return _sum_poly(m, lambda k: 1 / (k + den) * _p0(k + num))
 
-    iv = lambda x: _inv(x, "three_term")
     return (
-        (iv(b - a) * ConstPoly.const(1) + _p0(a)) * s(c, b)
-        + (iv(c - a) * ConstPoly.const(1) + _p0(a)) * s(b, c)
-        + (iv(a - b) * ConstPoly.const(1) + _p0(b)) * s(c, a)
-        + (iv(c - b) * ConstPoly.const(1) + _p0(b)) * s(a, c)
-        + (iv(a - c) * ConstPoly.const(1) + _p0(c + m)) * s(b, a)
-        + (iv(b - c) * ConstPoly.const(1) + _p0(c + m)) * s(a, b)
-        + (iv(c - b) - iv(c + m)) * _p0(a) * _p0(b + m)
-        + (iv(c - a) - iv(c + m)) * _p0(a + m) * _p0(b)
+        (1 / (b - a) + _p0(a)) * s(c, b)
+        + (1 / (c - a) + _p0(a)) * s(b, c)
+        + (1 / (a - b) + _p0(b)) * s(c, a)
+        + (1 / (c - b) + _p0(b)) * s(a, c)
+        + (1 / (a - c) + _p0(c + m)) * s(b, a)
+        + (1 / (b - c) + _p0(c + m)) * s(a, b)
+        + (1 / (c - b) - 1 / (c + m)) * _p0(a) * _p0(b + m)
+        + (1 / (c - a) - 1 / (c + m)) * _p0(a + m) * _p0(b)
         + _p0(a) * _p0(b) * _p0(c + m)
         - _p0(a) * _p0(b + m) * _p0(c + m)
         + _p0(a) * _p0(b) * _p0(c)
         - _p0(b) * _p0(a + m) * _p0(c + m)
         + Fraction((a + m) * (a - b - c - m), (a - b) * (a - c) * (b + m) * (c + m)) * _p0(a + m)
-        + iv(b - a) * _p0(a + m) * _p0(c + m)
+        + 1 / (b - a) * _p0(a + m) * _p0(c + m)
         + Fraction((b + m) * (a - b + c + m), (a - b) * (a + m) * (b - c) * (c + m)) * _p0(b + m)
-        + iv(a - b) * _p0(b + m) * _p0(c + m)
+        + 1 / (a - b) * _p0(b + m) * _p0(c + m)
         + Fraction((c + m) * (a + b - c + m), (a - c) * (a + m) * (c - b) * (b + m)) * _p0(c + m)
-        + iv(c + m) * _p0(a + m) * _p0(b + m)
-        + (iv(a - c) + iv(b - c) + iv(c)) * _p0(a) * _p0(b)
-        + (iv(b - a) + iv(a - c) - iv(a + m) + iv(a)) * _p0(b) * _p0(c + m)
-        + iv(c - b) * _p0(a) * _p0(c)
-        + (iv(a - b) + iv(b - c) - iv(b + m) + iv(b)) * _p0(a) * _p0(c + m)
-        + iv(c - a) * _p0(b) * _p0(c)
+        + 1 / (c + m) * _p0(a + m) * _p0(b + m)
+        + (1 / (a - c) + 1 / (b - c) + 1 / c) * _p0(a) * _p0(b)
+        + (1 / (b - a) + 1 / (a - c) - 1 / (a + m) + 1 / a) * _p0(b) * _p0(c + m)
+        + 1 / (c - b) * _p0(a) * _p0(c)
+        + (1 / (a - b) + 1 / (b - c) - 1 / (b + m) + 1 / b) * _p0(a) * _p0(c + m)
+        + 1 / (c - a) * _p0(b) * _p0(c)
         + Fraction(a * (-a + b + c), b * c * (a - b) * (a - c)) * _p0(a)
         - Fraction(b * (a - b + c), a * c * (a - b) * (b - c)) * _p0(b)
         + Fraction(c * (a + b - c), a * b * (a - c) * (b - c)) * _p0(c)
@@ -902,24 +897,23 @@ def _lhs_block_diff(cs):
     a, b, m = cs.a, cs.b, cs.m
     return _sum_poly(
         m,
-        lambda k: (_inv(k + a, "w", k) + _inv(k + b, "w", k))
+        lambda k: (1 / (k + a) + 1 / (k + b))
         * (_p0(k + a + b + m) - _p0(k + a + b)),
     )
 
 
 def _rhs_block_diff(cs):
     a, b, m = cs.a, cs.b, cs.m
-    iv = lambda x: _inv(x, "block_diff")
     return (
-        Fraction(m, 1) * iv(a * (a + m)) * (_p0(b + m + 1) - _p0(b + 1))
-        + Fraction(m, 1) * iv(b * (b + m)) * (_p0(a + m + 1) - _p0(a + 1))
+        m / (a * (a + m)) * (_p0(b + m + 1) - _p0(b + 1))
+        + m / (b * (b + m)) * (_p0(a + m + 1) - _p0(a + 1))
         - _p0(b + 1) * _p0(a + m + 1)
         - _p0(a + 1) * _p0(b + m + 1)
         + _p0(a + m + 1) * _p0(b + m + 1)
-        - (iv(a + m) + iv(a) + iv(b + m) + iv(b)) * _p0(a + b + m + 1)
-        + (a + b + 2 * m) * iv((a + m) * (b + m)) * _p0(a + b + 2 * m + 1)
+        - (1 / (a + m) + 1 / a + 1 / (b + m) + 1 / b) * _p0(a + b + m + 1)
+        + (a + b + 2 * m) / ((a + m) * (b + m)) * _p0(a + b + 2 * m + 1)
         + _p0(a + 1) * _p0(b + 1)
-        + (iv(a) + iv(b)) * _p0(a + b + 1)
+        + (1 / a + 1 / b) * _p0(a + b + 1)
     )
 
 
@@ -932,30 +926,29 @@ def _lhs_trigamma_closed_1(cs):
     return _sum_poly(
         m,
         lambda k: Fraction(1, k) * (_p1(k + t + m) - _p1(k + t))
-        - _inv(k + t + m, "w", k) * _p1(k + t)
-        + _inv(k + t, "w", k) * _p1(k + t + m),
+        - 1 / (k + t + m) * _p1(k + t)
+        + 1 / (k + t) * _p1(k + t + m),
     )
 
 
 def _rhs_trigamma_closed_1(cs):
     t, mf = 2 * cs.alpha, Fraction(cs.m)
-    iv = lambda x: _inv(x, "trigamma_closed_1")
     t1, tm1, t2m1 = t + 1, t + mf + 1, t + 2 * mf + 1
     m1, one = mf + 1, Fraction(1)
     return (
         _p0(one) * _p1(t1)
-        + iv(t) * _p1(t1)
+        + 1 / t * _p1(t1)
         - _p0(t1) * _p1(t1)
         + Fraction(1, 2) * _p2(t1)
-        - (t * t + mf * mf + 3 * t * mf) * iv(t * mf * (t + mf)) * _p1(tm1)
-        - (iv(mf * mf) + iv((t + mf) ** 2)) * _p0(t2m1)
-        + iv(t * t * mf * mf * (t + mf) ** 2) * (
+        - (t * t + mf * mf + 3 * t * mf) / (t * mf * (t + mf)) * _p1(tm1)
+        - (1 / (mf * mf) + 1 / (t + mf) ** 2) * _p0(t2m1)
+        + 1 / (t * t * mf * mf * (t + mf) ** 2) * (
             t * t * mf * (t * t + 2 * mf * mf + 3 * t * mf) * _p1(t2m1)
             - (t * t + mf * mf) * (t + mf) ** 2 * _p0(t1)
             + (2 * t ** 4 + mf ** 4 + 2 * t * mf ** 3 + 4 * t * t * mf * mf + 4 * t ** 3 * mf)
             * _p0(tm1)
         )
-        + (iv(t * t) - iv((t + mf) ** 2)) * (_p0(one) - _p0(m1))
+        + (1 / (t * t) - 1 / (t + mf) ** 2) * (_p0(one) - _p0(m1))
         - _p0(one) * _p1(tm1)
         - _p1(t1) * _p0(m1)
         - Fraction(1, 2) * _p2(tm1)
@@ -974,8 +967,8 @@ def _lhs_trigamma_closed_2(cs):
     t, m = 2 * cs.alpha, cs.m
     return _sum_poly(
         m,
-        lambda k: _inv(t + k, "w", k) * (_p1(Fraction(k)) - _p1(t + k))
-        - _inv(t + k + m, "w", k) * (_p1(Fraction(k)) - _p1(t + k)),
+        lambda k: 1 / (t + k) * (_p1(Fraction(k)) - _p1(t + k))
+        - 1 / (t + k + m) * (_p1(Fraction(k)) - _p1(t + k)),
     )
 
 
@@ -1044,63 +1037,63 @@ def default_grid(max_m: int = 8):
 
 def _d_psi0_ak_over_k(i, b):
     acc = Fraction(1, i) * _p0(b + 1)
-    rat = sum((Fraction(1, k) * _inv(b + i - k, "tele") for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    rat = sum((Fraction(1, k) / (b + i - k) for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi0_over_ak(i, b):
-    acc = _inv(i + b, "tele") * _p0(Fraction(1))
-    rat = sum((_inv(k + b, "tele") * Fraction(1, i - k) for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    acc = 1 / (i + b) * _p0(Fraction(1))
+    rat = sum((1 / ((k + b) * (i - k)) for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi0_over_ak2(i, b):
-    acc = _inv(i + b, "tele") ** 2 * _p0(Fraction(1))
-    rat = sum((_inv(k + b, "tele") ** 2 * Fraction(1, i - k) for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    acc = 1 / (i + b) ** 2 * _p0(Fraction(1))
+    rat = sum((1 / ((k + b) ** 2 * (i - k)) for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi0sq_over_ak(i, b):
     # psi0^2(x+1) - psi0^2(x) = 2 psi0(x)/x + 1/x^2 with x = i - k
-    acc = _inv(i + b, "tele") * _p0(Fraction(1)) ** 2
+    acc = 1 / (i + b) * _p0(Fraction(1)) ** 2
     total = acc
     for k in range(1, i):
         x = Fraction(i - k)
-        total = total + _inv(k + b, "tele") * (
-            2 * Fraction(1, x) * _p0(x) + ConstPoly.const(Fraction(1, x * x))
+        total = total + 1 / (k + b) * (
+            2 * Fraction(1, x) * _p0(x) + Fraction(1, x * x)
         )
     return total
 
 
 def _d_psi1_ak_over_k(i, b):
     acc = Fraction(1, i) * _p1(b + 1)
-    rat = sum((-Fraction(1, k) * _inv((b + i - k) ** 2, "tele") for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    rat = sum((-Fraction(1, k) / (b + i - k) ** 2 for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi1_over_ak(i, b):
-    acc = _inv(i + b, "tele") * _p1(Fraction(1))
-    rat = sum((-_inv(k + b, "tele") * Fraction(1, (i - k) ** 2) for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    acc = 1 / (i + b) * _p1(Fraction(1))
+    rat = sum((-1 / ((k + b) * (i - k) ** 2) for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi0_ak_over_k2(i, b):
     acc = Fraction(1, i * i) * _p0(b + 1)
-    rat = sum((Fraction(1, k * k) * _inv(b + i - k, "tele") for k in range(1, i)), Fraction(0))
-    return acc + ConstPoly.const(rat)
+    rat = sum((Fraction(1, k * k) / (b + i - k) for k in range(1, i)), Fraction(0))
+    return acc + rat
 
 
 def _d_psi0_psi0ak_over_ak(i, b):
-    total = _inv(i + b, "tele") * _p0(Fraction(1)) * _p0(i + b)
+    total = 1 / (i + b) * _p0(Fraction(1)) * _p0(i + b)
     for k in range(1, i):
-        total = total + _inv(k + b, "tele") * Fraction(1, i - k) * _p0(k + b)
+        total = total + 1 / ((k + b) * (i - k)) * _p0(k + b)
     return total
 
 
 def _d_psi0_psi0ak_over_k(i, b):
     total = Fraction(1, i) * _p0(Fraction(i)) * _p0(b + 1)
     for k in range(1, i):
-        total = total + Fraction(1, k) * _inv(b + i - k, "tele") * _p0(Fraction(k))
+        total = total + Fraction(1, k) / (b + i - k) * _p0(Fraction(k))
     return total
 
 
@@ -1116,7 +1109,7 @@ def _d_psi0_psi0shift_over_mk(i, b):
     total = Fraction(1, i) * _p0(Fraction(1)) * _p0(b + 1)
     for k in range(1, i):
         total = total + Fraction(1, i - k) * (
-            Fraction(1, k) * _p0(k + b + 1) + _inv(k + b, "tele") * _p0(Fraction(k))
+            Fraction(1, k) * _p0(k + b + 1) + 1 / (k + b) * _p0(Fraction(k))
         )
     return total
 

@@ -1,13 +1,18 @@
 """Polygamma functions psi_k (k = 0, 1, 2) at positive half-integer arguments.
 
 ``psi_exact`` returns an element of the constant ring for integer or
-half-odd-integer arguments, using the finite-sum representations
+half-odd-integer arguments.  With x = twice/2 and start = 2 (x an integer)
+or start = 1 (x a half-odd integer), the shift recurrence
+psi_k(z+1) = psi_k(z) + (-1)^k k! / z^(k+1), summed from z = start/2, gives
 
-    psi_0(l)       = -g + sum_{i<l} 1/i
-    psi_k(l)       = (-1)^(k+1) k! (zeta(k+1) - sum_{i<l} 1/i^(k+1))
-    psi_0(l+1/2)   = -g - 2*l2 + 2 sum_{i<l} 1/(2i+1)
-    psi_k(l+1/2)   = (-1)^(k+1) k! ((2^(k+1)-1) zeta(k+1)
-                                    - sum_{i<l} 2^(k+1)/(2i+1)^(k+1))
+    psi_k(x) = psi_k(start/2)
+               + (-1)^k k! sum_{j = start, start+2, ..., twice-2} 2^(k+1)/j^(k+1)
+
+from six start values:
+
+    psi_0(1) = -g          psi_0(1/2) = -g - 2*l2
+    psi_1(1) = z2          psi_1(1/2) = 3*z2
+    psi_2(1) = -2*z3       psi_2(1/2) = -14*z3
 
 Orders k >= 3 are deliberately unsupported; nothing in this package needs
 them.
@@ -23,7 +28,7 @@ from typing import Union
 from .ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInteger:
     """An element of (1/2)Z, stored as twice its value."""
 
@@ -43,32 +48,25 @@ class HalfInteger:
             raise ValueError(f"{value} is not an integer or half-integer")
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
     def __add__(self, other) -> "HalfInteger":
         return HalfInteger(self.twice + HalfInteger.of(other).twice)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice - HalfInteger.of(other).twice)
-
-    def __rsub__(self, other) -> "HalfInteger":
-        return HalfInteger(HalfInteger.of(other).twice - self.twice)
-
     def __float__(self) -> float:
         return self.twice / 2
 
-    def __str__(self) -> str:
-        return str(self.as_fraction())
 
-
-_ZETA = {2: ZETA2, 3: ZETA3}
+# (order, start) -> psi_order(start / 2)
+_START = {
+    (0, 2): -GAMMA,
+    (1, 2): ZETA2,
+    (2, 2): -2 * ZETA3,
+    (0, 1): -GAMMA - 2 * LN2,
+    (1, 1): 3 * ZETA2,
+    (2, 1): -14 * ZETA3,
+}
 
 _cache: dict[tuple[int, int], ConstPoly] = {}
 
@@ -85,30 +83,9 @@ def psi_exact(order: int, arg) -> ConstPoly:
     if cached is not None:
         return cached
 
-    if h.is_integer:
-        l = h.twice // 2
-        if order == 0:
-            acc = sum((Fraction(1, i) for i in range(1, l)), Fraction(0))
-            poly = -GAMMA + ConstPoly.const(acc)
-        else:
-            k = order
-            partial = sum((Fraction(1, i ** (k + 1)) for i in range(1, l)), Fraction(0))
-            sign = 1 if k % 2 else -1
-            poly = sign * math.factorial(k) * (_ZETA[k + 1] - ConstPoly.const(partial))
-    else:
-        l = (h.twice - 1) // 2  # arg = l + 1/2
-        if order == 0:
-            acc = sum((Fraction(2, 2 * i + 1) for i in range(l)), Fraction(0))
-            poly = -GAMMA - 2 * LN2 + ConstPoly.const(acc)
-        else:
-            k = order
-            scale = 2 ** (k + 1)
-            partial = sum(
-                (Fraction(scale, (2 * i + 1) ** (k + 1)) for i in range(l)), Fraction(0)
-            )
-            sign = 1 if k % 2 else -1
-            poly = sign * math.factorial(k) * ((scale - 1) * _ZETA[k + 1] - ConstPoly.const(partial))
-
+    start = 2 - h.twice % 2
+    power = order + 1
+    partial = sum((Fraction(1, j ** power) for j in range(start, h.twice - 1, 2)), Fraction(0))
+    poly = _START[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
     _cache[key] = poly
     return poly
-

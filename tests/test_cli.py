@@ -184,6 +184,18 @@ class TestSimulateCommand:
         column = header.split(",").index("S")
         assert [row.split(",")[column] for row in rows] == ["0.0"] * 3
 
+    @pytest.mark.parametrize("samples", [50, 90])
+    def test_standard_errors_need_ninety_samples(self, outdir, capsys, samples):
+        # batch-means SEs need 30 batches of 3; below that the SE is n/a
+        assert main(["simulate", "--m", "2", "--n", "3", "--samples", str(samples),
+                     "--seed", "1", "--out", "few.csv"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        short = samples < 90
+        assert out.count("+- n/a") == (3 if short else 0)
+        assert ("standard errors need at least 90 samples (30 batches of 3), got 50"
+                in out) == short
+
 
 class TestVerifyCommands:
     def test_identities_report(self, outdir, capsys):
@@ -257,19 +269,20 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # only `verify oracles` needs scipy and only the sampling commands need
-    # numpy; the exact commands skip both import costs
+    # only `verify oracles` needs scipy, only the sampling commands need
+    # numpy and only `verify identities` needs the identity catalog; the
+    # other commands skip those import costs
     src = os.path.dirname(os.path.dirname(bureshall.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = textwrap.dedent("""
         import sys, bureshall.cli as cli
-        def loaded():
-            print("loaded", [name for name in ("numpy", "scipy") if name in sys.modules])
+        def loaded(names=("numpy", "scipy", "bureshall.identities")):
+            print("loaded", [name for name in names if name in sys.modules])
         loaded()
         assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
         loaded()
         assert cli.main(["verify", "identities", "--max-m", "1"]) == 0
-        loaded()
+        loaded(("numpy", "scipy"))
     """)
     env = dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], env=env,

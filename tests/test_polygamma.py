@@ -15,11 +15,10 @@ from bureshall.ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 class TestHalfInteger:
     def test_of_int(self):
         assert HalfInteger.of(3).twice == 6
-        assert HalfInteger.of(3).is_integer
 
     def test_of_fraction(self):
-        h = HalfInteger.of(Fraction(5, 2))
-        assert h.twice == 5 and not h.is_integer
+        assert HalfInteger.of(Fraction(5, 2)).twice == 5
+        assert HalfInteger.of(Fraction(6, 2)).twice == 6
 
     def test_rejects_thirds(self):
         with pytest.raises(ValueError):
@@ -28,9 +27,22 @@ class TestHalfInteger:
     def test_arithmetic(self):
         h = HalfInteger.of(Fraction(5, 2))
         assert (h + 1).as_fraction() == Fraction(7, 2)
-        assert (h - Fraction(1, 2)).as_fraction() == 2
+        assert (h + Fraction(-1, 2)).as_fraction() == 2
         assert float(h) == 2.5
-        assert HalfInteger.of(2) < h
+
+
+@pytest.mark.parametrize("order, arg, expected", [
+    (0, 1, -GAMMA),
+    (1, 1, ZETA2),
+    (2, 1, -2 * ZETA3),
+    (0, Fraction(1, 2), -GAMMA - 2 * LN2),
+    (1, Fraction(1, 2), 3 * ZETA2),
+    (2, Fraction(1, 2), -14 * ZETA3),
+], ids=["psi0(1)", "psi1(1)", "psi2(1)", "psi0(1/2)", "psi1(1/2)", "psi2(1/2)"])
+def test_start_values(order, arg, expected):
+    """psi_k(1) and psi_k(1/2): with the shift recurrence these fix psi_exact
+    at every positive half-integer."""
+    assert psi_exact(order, arg) == expected
 
 
 class TestPsiExactExamples:
