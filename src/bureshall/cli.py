@@ -204,7 +204,8 @@ def _oracle_check(m: int, n: int, kind: str, res, target: float, tol: float) -> 
 
 
 def verify_oracles_report() -> dict:
-    # imported here so that only this target pays for loading scipy
+    # imported here so that no other command compiles or holds this module,
+    # which costs time and memory in runs without cached bytecode
     from .quadrature import normalization_check, oracle_cumulants
 
     checks = []

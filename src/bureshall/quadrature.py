@@ -16,20 +16,21 @@ with normalization
         * prod_{i=1..m} Gamma(i+1) Gamma(i+2 alpha+1) / Gamma(i+alpha+1/2).
 
 For m = 2 the delta collapses the integral to one dimension; for m = 3 to a
-two-dimensional integral over the triangle.  The substitution lambda = sin^2 u
-absorbs the (lambda (1-lambda))^alpha endpoint behaviour analytically, so the
-alpha = -1/2 case (n = m) has a smooth integrand.
+two-dimensional integral over the triangle, done as nested 1-D integrals.  The
+substitution lambda = sin^2 u absorbs the (lambda (1-lambda))^alpha endpoint
+behaviour analytically, so the alpha = -1/2 case (n = m) has a smooth
+integrand.  Each 1-D integral is double-exponential (tanh-sinh) quadrature,
+`mpmath.fp.quad`, whose nodes round onto the interval ends in floating point;
+the integrands therefore take their limits there, such as 0 for the pair
+factor (x - y)^2 / (x + y) at x = y = 0.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
-from scipy import integrate
 
 from .cumulants import EnsembleDims, moments_cumulants_convert
 
@@ -69,14 +70,17 @@ def _entropy2(lam1: float) -> float:
 _TOL = {2: 1e-10, 3: 1e-7}
 
 
-def _quad(f, a: float, b: float, **kw) -> tuple[float, float, bool]:
-    """integrate.quad(f, a, b, **kw) as (value, error, converged), where
-    converged is False if any IntegrationWarning was raised on the way."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        value, error = integrate.quad(f, a, b, **kw)
-    converged = not any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
-    return value, error, converged
+def _quad(f, a: float, b: float, target: float) -> tuple[float, float, bool]:
+    """Tanh-sinh quadrature of f over [a, b] as (value, error, converged),
+    where converged means the error estimate met the absolute target."""
+    value, error = mpmath.fp.quad(f, [a, b], error=True)
+    return value, error, error <= target
+
+
+def _pair(x: float, y: float) -> float:
+    """(x - y)^2 / (x + y); its limit 0 where nodes round onto x = y = 0."""
+    s = x + y
+    return (x - y) ** 2 / s if s else 0.0
 
 
 def _moments_m2(dims: EnsembleDims, powers: list[int]):
@@ -99,8 +103,7 @@ def _moments_m2(dims: EnsembleDims, powers: list[int]):
 
     out = []
     for k in powers:
-        val, err, converged = _quad(make_integrand(k), math.pi / 4, math.pi / 2,
-                                    epsabs=_TOL[2] / 10, epsrel=1e-13, limit=400)
+        val, err, converged = _quad(make_integrand(k), math.pi / 4, math.pi / 2, _TOL[2] / 10)
         out.append(QuadratureResult(val, max(err, 1e-16), counter[0], converged))
         counter[0] = 0
     return out
@@ -121,38 +124,34 @@ def _moments_m3(dims: EnsembleDims, powers: list[int]):
     p_v = two_alpha + 1
     counter = [0]
     inner_err_max = [0.0]
+    inner_converged = [True]
     half_pi = math.pi / 2
 
     def make_integrand(k: int):
-        def inner(v: float, lam1: float, su_cu_pow: float) -> float:
-            counter[0] += 1
-            sv, cv = math.sin(v), math.cos(v)
-            rest = 1.0 - lam1
-            lam2 = rest * sv * sv
-            lam3 = rest * cv * cv
-            pair = (
-                (lam1 - lam2) ** 2 / (lam1 + lam2)
-                * (lam1 - lam3) ** 2 / (lam1 + lam3)
-                * (lam2 - lam3) ** 2 / (lam2 + lam3)
-            )
-            w = 4.0 / c * su_cu_pow * (sv * cv) ** p_v * pair
-            if k:
-                s = 0.0
-                for lam in (lam1, lam2, lam3):
-                    if lam > 0.0:
-                        s -= lam * math.log(lam)
-                w *= s ** k
-            return w
-
         def outer(u: float) -> float:
             su, cu = math.sin(u), math.cos(u)
             lam1 = su * su
-            su_cu_pow = su ** p_u_sin * cu ** p_u_cos
-            val, err = integrate.quad(
-                inner, 0.0, half_pi, args=(lam1, su_cu_pow),
-                epsabs=_TOL[3] / 100, epsrel=1e-12, limit=200,
-            )
+            rest = 1.0 - lam1
+            weight = 4.0 / c * su ** p_u_sin * cu ** p_u_cos
+
+            def inner(v: float) -> float:
+                counter[0] += 1
+                sv, cv = math.sin(v), math.cos(v)
+                lam2 = rest * sv * sv
+                lam3 = rest * cv * cv
+                pair = _pair(lam1, lam2) * _pair(lam1, lam3) * _pair(lam2, lam3)
+                w = weight * (sv * cv) ** p_v * pair
+                if k:
+                    s = 0.0
+                    for lam in (lam1, lam2, lam3):
+                        if lam > 0.0:
+                            s -= lam * math.log(lam)
+                    w *= s ** k
+                return w
+
+            val, err, converged = _quad(inner, 0.0, half_pi, _TOL[3] / 100)
             inner_err_max[0] = max(inner_err_max[0], err)
+            inner_converged[0] = inner_converged[0] and converged
             return val
 
         return outer
@@ -161,11 +160,11 @@ def _moments_m3(dims: EnsembleDims, powers: list[int]):
     for k in powers:
         counter[0] = 0
         inner_err_max[0] = 0.0
-        # the inner integrals run inside this call, so their warnings count too
-        val, err, converged = _quad(make_integrand(k), 0.0, half_pi,
-                                    epsabs=_TOL[3] / 10, epsrel=1e-11, limit=200)
+        inner_converged[0] = True
+        val, err, converged = _quad(make_integrand(k), 0.0, half_pi, _TOL[3] / 10)
         total_err = err + half_pi * inner_err_max[0]
-        out.append(QuadratureResult(val, max(total_err, 1e-16), counter[0], converged))
+        out.append(QuadratureResult(val, max(total_err, 1e-16), counter[0],
+                                    converged and inner_converged[0]))
     return out
 
 

@@ -13,7 +13,8 @@ import jsonschema
 import pytest
 
 import bureshall
-from bureshall.cli import main
+from bureshall.cli import _oracle_check, main
+from bureshall.quadrature import QuadratureResult
 
 CUMULANTS_SCHEMA = {
     "type": "object",
@@ -235,6 +236,14 @@ class TestVerifyCommands:
         assert csv_lines[0] == "m,n,kappa3"
         assert len(csv_lines) == 31  # header + 10 m-values x 3 families
 
+    def test_unconverged_oracle_fails(self):
+        # a value within tolerance does not pass when its quadrature did not converge
+        res = QuadratureResult(1.0, 1e-3, 1, converged=False)
+        check = _oracle_check(2, 2, "normalization", res, 1.0, 1e-10)
+        assert check["abs_diff"] == 0.0
+        assert not check["converged"]
+        assert not check["passed"]
+
     def test_verify_requires_target(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
@@ -269,9 +278,9 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # only `verify oracles` needs scipy, only the sampling commands need
-    # numpy and only `verify identities` needs the identity catalog; the
-    # other commands skip those import costs
+    # no command needs scipy, only the sampling commands need numpy and only
+    # `verify identities` needs the identity catalog; the other commands skip
+    # those import costs
     src = os.path.dirname(os.path.dirname(bureshall.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = textwrap.dedent("""
@@ -283,8 +292,10 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         loaded()
         assert cli.main(["verify", "identities", "--max-m", "1"]) == 0
         loaded(("numpy", "scipy"))
+        assert cli.main(["verify", "oracles"]) == 0
+        loaded(("numpy", "scipy"))
     """)
     env = dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 3
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 4

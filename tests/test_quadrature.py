@@ -1,10 +1,13 @@
 """Quadrature-oracle tests: normalization mass and cumulants vs closed forms."""
 
+import math
+
 import pytest
 
 from bureshall.cumulants import EnsembleDims, kappa1, kappa2, kappa3
 from bureshall.quadrature import (
     QuadratureResult,
+    _quad,
     normalization_check,
     normalization_constant,
     oracle_cumulants,
@@ -29,8 +32,6 @@ class TestNormalization:
 
     def test_constant_m2_n2(self):
         # C = pi/2 for (m, n) = (2, 2)
-        import math
-
         assert normalization_constant(EnsembleDims(2, 2)) == pytest.approx(
             math.pi / 2, rel=1e-14
         )
@@ -72,3 +73,14 @@ class TestStability:
         # n = m means alpha = -1/2: integrable endpoint singularities
         res = normalization_check(EnsembleDims(2, 2))
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_missed_target_is_unconverged(self):
+        # an interior inverse-square-root singularity defeats tanh-sinh: its
+        # error estimate stays near 1e-3
+        def f(x):
+            return 1.0 / math.sqrt(abs(x - 0.7))
+
+        _, error, converged = _quad(f, 0.0, math.pi / 2, 1e-10)
+        assert error > 1e-10
+        assert not converged
+        assert _quad(f, 0.0, math.pi / 2, 2 * error)[2]
