@@ -20,6 +20,10 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([content] if isinstance(content, str) else content)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

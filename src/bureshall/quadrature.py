@@ -15,19 +15,25 @@ with normalization
     C = 2^(-m(m+2 alpha)) pi^(m/2) / Gamma(m(m+2 alpha+1)/2)
         * prod_{i=1..m} Gamma(i+1) Gamma(i+2 alpha+1) / Gamma(i+alpha+1/2).
 
-For m = 2 the delta collapses the integral to one dimension; for m = 3 to a
-two-dimensional integral over the triangle, done as nested 1-D integrals.  The
-substitution lambda = sin^2 u absorbs the (lambda (1-lambda))^alpha endpoint
-behaviour analytically, so the alpha = -1/2 case (n = m) has a smooth
-integrand.  Each 1-D integral is double-exponential (tanh-sinh) quadrature,
-`mpmath.fp.quad`, whose nodes round onto the interval ends in floating point;
-the integrands therefore take their limits there, such as 0 for the pair
-factor (x - y)^2 / (x + y) at x = y = 0.
+The delta is eliminated by the standard parametrization of the simplex,
+u in (0, pi/2)^(m-1) with lambda_i = sin^2 u_i prod_{j<i} cos^2 u_j and
+lambda_m = prod_j cos^2 u_j.  Weight times Jacobian is then
+
+    2^(m-1)/C prod_i sin^(2 alpha+1) u_i cos^((2 alpha+2)(m-i)-1) u_i
+
+times the pair factors; all exponents are nonnegative integers, so the
+alpha = -1/2 case (n = m) has a smooth integrand.  Each u_i is one level of
+nested double-exponential (tanh-sinh) quadrature, `mpmath.fp.quad`.
+lambda_(m-1) and lambda_m are exchangeable, so the innermost integral covers
+(0, pi/4) and is doubled.  Tanh-sinh nodes round onto the interval ends in
+floating point, so the integrands take their limits there, such as 0 for the
+pair factor (x - y)^2 / (x + y) at x = y = 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -40,7 +46,7 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool = True
+    converged: bool
 
 
 def normalization_constant(dims: EnsembleDims) -> float:
@@ -54,16 +60,6 @@ def normalization_constant(dims: EnsembleDims) -> float:
         for i in range(1, m + 1):
             c *= mpmath.gamma(i + 1) * mpmath.gamma(i + 2 * a + 1) / mpmath.gamma(i + a + 0.5)
         return float(c)
-
-
-def _entropy2(lam1: float) -> float:
-    lam2 = 1.0 - lam1
-    s = 0.0
-    if lam1 > 0.0:
-        s -= lam1 * math.log(lam1)
-    if lam2 > 0.0:
-        s -= lam2 * math.log(lam2)
-    return s
 
 
 # absolute tolerances of the moments, by m
@@ -83,98 +79,64 @@ def _pair(x: float, y: float) -> float:
     return (x - y) ** 2 / s if s else 0.0
 
 
-def _moments_m2(dims: EnsembleDims, powers: list[int]):
-    """E[S^k] for m = 2 as 1-D integrals over u with lambda1 = sin^2 u."""
-    c = normalization_constant(dims)
+def _entropy_term(lam: float) -> float:
+    """-lam ln lam; its limit 0 where nodes round onto lam = 0."""
+    return -lam * math.log(lam) if lam > 0.0 else 0.0
+
+
+def moment_oracle(dims: EnsembleDims, powers: list[int]) -> list[QuadratureResult]:
+    """Raw entropy moments E[S^k] for the requested powers (m in {2, 3}), as
+    nested 1-D integrals over u_1..u_(m-1) (see the module docstring)."""
+    m = dims.m
+    if m not in _TOL:
+        raise ValueError(f"quadrature oracle supports m in {{2, 3}}, got m={m}")
     two_alpha = dims.alpha.twice
-    counter = [0]
+    # 2^(m-1) from the Jacobian, times 2 for the half-range innermost integral
+    prefactor = 2.0 ** m / normalization_constant(dims)
 
-    def make_integrand(k: int):
-        def f(u: float) -> float:
-            counter[0] += 1
-            su, cu = math.sin(u), math.cos(u)
-            lam1 = su * su
-            # (2 lam1 - 1)^2 (lam1 (1-lam1))^alpha * dlam1, ordered x2
-            w = (2.0 * lam1 - 1.0) ** 2 * (su * cu) ** (two_alpha + 1) * 2.0
-            w *= 2.0 / c
-            return w * _entropy2(lam1) ** k if k else w
+    def moment(k: int) -> QuadratureResult:
+        evaluations = 0
 
-        return f
+        def level(i: int, lams: tuple, rest: float, weight: float, entropy: float):
+            """(value, error, converged) of the integral over u_i, given the
+            fixed lambda_1..lambda_(i-1), their complement `rest` and the
+            weight and entropy they contribute."""
+            innermost = i == m - 1
+            p_cos = (two_alpha + 2) * (m - i) - 1
+            worst, inner_converged = 0.0, True
 
-    out = []
-    for k in powers:
-        val, err, converged = _quad(make_integrand(k), math.pi / 4, math.pi / 2, _TOL[2] / 10)
-        out.append(QuadratureResult(val, max(err, 1e-16), counter[0], converged))
-        counter[0] = 0
-    return out
+            def f(u: float) -> float:
+                nonlocal evaluations, worst, inner_converged
+                su, cu = math.sin(u), math.cos(u)
+                lam = rest * su * su
+                w = weight * su ** (two_alpha + 1) * cu ** p_cos
+                for x in lams:
+                    w *= _pair(x, lam)
+                h = entropy + _entropy_term(lam) if k else 0.0  # the mass needs no entropy
+                if innermost:
+                    evaluations += 1
+                    last = rest * cu * cu
+                    for x in lams:
+                        w *= _pair(x, last)
+                    w *= _pair(lam, last)
+                    return w * (h + _entropy_term(last)) ** k if k else w
+                value, error, converged = level(i + 1, lams + (lam,), rest * cu * cu, w, h)
+                worst = max(worst, error)
+                inner_converged = inner_converged and converged
+                return value
 
+            # lambda_(m-1) and lambda_m are exchangeable: integrate half the range
+            b = math.pi / 4 if innermost else math.pi / 2
+            value, error, converged = _quad(f, 0.0, b, _TOL[m] / 10 ** i)
+            return value, error + b * worst, converged and inner_converged
 
-def _moments_m3(dims: EnsembleDims, powers: list[int]):
-    """E[S^k] for m = 3 as nested integrals over the full triangle.
+        value, error, converged = level(1, (), 1.0, prefactor, 0.0)
+        # every integrand is nonnegative, so the rounding error of the sum is
+        # at most about one unit roundoff per evaluation, relative to the value
+        rounding = evaluations * sys.float_info.epsilon * abs(value)
+        return QuadratureResult(value, max(error, rounding), evaluations, converged)
 
-    Parametrization: lambda1 = sin^2 u, lambda2 = cos^2 u sin^2 v,
-    lambda3 = cos^2 u cos^2 v with u, v in (0, pi/2).  Density weight times
-    Jacobian is 4 sin^(2a+1) u cos^(4a+3) u (sin v cos v)^(2a+1) times the
-    pair-interaction factor; all exponents are nonnegative integers.
-    """
-    c = normalization_constant(dims)
-    two_alpha = dims.alpha.twice
-    p_u_sin = two_alpha + 1
-    p_u_cos = 2 * two_alpha + 3
-    p_v = two_alpha + 1
-    counter = [0]
-    inner_err_max = [0.0]
-    inner_converged = [True]
-    half_pi = math.pi / 2
-
-    def make_integrand(k: int):
-        def outer(u: float) -> float:
-            su, cu = math.sin(u), math.cos(u)
-            lam1 = su * su
-            rest = 1.0 - lam1
-            weight = 4.0 / c * su ** p_u_sin * cu ** p_u_cos
-
-            def inner(v: float) -> float:
-                counter[0] += 1
-                sv, cv = math.sin(v), math.cos(v)
-                lam2 = rest * sv * sv
-                lam3 = rest * cv * cv
-                pair = _pair(lam1, lam2) * _pair(lam1, lam3) * _pair(lam2, lam3)
-                w = weight * (sv * cv) ** p_v * pair
-                if k:
-                    s = 0.0
-                    for lam in (lam1, lam2, lam3):
-                        if lam > 0.0:
-                            s -= lam * math.log(lam)
-                    w *= s ** k
-                return w
-
-            val, err, converged = _quad(inner, 0.0, half_pi, _TOL[3] / 100)
-            inner_err_max[0] = max(inner_err_max[0], err)
-            inner_converged[0] = inner_converged[0] and converged
-            return val
-
-        return outer
-
-    out = []
-    for k in powers:
-        counter[0] = 0
-        inner_err_max[0] = 0.0
-        inner_converged[0] = True
-        val, err, converged = _quad(make_integrand(k), 0.0, half_pi, _TOL[3] / 10)
-        total_err = err + half_pi * inner_err_max[0]
-        out.append(QuadratureResult(val, max(total_err, 1e-16), counter[0],
-                                    converged and inner_converged[0]))
-    return out
-
-
-def moment_oracle(dims: EnsembleDims, powers: list[int]):
-    """Raw entropy moments E[S^k] for the requested powers (m in {2, 3})."""
-    if dims.m == 2:
-        return _moments_m2(dims, powers)
-    if dims.m == 3:
-        return _moments_m3(dims, powers)
-    raise ValueError(f"quadrature oracle supports m in {{2, 3}}, got m={dims.m}")
+    return [moment(k) for k in powers]
 
 
 def normalization_check(dims: EnsembleDims) -> QuadratureResult:

@@ -216,6 +216,8 @@ class TestVerifyCommands:
         jsonschema.validate(report, ORACLES_REPORT_SCHEMA)
         assert report["all_passed"]
         assert all(c["converged"] for c in report["cases"])
+        # each error estimate bounds the distance to the closed form
+        assert all(c["abs_diff"] <= c["error_estimate"] for c in report["cases"])
         kinds = {c["kind"] for c in report["cases"]}
         assert kinds == {"normalization", "kappa1", "kappa2", "kappa3"}
 
