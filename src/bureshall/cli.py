@@ -57,7 +57,7 @@ def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
             for p in outputs
         ],
     }
-    path = (outputs[0] if outputs else command) + ".manifest.json"
+    path = outputs[0] + ".manifest.json"
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
@@ -67,7 +67,7 @@ def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_cumulants(args) -> int:
-    dims = EnsembleDims(args.m, args.n)
+    dims = args.dims
     cs = cumulant_set(dims)
     exact = {}
     if args.exact:
@@ -103,7 +103,7 @@ def _cmd_simulate(args) -> int:
     from .sampler import (_MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
                           sample_matrix_model_batch, write_sample_csv)
 
-    dims = EnsembleDims(args.m, args.n)
+    dims = args.dims
     if args.backend == "matrix":
         batch = sample_matrix_model_batch(args.m, args.samples, args.seed)
     else:
@@ -231,7 +231,7 @@ def verify_oracles_report() -> dict:
     }
 
 
-def verify_figure1_report(samples: int, seed: int, csv_path: str | None = None) -> dict:
+def verify_figure1_report(samples: int, seed: int, csv_path: str) -> dict:
     from .distribution import density_comparison, write_density_csv
     from .sampler import ChainConfig, mcmc_chain
 
@@ -239,8 +239,7 @@ def verify_figure1_report(samples: int, seed: int, csv_path: str | None = None) 
     config = ChainConfig(samples=samples, burn_in=2000, thinning=10, chain_count=100, seed=seed)
     batch = mcmc_chain(dims, config)
     comparison = density_comparison(batch.entropies, dims)
-    if csv_path:
-        write_density_csv(comparison.grid, csv_path)
+    write_density_csv(comparison.grid, csv_path)
     passed = comparison.l1_edgeworth < comparison.l1_gaussian
     return {
         "target": "figure1",
@@ -259,7 +258,7 @@ def verify_figure1_report(samples: int, seed: int, csv_path: str | None = None) 
 _FIG2_SPOTS = ((3, 3), (4, 8), (5, 15))
 
 
-def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) -> dict:
+def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
     from .sampler import ChainConfig, k_statistics, mcmc_chain
 
     # kappa3 is negative over the plotted range (confirmed by quadrature at
@@ -292,9 +291,8 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str | None = None) 
             {"m": m, "n": n, "k3": st.k3, "se3": st.se3, "kappa3": ref, "z": z,
              "passed": abs(z) <= 4.0}
         )
-    if csv_path:
-        columns = [[r[key] for r in rows] for key in ("m", "n", "kappa3")]
-        _write_csv(csv_path, "m,n,kappa3", columns)
+    columns = [[r[key] for r in rows] for key in ("m", "n", "kappa3")]
+    _write_csv(csv_path, "m,n,kappa3", columns)
     passed = monotone_ok and all(c["passed"] for c in spot_checks)
     return {
         "target": "figure2",
@@ -412,10 +410,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("cumulants", "simulate"):
-        if args.m > args.n:
-            parser.error(f"need m <= n, got m={args.m}, n={args.n}")
-        if args.m < 1:
-            parser.error("m must be a positive integer")
+        try:
+            args.dims = EnsembleDims(args.m, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "simulate" and args.backend == "matrix" and args.m != args.n:
         parser.error("the matrix backend requires n = m")
     if getattr(args, "fig", None) == 2 and args.seed + len(_FIG2_SPOTS) > 2 ** 64:

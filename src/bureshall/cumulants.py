@@ -13,10 +13,13 @@ with a1, a2 rational in (m, n).  The companion unconstrained ensemble (trace
 not fixed to 1) has entropy T = sum x_i ln x_i whose third cumulant kappa3_T
 is also in closed form.
 
-kappa1..kappa3 return exact elements of the constant ring; their cost grows
-like lcm(1..d)^3 through the polygamma partial sums.  cumulant_set evaluates
-the same closed forms numerically with mpmath.psi at _DPS digits, which
-takes about a millisecond at any (m, n).
+EnsembleDims gives the half-integers alpha, d and n + 1/2 as Fractions.  Each
+closed form is stated once, in _kappa, and evaluated with either polygamma:
+kappa1..kappa3 use psi_exact and return exact elements of the constant ring,
+whose cost grows like lcm(1..d)^3 through the polygamma partial sums;
+cumulant_set uses mpmath.psi at _DPS digits, which takes about a millisecond
+at any (m, n).  The Gamma-law log-moments behind the m = 1 oracle and the
+third-moment conversion are likewise stated once, in _log_moment.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 
 import mpmath
 
-from .polygamma import HalfInteger, psi_exact
+from .polygamma import psi_exact
 from .ring import ConstPoly
 
 
@@ -53,52 +56,63 @@ class EnsembleDims:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
     @property
-    def alpha(self) -> HalfInteger:
-        return HalfInteger(2 * (self.n - self.m) - 1)
+    def alpha(self) -> Fraction:
+        return Fraction(2 * (self.n - self.m) - 1, 2)
 
     @property
-    def d(self) -> HalfInteger:
+    def d(self) -> Fraction:
         # m*n - m^2/2, the shape of the Gamma law of the unconstrained trace
-        return HalfInteger(self.m * (2 * self.n - self.m))
+        return Fraction(self.m * (2 * self.n - self.m), 2)
 
     @property
-    def n_half(self) -> HalfInteger:
-        return HalfInteger(2 * self.n + 1)
+    def n_half(self) -> Fraction:
+        return Fraction(2 * self.n + 1, 2)
 
 
-def kappa1(dims: EnsembleDims) -> ConstPoly:
-    """Mean of S: psi0(d+1) - psi0(n + 1/2)."""
-    return psi_exact(0, dims.d + 1) - psi_exact(0, dims.n_half)
-
-
-def kappa2(dims: EnsembleDims) -> ConstPoly:
-    """Variance of S."""
-    coef = _kappa2_coeff(dims.m, dims.n)
-    return -psi_exact(1, dims.d + 1) + ConstPoly.const(coef) * psi_exact(1, dims.n_half)
-
-
-def _kappa2_coeff(m: int, n: int) -> Fraction:
-    return Fraction(2 * n * (2 * n + m) - m * m + 1, 2 * n * (2 * m * n - m * m + 2))
-
-
-def _kappa3_coeffs(m: int, n: int) -> tuple[Fraction, Fraction]:
+def _kappa(order: int, dims: EnsembleDims, psi):
+    """kappa_order (1, 2 or 3) from its closed form, with psi(k, x) either
+    psi_exact (an element of the ring) or mpmath.psi (a number)."""
+    m, n = dims.m, dims.n
+    top, half = dims.d + 1, dims.n_half
+    if order == 1:
+        return psi(0, top) - psi(0, half)
+    if order == 2:
+        coef = Fraction(2 * n * (2 * n + m) - m * m + 1, 2 * n * (2 * m * n - m * m + 2))
+        return -psi(1, top) + coef * psi(1, half)
     q = 2 * m * n - m * m
     a1 = Fraction(4 * m * m - 8 * m * n - 4 * n * n - 7, (q + 2) * (q + 4))
     a2 = Fraction(
         2 * (m * m - 1) * ((m - 2 * n) ** 2 - 1) * (-2 * m * m + 4 * m * n - 12 * n * n + 7),
         n * (q + 2) ** 2 * (q + 4) * (4 * n * n - 1),
     )
-    return a1, a2
+    return psi(2, top) + a1 * psi(2, half) + a2 * psi(1, half)
+
+
+def kappa1(dims: EnsembleDims) -> ConstPoly:
+    """Mean of S: psi0(d+1) - psi0(n + 1/2)."""
+    return _kappa(1, dims, psi_exact)
+
+
+def kappa2(dims: EnsembleDims) -> ConstPoly:
+    """Variance of S."""
+    return _kappa(2, dims, psi_exact)
 
 
 def kappa3(dims: EnsembleDims) -> ConstPoly:
     """Third cumulant of S."""
-    a1, a2 = _kappa3_coeffs(dims.m, dims.n)
-    return (
-        psi_exact(2, dims.d + 1)
-        + ConstPoly.const(a1) * psi_exact(2, dims.n_half)
-        + ConstPoly.const(a2) * psi_exact(1, dims.n_half)
-    )
+    return _kappa(3, dims, psi_exact)
+
+
+def _log_moment(k: int, s, psi):
+    """E[(ln Y)^k] for Y ~ Gamma(s) and k = 1, 2, 3: the complete Bell
+    polynomial in the cumulants psi0(s), psi1(s), psi2(s) of ln Y, with psi
+    as in _kappa."""
+    p0 = psi(0, s)
+    if k == 1:
+        return p0
+    if k == 2:
+        return p0 ** 2 + psi(1, s)
+    return p0 ** 3 + 3 * p0 * psi(1, s) + psi(2, s)
 
 
 def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
@@ -122,32 +136,20 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
     p1 = psi_exact(1, dims.n_half)
     p2 = psi_exact(2, dims.n_half)
     inner = (
-        ConstPoly.const(b1) * p2
-        + ConstPoly.const(b2) * p0 * p1
-        + ConstPoly.const(b3) * p1
+        b1 * p2
+        + b2 * p0 * p1
+        + b3 * p1
         + p0 ** 3
-        + ConstPoly.const(Fraction(9, 2)) * p0 ** 2
+        + Fraction(9, 2) * p0 ** 2
         + 3 * p0
     )
     return m * (2 * n - m) * inner
 
 
-def _mpf(value: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(value.numerator) / value.denominator
-
-
 def _numeric_cumulants(dims: EnsembleDims) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """kappa1, kappa2, kappa3 at the working precision, from mpmath.psi on
     the closed forms; call inside mpmath.workdps(_DPS)."""
-    a1, a2 = _kappa3_coeffs(dims.m, dims.n)
-    top, half = _mpf(dims.d.as_fraction()) + 1, _mpf(dims.n_half.as_fraction())
-    p0, p1, p2 = (mpmath.psi(k, top) for k in (0, 1, 2))
-    h0, h1, h2 = (mpmath.psi(k, half) for k in (0, 1, 2))
-    return (
-        p0 - h0,
-        -p1 + _mpf(_kappa2_coeff(dims.m, dims.n)) * h1,
-        p2 + _mpf(a1) * h2 + _mpf(a2) * h1,
-    )
+    return tuple(_kappa(order, dims, mpmath.psi) for order in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,16 @@ def cumulant_set(dims: EnsembleDims) -> CumulantSet:
         )
 
 
+def _nondegenerate_set(dims: EnsembleDims) -> CumulantSet:
+    """cumulant_set(dims) for the quantities that divide by kappa2 (m >= 2)."""
+    if dims.m < 2:
+        raise DegenerateEnsembleError("S is identically 0 for m = 1")
+    return cumulant_set(dims)
+
+
 def skewness(dims: EnsembleDims) -> float:
     """kappa3 / kappa2^(3/2), evaluated at high precision before dividing."""
-    if dims.m < 2:
-        raise DegenerateEnsembleError("S is identically 0 for m = 1; skewness undefined")
-    return cumulant_set(dims).skewness
+    return _nondegenerate_set(dims).skewness
 
 
 def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
@@ -213,23 +220,22 @@ def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
     """Map E_h[T^3] over the unconstrained ensemble to E_f[S^3].
 
     E_f[S^3] = -E_h[T^3]/(d)_3 + 3 psi0(d+3) E_f[S^2]
-               - 3 (psi1(d+3) + psi0^2(d+3)) E_f[S]
-               + psi2(d+3) + 3 psi1(d+3) psi0(d+3) + psi0^3(d+3)
+               - 3 (psi0^2 + psi1)(d+3) E_f[S]
+               + (psi0^3 + 3 psi0 psi1 + psi2)(d+3)
 
     with (d)_3 = d(d+1)(d+2).  E_f[S] = kappa1 and E_f[S^2] = kappa2 + kappa1^2
     come from the closed forms, all evaluated at _DPS digits.
     """
-    d = dims.d.as_fraction()
+    d = dims.d
     poch3 = d * (d + 1) * (d + 2)
     with mpmath.workdps(_DPS):
         v1, v2, _ = _numeric_cumulants(dims)
         es1, es2 = v1, v2 + v1 ** 2
-        p0, p1, p2 = (mpmath.psi(k, _mpf(d + 3)) for k in (0, 1, 2))
         value = (
-            -mpmath.mpf(e_h_t3) * poch3.denominator / poch3.numerator
-            + 3 * p0 * es2
-            - 3 * (p1 + p0 ** 2) * es1
-            + p2 + 3 * p1 * p0 + p0 ** 3
+            -mpmath.mpf(e_h_t3) / poch3
+            + 3 * _log_moment(1, d + 3, mpmath.psi) * es2
+            - 3 * _log_moment(2, d + 3, mpmath.psi) * es1
+            + _log_moment(3, d + 3, mpmath.psi)
         )
         return float(value)
 
@@ -238,8 +244,7 @@ def single_eigenvalue_entropy_moments(dims: EnsembleDims) -> tuple[ConstPoly, Co
     """Exact E_h[T], E_h[T^2], E_h[T^3] for m = 1.
 
     At m = 1 the unconstrained ensemble is a Gamma(d) law for the single
-    eigenvalue x, and E[(x ln x)^k] is the k-th derivative of
-    Gamma(d + k + t)/Gamma(d) at t = 0:
+    eigenvalue x, and E[(x ln x)^k] = (d)_k E[(ln Y)^k] with Y ~ Gamma(d + k):
 
         E[T]   = (d)_1 psi0(d+1)
         E[T^2] = (d)_2 (psi0^2 + psi1)(d+2)
@@ -247,18 +252,9 @@ def single_eigenvalue_entropy_moments(dims: EnsembleDims) -> tuple[ConstPoly, Co
     """
     if dims.m != 1:
         raise ValueError("the Gamma-law moment oracle applies only to m = 1")
-    d = dims.d.as_fraction()
-    out = []
-    poch = Fraction(1)
-    for k in (1, 2, 3):
-        poch *= d + k - 1
-        arg = dims.d + k
-        p0 = psi_exact(0, arg)
-        if k == 1:
-            core = p0
-        elif k == 2:
-            core = p0 ** 2 + psi_exact(1, arg)
-        else:
-            core = p0 ** 3 + 3 * p0 * psi_exact(1, arg) + psi_exact(2, arg)
-        out.append(ConstPoly.const(poch) * core)
-    return tuple(out)
+    d = dims.d
+    return (
+        d * _log_moment(1, d + 1, psi_exact),
+        d * (d + 1) * _log_moment(2, d + 2, psi_exact),
+        d * (d + 1) * (d + 2) * _log_moment(3, d + 3, psi_exact),
+    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set
+from .cumulants import EnsembleDims, _nondegenerate_set
 from .fileio import _write_csv
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 compat
@@ -46,16 +46,9 @@ class DensityComparison:
     n_samples: int
 
 
-def _nondegenerate_set(dims: EnsembleDims):
-    if dims.m < 2:
-        raise DegenerateEnsembleError("S is identically 0 for m = 1")
-    return cumulant_set(dims)
-
-
 def gaussian_pdf(x):
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def edgeworth_pdf(x, dims: EnsembleDims):
@@ -65,8 +58,7 @@ def edgeworth_pdf(x, dims: EnsembleDims):
 
 def _edgeworth_pdf(x, coef: float):
     x = np.asarray(x, dtype=float)
-    out = gaussian_pdf(x) * (1.0 + coef * (x ** 3 - 3.0 * x))
-    return float(out) if np.ndim(out) == 0 else out
+    return gaussian_pdf(x) * (1.0 + coef * (x ** 3 - 3.0 * x))
 
 
 def _histogram_on_grid(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:

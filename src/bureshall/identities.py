@@ -5,7 +5,8 @@ Three families of objects live here:
 * the anomaly catalog Omega_1 .. Omega_18: finite single sums of rational
   functions times polygamma values that admit no closed form individually but
   cancel when cumulants are assembled, stated as one table of weights and
-  polygamma factors;
+  polygamma factors and evaluated by `omega(index, m, **params)`, which
+  takes exactly the parameters a, b, c that its row reads;
 
 * a declarative catalog of summation identities relating those anomalies (and
   in a few cases collapsing them to closed forms).  Each identity stores its
@@ -79,51 +80,21 @@ def _sum_poly(m: int, term: Callable[[int], ConstPoly]) -> ConstPoly:
 # anomalies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnomalySpec:
-    """One anomaly instance: Omega_index at summation length m with whichever
-    of the parameters a, b, c its row in the anomaly table uses."""
-
-    index: int
-    m: int
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
-    c: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.index not in _OMEGA:
-            raise ValueError(f"anomaly index must be 1..18, got {self.index}")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        den, _, factors = _OMEGA[self.index]
-        needed = {arg.param for arg in (den, *(arg for _, arg in factors))}
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if name in needed and value is None:
-                raise ValueError(f"Omega_{self.index} requires parameter {name!r}")
-            if name not in needed and value is not None:
-                raise ValueError(f"Omega_{self.index} does not take parameter {name!r}")
-
-
-def anomaly(index: int, m: int, **params) -> AnomalySpec:
-    coerced = {k: _frac(v) for k, v in params.items()}
-    return AnomalySpec(index, m, **coerced)
-
-
 class _Arg(NamedTuple):
-    """An argument form: a function of the summation index k and the spec,
-    reading at most one anomaly parameter."""
+    """An argument form: a function of the summation length m, the one
+    anomaly parameter it reads (None if it reads none) and the summation
+    index k."""
 
     param: Optional[str]
-    at: Callable[[AnomalySpec, int], Fraction]
+    at: Callable[[int, Optional[Fraction], int], Fraction]
 
 
-_K = _Arg(None, lambda s, k: Fraction(k))
-_M1K = _Arg(None, lambda s, k: Fraction(s.m + 1 - k))
-_A1K = _Arg("a", lambda s, k: s.a + 1 - k)
-_KAM = _Arg("a", lambda s, k: k + s.a - s.m)
-_KB = _Arg("b", lambda s, k: k + s.b)
-_KC = _Arg("c", lambda s, k: k + s.c)
+_K = _Arg(None, lambda m, _, k: Fraction(k))
+_M1K = _Arg(None, lambda m, _, k: Fraction(m + 1 - k))
+_A1K = _Arg("a", lambda m, a, k: a + 1 - k)
+_KAM = _Arg("a", lambda m, a, k: k + a - m)
+_KB = _Arg("b", lambda m, b, k: k + b)
+_KC = _Arg("c", lambda m, c, k: k + c)
 
 # Omega_index = sum_{k=1..m} psi_o1(f1(k)) psi_o2(f2(k)) / den(k)^power, as
 # index: (den, power, ((o1, f1), (o2, f2))).  A squared polygamma is a repeated
@@ -150,20 +121,35 @@ _OMEGA = {
 }
 
 
-def omega(spec: AnomalySpec) -> ConstPoly:
-    """Exact value of the anomaly as a polynomial in the constant ring."""
-    den, power, factors = _OMEGA[spec.index]
-    what = f"Omega_{spec.index}"
+def omega(index: int, m: int, **params) -> ConstPoly:
+    """Exact value of Omega_index at summation length m as a polynomial in
+    the constant ring; params are the a, b, c (ints or Fractions) that its
+    row in the anomaly table reads.  An unknown index, m < 1 or a missing or
+    extra parameter raises ValueError."""
+    if index not in _OMEGA:
+        raise ValueError(f"anomaly index must be 1..18, got {index}")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    den, power, factors = _OMEGA[index]
+    needed = {arg.param for arg in (den, *(arg for _, arg in factors))} - {None}
+    for name in sorted(needed ^ params.keys()):
+        verb = "requires" if name in needed else "does not take"
+        raise ValueError(f"Omega_{index} {verb} parameter {name!r}")
+    params = {name: _frac(value) for name, value in params.items()}
+    what = f"Omega_{index}"
+
+    def at(arg: _Arg, k: int) -> Fraction:
+        return arg.at(m, params.get(arg.param), k)
 
     def term(k: int) -> ConstPoly:
-        value = _inv(den.at(spec, k), what, k) ** power
+        value = _inv(at(den, k), what, k) ** power
         # a repeated factor costs one polygamma evaluation
-        psis = {(o, arg): _psi(o, arg.at(spec, k), what, k) for o, arg in dict.fromkeys(factors)}
+        psis = {(o, arg): _psi(o, at(arg, k), what, k) for o, arg in dict.fromkeys(factors)}
         for f in factors:
             value = value * psis[f]
         return value
 
-    return _sum_poly(spec.m, term)
+    return _sum_poly(m, term)
 
 
 def degenerate_anomaly_check(m: int) -> list[tuple[str, ConstPoly]]:
@@ -171,7 +157,7 @@ def degenerate_anomaly_check(m: int) -> list[tuple[str, ConstPoly]]:
     anomalies: Omega7 = Omega9, Omega8 = Omega10, Omega11 = Omega10.  Returns
     (relation name, residual) pairs; each residual must be zero."""
     return [
-        (f"omega{i}_equals_omega{j}", omega(anomaly(i, m, a=m)) - omega(anomaly(j, m, a=m)))
+        (f"omega{i}_equals_omega{j}", omega(i, m, a=m) - omega(j, m, a=m))
         for i, j in ((7, 9), (8, 10), (11, 10))
     ]
 
@@ -289,13 +275,13 @@ def _rhs_psi0_over_mk(cs):
 
 _register(
     "psi0_over_mk", _M_ONLY,
-    lambda cs: omega(anomaly(1, cs.m, a=cs.m)),
+    lambda cs: omega(1, cs.m, a=cs.m),
     _rhs_psi0_over_mk,
 )
 
 _register(
     "psi0_mk_over_k", _M_ONLY,
-    lambda cs: omega(anomaly(2, cs.m, a=cs.m)),
+    lambda cs: omega(2, cs.m, a=cs.m),
     _rhs_psi0_over_mk,
 )
 
@@ -312,7 +298,7 @@ def _rhs_psi0_over_k2(cs):
 
 _register(
     "psi0_over_k2", _M_ONLY,
-    lambda cs: omega(anomaly(3, cs.m, b=0, c=0)),
+    lambda cs: omega(3, cs.m, b=0, c=0),
     _rhs_psi0_over_k2,
 )
 
@@ -329,7 +315,7 @@ def _rhs_psi0_mk_over_k2(cs):
 
 _register(
     "psi0_mk_over_k2", _M_ONLY,
-    lambda cs: omega(anomaly(9, cs.m, a=cs.m)),
+    lambda cs: omega(9, cs.m, a=cs.m),
     _rhs_psi0_mk_over_k2,
 )
 
@@ -346,7 +332,7 @@ def _rhs_psi0sq_mk_over_k(cs):
 
 _register(
     "psi0sq_mk_over_k", _M_ONLY,
-    lambda cs: omega(anomaly(10, cs.m, a=cs.m)),
+    lambda cs: omega(10, cs.m, a=cs.m),
     _rhs_psi0sq_mk_over_k,
 )
 
@@ -365,7 +351,7 @@ def _rhs_psi0_kb_over_kb2(cs):
 
 _register(
     "psi0_kb_over_kb2", _B_NONNEG,
-    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.b)),
+    lambda cs: omega(3, cs.m, b=cs.b, c=cs.b),
     _rhs_psi0_kb_over_kb2,
 )
 
@@ -384,7 +370,7 @@ def _rhs_psi0_kb_over_k2(cs):
 
 _register(
     "psi0_kb_over_k2", _B_POS,
-    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=0)),
+    lambda cs: omega(3, cs.m, b=cs.b, c=0),
     _rhs_psi0_kb_over_k2,
 )
 
@@ -403,7 +389,7 @@ def _rhs_psi0_over_kb2(cs):
 
 _register(
     "psi0_over_kb2", _B_POS,
-    lambda cs: omega(anomaly(3, cs.m, b=0, c=cs.b)),
+    lambda cs: omega(3, cs.m, b=0, c=cs.b),
     _rhs_psi0_over_kb2,
 )
 
@@ -420,7 +406,7 @@ def _rhs_psi0_kb_over_kc_swap(cs):
 
 _register(
     "psi0_kb_over_kc_swap", _BC_DISTINCT_NONNEG,
-    lambda cs: omega(anomaly(6, cs.m, b=cs.b, c=cs.c)),
+    lambda cs: omega(6, cs.m, b=cs.b, c=cs.c),
     _rhs_psi0_kb_over_kc_swap,
 )
 
@@ -438,7 +424,7 @@ def _rhs_psi0_kb_over_kc2(cs):
 
 _register(
     "psi0_kb_over_kc2", _BC_DISTINCT_NONNEG,
-    lambda cs: omega(anomaly(3, cs.m, b=cs.b, c=cs.c)),
+    lambda cs: omega(3, cs.m, b=cs.b, c=cs.c),
     _rhs_psi0_kb_over_kc2,
 )
 
@@ -464,7 +450,7 @@ def _rhs_psi0_psi0kb_over_k(cs):
 
 _register(
     "psi0_psi0kb_over_k", _B_POS,
-    lambda cs: omega(anomaly(16, cs.m, b=cs.b)),
+    lambda cs: omega(16, cs.m, b=cs.b),
     _rhs_psi0_psi0kb_over_k,
 )
 
@@ -489,7 +475,7 @@ def _rhs_psi0_psi0kb_over_kb(cs):
 
 _register(
     "psi0_psi0kb_over_kb", _B_POS,
-    lambda cs: omega(anomaly(15, cs.m, b=cs.b)),
+    lambda cs: omega(15, cs.m, b=cs.b),
     _rhs_psi0_psi0kb_over_kb,
 )
 
@@ -511,7 +497,7 @@ def _rhs_psi0_ak_over_k(cs):
 
 _register(
     "psi0_ak_over_k", _A_GT_M,
-    lambda cs: omega(anomaly(2, cs.m, a=cs.a)),
+    lambda cs: omega(2, cs.m, a=cs.a),
     _rhs_psi0_ak_over_k,
 )
 
@@ -532,7 +518,7 @@ def _rhs_psi0_over_ak(cs):
 
 _register(
     "psi0_over_ak", _A_GT_M,
-    lambda cs: omega(anomaly(1, cs.m, a=cs.a)),
+    lambda cs: omega(1, cs.m, a=cs.a),
     _rhs_psi0_over_ak,
 )
 
@@ -554,7 +540,7 @@ def _rhs_psi0_over_ak2(cs):
 
 _register(
     "psi0_over_ak2", _A_GT_M,
-    lambda cs: omega(anomaly(7, cs.m, a=cs.a)),
+    lambda cs: omega(7, cs.m, a=cs.a),
     _rhs_psi0_over_ak2,
 )
 
@@ -593,7 +579,7 @@ def _rhs_psi0sq_over_ak(cs):
 
 _register(
     "psi0sq_over_ak", _A_GT_M,
-    lambda cs: omega(anomaly(8, cs.m, a=cs.a)),
+    lambda cs: omega(8, cs.m, a=cs.a),
     _rhs_psi0sq_over_ak,
 )
 
@@ -615,7 +601,7 @@ def _rhs_psi1_ak_over_k(cs):
 
 _register(
     "psi1_ak_over_k", _A_GT_M,
-    lambda cs: omega(anomaly(18, cs.m, a=cs.a)),
+    lambda cs: omega(18, cs.m, a=cs.a),
     _rhs_psi1_ak_over_k,
 )
 
@@ -645,7 +631,7 @@ def _rhs_psi1_over_ak(cs):
 
 _register(
     "psi1_over_ak", _A_GT_M,
-    lambda cs: omega(anomaly(17, cs.m, a=cs.a)),
+    lambda cs: omega(17, cs.m, a=cs.a),
     _rhs_psi1_over_ak,
 )
 
@@ -673,7 +659,7 @@ def _rhs_psi0_ak_over_k2(cs):
 
 _register(
     "psi0_ak_over_k2", _A_GT_M,
-    lambda cs: omega(anomaly(9, cs.m, a=cs.a)),
+    lambda cs: omega(9, cs.m, a=cs.a),
     _rhs_psi0_ak_over_k2,
 )
 
@@ -701,7 +687,7 @@ def _rhs_psi0_psi0ak_over_ak(cs):
 
 _register(
     "psi0_psi0ak_over_ak", _A_GT_M,
-    lambda cs: omega(anomaly(13, cs.m, a=cs.a)),
+    lambda cs: omega(13, cs.m, a=cs.a),
     _rhs_psi0_psi0ak_over_ak,
 )
 
@@ -744,7 +730,7 @@ def _rhs_psi0_psi0ak_over_k(cs):
 
 _register(
     "psi0_psi0ak_over_k", _A_GT_M,
-    lambda cs: omega(anomaly(14, cs.m, a=cs.a)),
+    lambda cs: omega(14, cs.m, a=cs.a),
     _rhs_psi0_psi0ak_over_k,
 )
 
@@ -794,7 +780,7 @@ def _rhs_psi0_psi0ak_over_mk(cs):
 
 _register(
     "psi0_psi0ak_over_mk", _A_GT_M,
-    lambda cs: omega(anomaly(12, cs.m, a=cs.a)),
+    lambda cs: omega(12, cs.m, a=cs.a),
     _rhs_psi0_psi0ak_over_mk,
 )
 
@@ -832,7 +818,7 @@ def _rhs_psi0_psi0shift_over_mk(cs):
 
 _register(
     "psi0_psi0shift_over_mk", _A_GT_M,
-    lambda cs: omega(anomaly(11, cs.m, a=cs.a)),
+    lambda cs: omega(11, cs.m, a=cs.a),
     _rhs_psi0_psi0shift_over_mk,
 )
 
@@ -1156,4 +1142,4 @@ def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
     total = ZERO
     for i in range(1, m + 1):
         total = total + delta(i, cs.b)
-    return omega(anomaly(index, m, a=cs.b + m)) - total
+    return omega(index, m, a=cs.b + m) - total

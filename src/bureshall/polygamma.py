@@ -1,7 +1,9 @@
 """Polygamma functions psi_k (k = 0, 1, 2) at positive half-integer arguments.
 
 ``psi_exact`` returns an element of the constant ring for integer or
-half-odd-integer arguments.  With x = twice/2 and start = 2 (x an integer)
+half-odd-integer arguments, given as ints or Fractions like the half-integers
+of ``EnsembleDims``; ``HalfInteger.of`` parses an argument into twice its
+value.  With x = twice/2 and start = 2 (x an integer)
 or start = 1 (x a half-odd integer), the shift recurrence
 psi_k(z+1) = psi_k(z) + (-1)^k k! / z^(k+1), summed from z = start/2, gives
 
@@ -30,7 +32,7 @@ from .ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 
 @dataclass(frozen=True)
 class HalfInteger:
-    """An element of (1/2)Z, stored as twice its value."""
+    """A psi_exact argument, an element of (1/2)Z, stored as twice its value."""
 
     twice: int
 
@@ -47,15 +49,6 @@ class HalfInteger:
                 return cls(value.numerator)
             raise ValueError(f"{value} is not an integer or half-integer")
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice + HalfInteger.of(other).twice)
-
-    def __float__(self) -> float:
-        return self.twice / 2
 
 
 # (order, start) -> psi_order(start / 2)
@@ -77,7 +70,7 @@ def psi_exact(order: int, arg) -> ConstPoly:
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     h = HalfInteger.of(arg)
     if h.twice <= 0:
-        raise ValueError(f"polygamma argument must be positive, got {h.as_fraction()}")
+        raise ValueError(f"polygamma argument must be positive, got {Fraction(h.twice, 2)}")
     key = (order, h.twice)
     cached = _cache.get(key)
     if cached is not None:

@@ -52,7 +52,7 @@ class QuadratureResult:
 def normalization_constant(dims: EnsembleDims) -> float:
     """The constant C of the eigenvalue density, via Gamma functions."""
     m = dims.m
-    two_alpha = dims.alpha.twice  # 2*alpha, an odd integer
+    two_alpha = int(2 * dims.alpha)  # an odd integer
     with mpmath.workdps(30):
         a = mpmath.mpf(two_alpha) / 2
         c = mpmath.mpf(2) ** (-m * (m + two_alpha)) * mpmath.pi ** (mpmath.mpf(m) / 2)
@@ -90,7 +90,7 @@ def moment_oracle(dims: EnsembleDims, powers: list[int]) -> list[QuadratureResul
     m = dims.m
     if m not in _TOL:
         raise ValueError(f"quadrature oracle supports m in {{2, 3}}, got m={m}")
-    two_alpha = dims.alpha.twice
+    two_alpha = int(2 * dims.alpha)
     # 2^(m-1) from the Jacobian, times 2 for the half-range innermost integral
     prefactor = 2.0 ** m / normalization_constant(dims)
 

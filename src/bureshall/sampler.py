@@ -107,8 +107,6 @@ def _retune(sigma: float, rate: float) -> float:
 
 
 def _pair_term(x: np.ndarray, iu) -> np.ndarray:
-    if iu is None:
-        return np.zeros(x.shape[0])
     d = x[:, iu[0]] - x[:, iu[1]]
     s = x[:, iu[0]] + x[:, iu[1]]
     with np.errstate(divide="ignore"):
@@ -145,7 +143,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     children = np.random.SeedSequence(config.seed).spawn(n_chains)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in children]
 
-    iu = np.triu_indices(m, 1) if m > 1 else None
+    iu = np.triu_indices(m, 1)  # empty at m = 1, where the pair term is 0
     x = np.empty((n_chains, m))
     for c, g in enumerate(gens):
         x[c] = g.gamma(alpha + 1.0, 1.0, size=m)

@@ -174,7 +174,7 @@ def test_criterion_09_moment_conversion():
     collapse_ok = True
     for n in (1, 2, 5):
         dims = EnsembleDims(1, n)
-        d = dims.d.as_fraction()
+        d = dims.d
         poch3 = d * (d + 1) * (d + 2)
         arg = dims.d + 3
         p0, p1, p2 = (psi_exact(k, arg) for k in (0, 1, 2))
@@ -192,7 +192,7 @@ def test_criterion_09_moment_conversion():
         batch = mcmc_chain(dims, cfg)
         t_cubed = batch.entropies_T() ** 3
         st = k_statistics(t_cubed)
-        d = dims.d.as_fraction()
+        d = dims.d
         poch3 = float(d * (d + 1) * (d + 2))
         converted = third_moment_conversion(st.k1, dims)
         se_converted = st.se1 / poch3

@@ -270,6 +270,8 @@ class TestVerifyCommands:
     ["verify", "figures", "--fig", "2", "--seed", str(2 ** 64 - 2)],
     # max-m 0 would check no catalog identity at all
     ["verify", "identities", "--max-m", "0"],
+    ["cumulants", "--m", "0", "--n", "2"],
+    ["simulate", "--m", "0", "--n", "2", "--samples", "100", "--seed", "1"],
 ])
 def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -279,12 +281,18 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     assert list(outdir.iterdir()) == []
 
 
+def _child_env(tmp_path) -> dict:
+    """Environment of a child interpreter that imports this bureshall and
+    writes its outputs into tmp_path."""
+    src = os.path.dirname(os.path.dirname(bureshall.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path))
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # no command needs scipy, only the sampling commands need numpy and only
     # `verify identities` needs the identity catalog; the other commands skip
     # those import costs
-    src = os.path.dirname(os.path.dirname(bureshall.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = textwrap.dedent("""
         import sys, bureshall.cli as cli
         def loaded(names=("numpy", "scipy", "bureshall.identities")):
@@ -297,7 +305,38 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         assert cli.main(["verify", "oracles"]) == 0
         loaded(("numpy", "scipy"))
     """)
-    env = dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
     assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 4
+
+
+TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "trace_child.py")
+
+
+@pytest.mark.parametrize("argv, layer_spans", [
+    (["cumulants", "--m", "4", "--n", "6", "--exact"],
+     {"cumulants.cumulant_set", "cumulants.kappa", "polygamma.psi_exact", "ring.mul",
+      "ring.add"}),
+    (["verify", "identities", "--max-m", "1"],
+     {"identities.residual", "identities.degeneracy", "identities.telescope"}),
+    (["verify", "oracles"], {"quadrature.normalization", "quadrature.oracle_cumulants"}),
+    (["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1", "--chains", "8",
+      "--burn-in", "100"],
+     {"sampler.mcmc", "sampler.csv_write", "sampler.kstats"}),
+    (["simulate", "--m", "3", "--n", "3", "--samples", "400", "--seed", "1", "--backend",
+      "matrix"],
+     {"sampler.matrix", "sampler.csv_write", "sampler.kstats"}),
+    (["verify", "figures", "--fig", "1", "--samples", "10000", "--seed", "1"],
+     {"sampler.mcmc", "distribution.density_comparison", "distribution.write_density_csv"}),
+], ids=["exact", "identities", "oracles", "mcmc", "matrix", "figure1"])
+def test_benchmark_tracer_hooks(tmp_path, argv, layer_spans):
+    # the benchmark's tracer wraps the layers' entry points by name; a renamed
+    # or removed entry point fails its install step, a bypassed one its span
+    spans_path = tmp_path / "spans.json"
+    run = subprocess.run([sys.executable, TRACE_CHILD, str(spans_path), *argv],
+                         env=_child_env(tmp_path), cwd=tmp_path, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert layer_spans | {"cli.main"} <= names

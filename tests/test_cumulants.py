@@ -31,10 +31,11 @@ from bureshall.ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 class TestDims:
     def test_alpha_and_d(self):
         d = EnsembleDims(2, 3)
-        assert d.alpha.as_fraction() == Fraction(1, 2)
-        assert d.d.as_fraction() == 4  # mn - m^2/2
+        assert d.alpha == Fraction(1, 2)
+        assert d.d == 4  # mn - m^2/2
         d2 = EnsembleDims(3, 4)
-        assert d2.d.as_fraction() == Fraction(15, 2)
+        assert d2.d == Fraction(15, 2)
+        assert d2.n_half == Fraction(9, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -242,7 +243,7 @@ class TestThirdMomentConversion:
 
         for n in (1, 2, 4):
             dims = EnsembleDims(1, n)
-            d = dims.d.as_fraction()
+            d = dims.d
             poch3 = d * (d + 1) * (d + 2)
             arg = dims.d + 3
             p0, p1, p2 = (psi_exact(k, arg) for k in (0, 1, 2))

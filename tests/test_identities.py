@@ -12,9 +12,7 @@ from bureshall import cli
 from bureshall.identities import (
     _IDENTITIES,
     AnomalyDomainError,
-    AnomalySpec,
     IdentityDomainError,
-    anomaly,
     case,
     default_grid,
     degenerate_anomaly_check,
@@ -28,31 +26,35 @@ from bureshall.ring import GAMMA, ZETA2, ConstPoly
 
 class TestOmega:
     def test_single_term_examples(self):
-        assert omega(anomaly(1, 1, a=1)) == -GAMMA
-        assert omega(anomaly(5, 1, b=0, c=0)) == ZETA2
+        assert omega(1, 1, a=1) == -GAMMA
+        assert omega(5, 1, b=0, c=0) == ZETA2
 
     def test_omega6_m2(self):
         expected = ConstPoly.const(Fraction(1, 2)) - Fraction(3, 2) * GAMMA
-        assert omega(anomaly(6, 2, b=0, c=0)) == expected
+        assert omega(6, 2, b=0, c=0) == expected
 
     def test_zero_denominator_names_offender(self):
         with pytest.raises(AnomalyDomainError, match="k=3"):
-            omega(anomaly(1, 3, a=2))
+            omega(1, 3, a=2)
 
     def test_nonpositive_argument_names_offender(self):
         with pytest.raises(AnomalyDomainError, match="k=2"):
-            omega(anomaly(2, 2, a=1))  # psi0(a+1-k) hits 0 at k = 2
+            omega(2, 2, a=1)  # psi0(a+1-k) hits 0 at k = 2
 
     def test_param_validation(self):
+        with pytest.raises(ValueError, match="does not take parameter 'a'"):
+            omega(6, 2, a=Fraction(1), b=0, c=0)  # omega6 takes (b, c), not a
+        with pytest.raises(ValueError, match="requires parameter 'a'"):
+            omega(1, 2)  # missing a
+        with pytest.raises(ValueError, match="does not take parameter 'z'"):
+            omega(1, 2, a=3, z=1)
         with pytest.raises(ValueError):
-            AnomalySpec(6, 2, a=Fraction(1))  # omega6 takes (b, c), not a
+            omega(99, 2)
         with pytest.raises(ValueError):
-            AnomalySpec(1, 2)  # missing a
-        with pytest.raises(ValueError):
-            AnomalySpec(99, 2)
+            omega(1, 0, a=3)
 
     def test_half_integer_parameter_hits_ln2_sector(self):
-        value = omega(anomaly(2, 3, a=Fraction(7, 2)))
+        value = omega(2, 3, a=Fraction(7, 2))
         assert any(mono[1] > 0 for mono in value.terms)  # an l2 term appears
 
     def test_rows_no_identity_reaches(self):
@@ -60,18 +62,18 @@ class TestOmega:
         # relation; values summed by hand from psi0(2) = 1 - g, psi0(3) = 3/2 - g,
         # psi1(2) = z2 - 1, psi1(3) = z2 - 5/4
         expected = Fraction(3, 2) * GAMMA ** 2 - Fraction(7, 2) * GAMMA + Fraction(17, 8)
-        assert omega(anomaly(4, 2, b=1, c=0)) == expected
-        assert omega(anomaly(5, 2, b=1, c=2)) == Fraction(7, 12) * ZETA2 - Fraction(31, 48)
+        assert omega(4, 2, b=1, c=0) == expected
+        assert omega(5, 2, b=1, c=2) == Fraction(7, 12) * ZETA2 - Fraction(31, 48)
 
     def test_degree_at_most_two(self):
         specs = [
-            anomaly(4, 4, b=1, c=2),
-            anomaly(10, 3, a=5),
-            anomaly(14, 4, a=6),
-            anomaly(16, 5, b=2),
+            (4, 4, {"b": 1, "c": 2}),
+            (10, 3, {"a": 5}),
+            (14, 4, {"a": 6}),
+            (16, 5, {"b": 2}),
         ]
-        for spec in specs:
-            assert omega(spec).total_degree() <= 2
+        for index, m, params in specs:
+            assert omega(index, m, **params).total_degree() <= 2
 
 
 class TestDegeneracies:

@@ -25,10 +25,11 @@ class TestHalfInteger:
             HalfInteger.of(Fraction(1, 3))
 
     def test_arithmetic(self):
-        h = HalfInteger.of(Fraction(5, 2))
-        assert (h + 1).as_fraction() == Fraction(7, 2)
-        assert (h + Fraction(-1, 2)).as_fraction() == 2
-        assert float(h) == 2.5
+        # half-integers are Fractions; `of` parses the results of their arithmetic
+        h = Fraction(5, 2)
+        assert HalfInteger.of(h + 1).twice == 7
+        assert HalfInteger.of(h + Fraction(-1, 2)).twice == 4
+        assert psi_exact(0, h + 1) == psi_exact(0, HalfInteger(7))
 
 
 @pytest.mark.parametrize("order, arg, expected", [
@@ -85,11 +86,10 @@ class TestPsiExactExamples:
 )
 def test_shift_recurrence_exact(k, twice_z, n):
     """psi_k(z+n) - psi_k(z) == (-1)^k k! sum_{i<n} (z+i)^-(k+1), exactly."""
-    z = HalfInteger(twice_z)
+    z = Fraction(twice_z, 2)
     lhs = psi_exact(k, z + n) - psi_exact(k, z)
-    zf = z.as_fraction()
     total = sum(
-        (Fraction(1) / (zf + i) ** (k + 1) for i in range(n)), Fraction(0)
+        (Fraction(1) / (z + i) ** (k + 1) for i in range(n)), Fraction(0)
     )
     rhs = ConstPoly.const((-1) ** k * math.factorial(k) * total)
     assert (lhs - rhs).is_zero()

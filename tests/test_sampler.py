@@ -26,7 +26,7 @@ K1_22 = 0.2196276944532239  # 2 ln 2 - 7/6
 def log_density(x, dims: EnsembleDims) -> float:
     """The unconstrained log-density at one point x (w = alpha)."""
     x = np.array([x], dtype=float)
-    iu = np.triu_indices(dims.m, 1) if dims.m > 1 else None
+    iu = np.triu_indices(dims.m, 1)
     return float(_log_density(x, np.log(x), float(dims.alpha), iu)[0])
 
 
