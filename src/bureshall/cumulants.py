@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import mpmath
@@ -148,8 +149,11 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
 
 def _numeric_cumulants(dims: EnsembleDims) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """kappa1, kappa2, kappa3 at the working precision, from mpmath.psi on
-    the closed forms; call inside mpmath.workdps(_DPS)."""
-    return tuple(_kappa(order, dims, mpmath.psi) for order in (1, 2, 3))
+    the closed forms; call inside mpmath.workdps(_DPS).  kappa2 and kappa3
+    share psi1(n + 1/2), so psi values are kept for this call only: they
+    depend on the working precision."""
+    psi = lru_cache(maxsize=None)(mpmath.psi)
+    return tuple(_kappa(order, dims, psi) for order in (1, 2, 3))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from itertools import chain
 from typing import Iterable, Sequence
 
 _CSV_BLOCK = 8192
@@ -38,13 +39,12 @@ def _write_csv(path: str, header: str, columns: Sequence) -> None:
     import numpy as np  # imported here so that only sampling loads numpy
 
     columns = [np.asarray(col) for col in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
 
     def chunks():
         yield header + "\n"
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            # repr of a list is its items' reprs joined by ", "
-            cells = [repr(col[start:start + _CSV_BLOCK].tolist())[1:-1].split(", ")
-                     for col in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            cells = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+            yield (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
     write_atomic(path, chunks())

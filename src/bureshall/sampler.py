@@ -15,7 +15,11 @@ Two backends:
   move sees only the Gamma(d) factor of the density and decorrelates theta
   quickly.  Chains run vectorized; every chain owns an RNG stream spawned
   from (seed, chain index), so batches are bit-reproducible and merging is
-  deterministic by chain index.
+  deterministic by chain index.  The step loop is bound by per-call numpy
+  overhead on small arrays, so a step does little: its draws come from
+  step-major blocks whose uniforms are already logged, it evaluates the
+  log-density once (whose row sums become the accepted traces), and its
+  scale move is branch-free.
 
 * ``sample_matrix_model_batch`` draws the reduced density matrix directly for
   n = m, where the unitary weight is flat: M = (I+U) Z Z* (I+U)* with Z
@@ -106,25 +110,40 @@ def _retune(sigma: float, rate: float) -> float:
     return sigma
 
 
-def _pair_term(x: np.ndarray, iu) -> np.ndarray:
-    d = x[:, iu[0]] - x[:, iu[1]]
-    s = x[:, iu[0]] + x[:, iu[1]]
-    with np.errstate(divide="ignore"):
-        return (2.0 * np.log(np.abs(d)) - np.log(s)).sum(axis=1)
-
-
-def _log_density(x: np.ndarray, y: np.ndarray, w: float, iu) -> np.ndarray:
+def _log_density(x: np.ndarray, y: np.ndarray, w: float, pairs: np.ndarray):
     """Row-wise pair term + w * sum(y) - sum(x): the unconstrained log-density
     at x with y = ln x and w = alpha, or, with w = alpha + 1, the log-density
-    of y = ln x (the Jacobian adds sum(y))."""
-    return _pair_term(x, iu) + w * y.sum(axis=1) - x.sum(axis=1)
+    of y = ln x (the Jacobian adds sum(y)).  Returns it together with the row
+    sums of x, the traces.
+
+    pairs is concat(i, j) over the index pairs i < j.  Coinciding x_i give
+    log 0 = -inf, so call inside np.errstate(divide="ignore").
+    """
+    ends = x[:, pairs]
+    half = len(pairs) // 2
+    a, b = ends[:, :half], ends[:, half:]
+    d = np.abs(a - b)
+    np.log(d, out=d)
+    d *= 2.0
+    d -= np.log(a + b)
+    trace = x.sum(axis=1)
+    return d.sum(axis=1) + w * y.sum(axis=1) - trace, trace
+
+
+_ENTROPY_BLOCK = 8192
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
-    """Row-wise von Neumann entropies with 0 ln 0 = 0."""
+    """Row-wise von Neumann entropies with 0 ln 0 = 0, a block of rows at a
+    time so that the temporaries stay small."""
+    out = np.empty(len(lam))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # + 0.0 turns the -0.0 of a pure spectrum into 0.0
-        return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1) + 0.0
+        for start in range(0, len(lam), _ENTROPY_BLOCK):
+            block = lam[start:start + _ENTROPY_BLOCK]
+            # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+            out[start:start + _ENTROPY_BLOCK] = (
+                -np.where(block > 0, block * np.log(block), 0.0).sum(axis=1) + 0.0)
+    return out
 
 
 def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
@@ -132,6 +151,15 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
 
     Returns config.samples spectra merged from chain_count chains in
     step-major, chain-minor order.  Bit-identical for identical arguments.
+
+    Draws come a block of _BLOCK steps at a time, laid out step-major so that
+    one step's draws for all chains are contiguous; each chain fills its
+    slice in a fixed order (component normals, component uniforms, scale
+    normals, scale uniforms), and the uniforms' logs are taken once per
+    block.  A step evaluates the log-density once, at the component
+    proposal, whose row sums become the traces of the chains that accept it.
+    The scale move is branch-free: a rejecting chain is multiplied by 1.0
+    and shifted by 0.0, which leaves its finite state unchanged.
     """
     m = dims.m
     alpha = float(dims.alpha)
@@ -143,15 +171,14 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     children = np.random.SeedSequence(config.seed).spawn(n_chains)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in children]
 
-    iu = np.triu_indices(m, 1)  # empty at m = 1, where the pair term is 0
+    # the pairs i < j as concat(i, j); empty at m = 1, where the pair term is 0
+    pairs = np.concatenate(np.triu_indices(m, 1))
     x = np.empty((n_chains, m))
     for c, g in enumerate(gens):
         x[c] = g.gamma(alpha + 1.0, 1.0, size=m)
         while np.unique(x[c]).size < m:  # measure-zero, but be safe
             x[c] = g.gamma(alpha + 1.0, 1.0, size=m)
     y = np.log(x)
-    theta = x.sum(axis=1)
-    logp = _log_density(x, y, alpha + 1.0, iu)
 
     sigma_comp = 0.25 / math.sqrt(m)
     sigma_scale = 2.4 / math.sqrt(max(d_shape, 1.0))
@@ -162,52 +189,57 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     step = 0
     kept = 0
     acc_comp = trials = acc_scale = 0
-    while step < total_steps:
-        nblock = min(_BLOCK, total_steps - step)
-        comp_steps = np.empty((n_chains, nblock, m))
-        comp_u = np.empty((n_chains, nblock))
-        scale_steps = np.empty((n_chains, nblock))
-        scale_u = np.empty((n_chains, nblock))
-        for c, g in enumerate(gens):
-            comp_steps[c] = g.standard_normal((nblock, m))
-            comp_u[c] = g.random(nblock)
-            scale_steps[c] = g.standard_normal(nblock)
-            scale_u[c] = g.random(nblock)
+    with np.errstate(divide="ignore"):
+        logp, theta = _log_density(x, y, alpha + 1.0, pairs)
+        while step < total_steps:
+            nblock = min(_BLOCK, total_steps - step)
+            comp_steps = np.empty((nblock, n_chains, m))
+            comp_logu = np.empty((nblock, n_chains))
+            scale_steps = np.empty((nblock, n_chains))
+            scale_logu = np.empty((nblock, n_chains))
+            for c, g in enumerate(gens):
+                comp_steps[:, c] = g.standard_normal((nblock, m))
+                comp_logu[:, c] = g.random(nblock)
+                scale_steps[:, c] = g.standard_normal(nblock)
+                scale_logu[:, c] = g.random(nblock)
+            np.log(comp_logu, out=comp_logu)
+            np.log(scale_logu, out=scale_logu)
 
-        for t in range(nblock):
-            # component move
-            y_prop = y + sigma_comp * comp_steps[:, t, :]
-            x_prop = np.exp(y_prop)
-            logp_prop = _log_density(x_prop, y_prop, alpha + 1.0, iu)
-            accept = np.log(comp_u[:, t]) < logp_prop - logp
-            y[accept] = y_prop[accept]
-            x[accept] = x_prop[accept]
-            logp[accept] = logp_prop[accept]
-            theta[accept] = x[accept].sum(axis=1)
+            for t in range(nblock):
+                # component move
+                y_prop = y + sigma_comp * comp_steps[t]
+                x_prop = np.exp(y_prop)
+                logp_prop, theta_prop = _log_density(x_prop, y_prop, alpha + 1.0, pairs)
+                accept = comp_logu[t] < logp_prop - logp
+                np.copyto(y, y_prop, where=accept[:, None])
+                np.copyto(x, x_prop, where=accept[:, None])
+                np.copyto(logp, logp_prop, where=accept)
+                np.copyto(theta, theta_prop, where=accept)
 
-            # collective scale move; only the Gamma(d) trace factor changes
-            s = sigma_scale * scale_steps[:, t]
-            delta = d_shape * s - theta * np.expm1(s)
-            accept_s = np.log(scale_u[:, t]) < delta
-            if np.any(accept_s):
-                y[accept_s] += s[accept_s, None]
-                x[accept_s] *= np.exp(s[accept_s])[:, None]
-                logp[accept_s] += delta[accept_s]
-                theta[accept_s] *= np.exp(s[accept_s])
+                # collective scale move; only the Gamma(d) trace factor changes
+                s = sigma_scale * scale_steps[t]
+                delta = d_shape * s - theta * np.expm1(s)
+                accept_s = scale_logu[t] < delta
+                factor = np.where(accept_s, np.exp(s), 1.0)
+                x *= factor[:, None]
+                theta *= factor
+                y += np.where(accept_s, s, 0.0)[:, None]
+                logp += np.where(accept_s, delta, 0.0)
 
-            if step < config.burn_in:
-                acc_comp += int(accept.sum())
-                acc_scale += int(accept_s.sum())
-                trials += n_chains
-                if trials >= _TUNE_WINDOW * n_chains:
-                    sigma_comp = _retune(sigma_comp, acc_comp / trials)
-                    sigma_scale = _retune(sigma_scale, acc_scale / trials)
-                    acc_comp = acc_scale = trials = 0
-            elif (step - config.burn_in) % config.thinning == config.thinning - 1:
-                lam_out[kept] = x / theta[:, None]
-                theta_out[kept] = theta
-                kept += 1
-            step += 1
+                if step < config.burn_in:
+                    acc_comp += np.count_nonzero(accept)
+                    acc_scale += np.count_nonzero(accept_s)
+                    trials += n_chains
+                    if trials >= _TUNE_WINDOW * n_chains:
+                        sigma_comp = _retune(sigma_comp, acc_comp / trials)
+                        sigma_scale = _retune(sigma_scale, acc_scale / trials)
+                        acc_comp = acc_scale = trials = 0
+                elif (step - config.burn_in) % config.thinning == config.thinning - 1:
+                    np.divide(x, theta[:, None], out=lam_out[kept])
+                    theta_out[kept] = theta
+                    kept += 1
+                step += 1
+    del comp_steps, comp_logu, scale_steps, scale_logu  # before the entropies' temporaries
 
     lam_flat = lam_out.reshape(-1, m)[: config.samples]
     theta_flat = theta_out.reshape(-1)[: config.samples]

@@ -161,6 +161,22 @@ class TestNumericPath:
             if m == 1:
                 assert got == (0.0, 0.0, 0.0, None, None, None)
 
+    def test_six_psi_calls_per_set(self, monkeypatch):
+        # psi0, psi1, psi2 at d + 1 and at n + 1/2, each once, although
+        # kappa2 and kappa3 both use psi1(n + 1/2)
+        calls = []
+        psi = mpmath.psi
+
+        def counting(k, x):
+            calls.append((k, x))
+            return psi(k, x)
+
+        monkeypatch.setattr(mpmath, "psi", counting)
+        for dims in (EnsembleDims(4, 6), EnsembleDims(4, 6), EnsembleDims(30, 61)):
+            calls.clear()
+            cumulant_set(dims)
+            assert len(calls) == len(set(calls)) == 6
+
     def test_large_dims(self):
         cs = cumulant_set(EnsembleDims(10 ** 4, 10 ** 6))
         for value in (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f, cs.sd, cs.skewness,

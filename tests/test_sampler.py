@@ -1,13 +1,14 @@
 """Sampler tests: density evaluation, chain determinism, distributional
 agreement with the closed forms, matrix-model backend, k-statistics, CSV."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from bureshall import fileio
+from bureshall import fileio, sampler
 from bureshall.cumulants import EnsembleDims, kappa1
 from bureshall.sampler import (
     ChainConfig,
@@ -26,8 +27,9 @@ K1_22 = 0.2196276944532239  # 2 ln 2 - 7/6
 def log_density(x, dims: EnsembleDims) -> float:
     """The unconstrained log-density at one point x (w = alpha)."""
     x = np.array([x], dtype=float)
-    iu = np.triu_indices(dims.m, 1)
-    return float(_log_density(x, np.log(x), float(dims.alpha), iu)[0])
+    pairs = np.concatenate(np.triu_indices(dims.m, 1))
+    logp, _ = _log_density(x, np.log(x), float(dims.alpha), pairs)
+    return float(logp[0])
 
 
 class TestLogDensity:
@@ -59,6 +61,21 @@ class TestProjectionAndEntropy:
         x = rng.gamma(0.7, size=(50, 3))
         s = _entropies(x / x.sum(axis=1, keepdims=True))
         assert np.all((0.0 <= s) & (s <= math.log(3) + 1e-12))
+
+    def test_blocks_match_whole_array(self, monkeypatch):
+        # entropies are taken 16 rows at a time here; 50 rows end in a
+        # partial block, and the pure spectra's -0.0 still turns into 0.0
+        monkeypatch.setattr(sampler, "_ENTROPY_BLOCK", 16)
+        rng = np.random.default_rng(4)
+        x = rng.gamma(0.7, size=(50, 3))
+        x[[3, 17, 49], 1:] = 0.0
+        lam = x / x.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whole = -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1) + 0.0
+        s = _entropies(lam)
+        assert s.tobytes() == whole.tobytes()
+        assert list(s[[3, 17, 49]]) == [0.0] * 3
+        assert not np.signbit(s).any()
 
     def test_entropy_T_examples(self):
         # T = sum x ln x at x = (1), (e) and (2, 2), from theta = sum x and the
@@ -257,6 +274,55 @@ class TestCsv:
             cells = [int(batch.chain_index[i]), int(batch.step_index[i])]
             rows.append(",".join(map(str, cells)) + "," + ",".join(repr(float(v)) for v in values))
         assert path.read_text() == "\n".join(rows) + "\n"
+
+        # m = 1: every spectrum is (1.0,), so S is 0.0 in every row
+        batch = mcmc_chain(EnsembleDims(1, 2), cfg)
+        write_sample_csv(batch, str(path))
+        rows = ["chain,step,theta,S,lambda_1"]
+        for i in range(len(batch)):
+            rows.append(f"{batch.chain_index[i]},{batch.step_index[i]},"
+                        f"{float(batch.thetas[i])!r},0.0,1.0")
+        assert path.read_text() == "\n".join(rows) + "\n"
+
+    # SHA-256 of each seeded CSV: a change to the kernel, its draw order or
+    # its arithmetic that moves one output value by one ulp changes these
+    SEEDED_DIGESTS = {
+        "mcmc_1_3": ("b194e25601542b35336797a97daeb2d4"
+                     "225beecc11d4041cc6add96d13415e0b"),
+        "mcmc_2_3": ("29143f94ba2c6066ffa1b1ef4f057ed3"
+                     "1e60e5b453231162190cef24600861a3"),
+        "mcmc_4_6": ("0f6d4ad8e89316587fbe3a681a8aa632"
+                     "59ef6c3adffbe1e74cb97b1ea6351b55"),
+        "mcmc_12_24": ("3fc75145ef94ba6bc92f387d824a57dc"
+                       "f9d9c0954d1769782cf947cc0651d628"),
+        "matrix_3_3": ("4ea180629abf8c90fb33de1fc245d42f"
+                       "1a55575b4fe3d622100523fb2a3a50ab"),
+    }
+
+    def test_seeded_output_bytes(self, tmp_path):
+        """Seeded CSVs are byte-identical to the recorded digests.
+
+        The digests come from numpy 2.4.6 on x86-64; another numpy or CPU may
+        round exp, log or the row sums differently.  (2,3) runs 8 chains with
+        700 burn-in steps, so burn-in crosses a 512-step draw block and is
+        retuned seven times; the other MCMC sample counts leave a partial last
+        row of chains.
+        """
+        batches = {
+            "mcmc_1_3": mcmc_chain(EnsembleDims(1, 3), ChainConfig(samples=1000, burn_in=300,
+                                                                   seed=3)),
+            "mcmc_2_3": mcmc_chain(EnsembleDims(2, 3), ChainConfig(
+                samples=1000, burn_in=700, thinning=3, chain_count=8, seed=5)),
+            "mcmc_4_6": mcmc_chain(EnsembleDims(4, 6), ChainConfig(samples=3000, seed=1)),
+            "mcmc_12_24": mcmc_chain(EnsembleDims(12, 24), ChainConfig(samples=2000, seed=2)),
+            "matrix_3_3": sample_matrix_model_batch(3, 3000, seed=7),
+        }
+        digests = {}
+        for name, batch in batches.items():
+            path = tmp_path / f"{name}.csv"
+            write_sample_csv(batch, str(path))
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.SEEDED_DIGESTS
 
     def test_creates_missing_directory(self, tmp_path):
         cfg = ChainConfig(samples=20, burn_in=10, thinning=1, chain_count=2, seed=3)
