@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.  Every
 randomized command takes an explicit seed, and every file-producing run
 writes a manifest listing the SHA-256 of each emitted file.  Output paths
-without a directory component land in $BURESHALL_OUT_DIR (default: cwd).
+without a directory component land in $BURESHALL_OUT_DIR (default: cwd).  An
+output path that names a directory or cannot be written is a usage error,
+found before any sampling or verification starts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
@@ -35,6 +38,36 @@ def _resolve_out(path: str) -> str:
     if os.path.dirname(path):
         return path
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
+
+
+_FIGURE_CSV = {1: "figure1_density.csv", 2: "figure2_kappa3.csv"}
+
+
+def _output_paths(args) -> list[str]:
+    """The resolved paths a simulate or verify run writes, the one its
+    manifest is named after first."""
+    if args.command == "simulate":
+        return [_resolve_out(args.out)]
+    name = f"figure{args.fig}" if args.target == "figures" else args.target
+    paths = [_resolve_out(args.out or f"{name}_report.json")]
+    if args.target == "figures":
+        paths.append(_resolve_out(_FIGURE_CSV[args.fig]))
+    return paths
+
+
+def _unwritable(path: str) -> str | None:
+    """Why `write_atomic` could not create `path`, or None if it can.  Creates
+    the missing directories, as the write would."""
+    if path.endswith(os.sep) or os.path.isdir(path):
+        return f"output {path} names a directory"
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+        tempfile.TemporaryFile(dir=directory).close()
+    except OSError as exc:
+        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        return f"cannot write output {path} in {directory}: {reason}"
+    return None
 
 
 def _sha256(path: str) -> str:
@@ -115,7 +148,7 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         batch = mcmc_chain(dims, config)
-    out = _resolve_out(args.out)
+    out = args.outputs[0]
     write_sample_csv(batch, out)
     manifest = _write_manifest("simulate", [args.seed], [out])
 
@@ -306,28 +339,19 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    outputs = []
+    report_path = args.outputs[0]
     if args.target == "identities":
         report = verify_identities_report(max_m=args.max_m)
-        default_name = "identities_report.json"
     elif args.target == "oracles":
         report = verify_oracles_report()
-        default_name = "oracles_report.json"
-    else:  # figures
-        if args.fig == 1:
-            csv_path = _resolve_out("figure1_density.csv")
-            report = verify_figure1_report(args.samples, args.seed, csv_path)
-        else:
-            csv_path = _resolve_out("figure2_kappa3.csv")
-            report = verify_figure2_report(args.samples, args.seed, csv_path)
-        outputs.append(csv_path)
-        default_name = f"figure{args.fig}_report.json"
+    elif args.fig == 1:
+        report = verify_figure1_report(args.samples, args.seed, args.outputs[1])
+    else:
+        report = verify_figure2_report(args.samples, args.seed, args.outputs[1])
 
-    report_path = _resolve_out(args.out or default_name)
     write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    outputs.insert(0, report_path)
     seeds = [args.seed] if getattr(args, "seed", None) is not None else []
-    _write_manifest(f"verify-{args.target}", seeds, outputs)
+    _write_manifest(f"verify-{args.target}", seeds, args.outputs)
 
     if report["all_passed"]:
         print(f"verify {args.target}: PASS ({report_path})")
@@ -419,6 +443,11 @@ def main(argv=None) -> int:
     if getattr(args, "fig", None) == 2 and args.seed + len(_FIG2_SPOTS) > 2 ** 64:
         parser.error(f"figure 2 uses seeds --seed .. --seed+{len(_FIG2_SPOTS) - 1}, "
                      "which must stay below 2^64")
+    if args.command != "cumulants":
+        # fail before sampling rather than after it
+        args.outputs = _output_paths(args)
+        for problem in filter(None, map(_unwritable, args.outputs)):
+            parser.error(problem)
     return args.func(args)
 
 

@@ -1,5 +1,11 @@
 """Atomic text-file writes, shared by the CLI reports and manifests, and the
-one CSV formatter behind the sample, density and figure-2 CSVs."""
+one CSV formatter behind the sample, density and figure-2 CSVs.
+
+A CSV is formatted a block of rows at a time.  When it has two or more
+blocks and the process may run on two or more CPUs, forked workers format
+the blocks in parallel and the parent writes them in order; otherwise the
+blocks are formatted in-process.  Either way the bytes are the same.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,9 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 _CSV_BLOCK = 8192
+
+# (row template, columns) of the CSV being written; forked workers inherit it
+_job = None
 
 
 def write_atomic(path: str, content: str | Iterable[str]) -> None:
@@ -32,19 +41,36 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
         raise
 
 
+def _format_block(start: int) -> str:
+    """The CSV rows start .. start + _CSV_BLOCK - 1 of the current job."""
+    row, columns = _job
+    cells = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+    return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+
 def _write_csv(path: str, header: str, columns: Sequence) -> None:
     """Write equal-length columns as CSV rows under `header`, each value as
     its Python repr (round-trip floats).  Rows are formatted and written a
-    block at a time, so the whole file never sits in memory."""
+    block of _CSV_BLOCK at a time, so the whole file never sits in memory.
+    With two or more blocks and two or more usable CPUs, a pool of forked
+    workers formats the blocks (they inherit the columns, so only the
+    formatted text crosses processes) and the blocks are written in order."""
     import numpy as np  # imported here so that only sampling loads numpy
 
+    global _job
     columns = [np.asarray(col) for col in columns]
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    starts = range(0, len(columns[0]), _CSV_BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(starts))
+    _job = (",".join(["%r"] * len(columns)) + "\n", columns)
+    try:
+        if workers > 1:
+            import multiprocessing  # imported here so that no other command pays for it
 
-    def chunks():
-        yield header + "\n"
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
-            yield (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-
-    write_atomic(path, chunks())
+            if "fork" in multiprocessing.get_all_start_methods():
+                with multiprocessing.get_context("fork").Pool(workers) as pool:
+                    write_atomic(path, chain([header + "\n"], pool.imap(_format_block, starts)))
+                return
+        write_atomic(path, chain([header + "\n"], map(_format_block, starts)))
+    finally:
+        _job = None

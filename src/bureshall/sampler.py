@@ -287,10 +287,13 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         u = _haar_unitary(gen, nb, m)
         z = (gen.standard_normal((nb, m, m)) + 1j * gen.standard_normal((nb, m, m)))
         z /= math.sqrt(2.0)
-        a = np.eye(m) + u
-        w = a @ z
+        # each complex (nb, m, m) temporary is dropped as soon as it is used
+        w = (np.eye(m) + u) @ z
+        del u, z
         mat = w @ w.conj().transpose(0, 2, 1)
+        del w
         lam = np.linalg.eigvalsh(mat)  # ascending, real
+        del mat
         trace = lam.sum(axis=1)
         lam = lam / trace[:, None]
         if lam.min() < -1e-12:

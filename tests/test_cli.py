@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import bureshall
+from bureshall import cli
 from bureshall.cli import _oracle_check, main
 from bureshall.quadrature import QuadratureResult
 
@@ -281,6 +282,43 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     assert list(outdir.iterdir()) == []
 
 
+_SIMULATE = ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "1", "--out"]
+
+
+def _never_run(args):
+    raise AssertionError("the command started")
+
+
+@pytest.mark.parametrize("out_dir, argv", [
+    pytest.param("work", _SIMULATE + ["/proc/x.csv"], id="simulate-unwritable-dir",
+                 marks=pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                                          reason="needs procfs")),
+    pytest.param("work", _SIMULATE + ["{tmp}/afile/x.csv"], id="simulate-dir-is-file"),
+    pytest.param("work", _SIMULATE + ["./"], id="simulate-cwd"),
+    pytest.param("work", ["verify", "identities", "--out", "{tmp}/work"],
+                 id="verify-existing-dir"),
+    pytest.param("afile", ["verify", "figures", "--fig", "1", "--seed", "1"],
+                 id="verify-out-dir-env-is-file"),
+])
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, out_dir, argv):
+    # an output path that names a directory or cannot be written exits 2
+    # before the command starts, and writes nothing anywhere
+    (tmp_path / "work").mkdir()
+    (tmp_path / "afile").write_text("x\n")
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setenv("BURESHALL_OUT_DIR", str(tmp_path / out_dir))
+    monkeypatch.setattr(cli, "_cmd_simulate", _never_run)
+    monkeypatch.setattr(cli, "_cmd_verify", _never_run)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("bureshall: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "work"]
+    assert list((tmp_path / "work").iterdir()) == []
+    assert (tmp_path / "afile").read_text() == "x\n"
+
+
 def _child_env(tmp_path) -> dict:
     """Environment of a child interpreter that imports this bureshall and
     writes its outputs into tmp_path."""
@@ -308,6 +346,18 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
     assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 4
+
+
+def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
+    # only a CSV of two or more blocks imports multiprocessing, for its pool
+    code = textwrap.dedent("""
+        import sys, bureshall.cli as cli
+        assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
+        print("loaded", "multiprocessing" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "loaded False"
 
 
 TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -1,10 +1,14 @@
-"""Atomic writer tests: written files get the mode that open() would give."""
+"""Atomic writer tests: written files get the mode that open() would give,
+and CSV blocks formatted by forked workers give the in-process bytes."""
 
 import os
+import re
 import stat
 
+import numpy as np
 import pytest
 
+from bureshall import fileio
 from bureshall.fileio import write_atomic
 
 
@@ -18,3 +22,62 @@ def test_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the writer sees; count the processes it forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(fileio, "_CSV_BLOCK", 500)
+
+    def use(count):
+        forks.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        return forks
+
+    return use
+
+
+def test_worker_pool_matches_in_process(tmp_path, cpus):
+    # 2345 rows in 500-row blocks: five blocks, the last one partial
+    rng = np.random.default_rng(3)
+    columns = [np.arange(2345), rng.standard_normal(2345), rng.standard_normal(2345) ** 3]
+    written = {}
+    for count, pool_size in ((1, 0), (2, 2)):
+        forks = cpus(count)
+        path = tmp_path / f"cpus{count}.csv"
+        fileio._write_csv(str(path), "i,a,b", columns)
+        assert len(forks) == pool_size
+        written[count] = path.read_bytes()
+    assert written[1] == written[2]
+    assert written[1].count(b"\n") == 2346
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv"]
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError(f"repr in process {os.getpid()}")
+
+
+def test_worker_error_propagates(tmp_path, cpus):
+    # a value that fails to format in a worker fails the write: no temporary
+    # file is left and the existing target keeps its content
+    forks = cpus(2)
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    values = np.array([1.0] * 1200 + [_Unprintable()], dtype=object)
+    with pytest.raises(RuntimeError, match=r"repr in process \d+") as exc:
+        fileio._write_csv(str(target), "v", [values])
+    assert int(re.search(r"\d+", str(exc.value)).group()) in forks
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"

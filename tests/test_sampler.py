@@ -3,6 +3,7 @@ agreement with the closed forms, matrix-model backend, k-statistics, CSV."""
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -299,16 +300,9 @@ class TestCsv:
                        "1a55575b4fe3d622100523fb2a3a50ab"),
     }
 
-    def test_seeded_output_bytes(self, tmp_path):
-        """Seeded CSVs are byte-identical to the recorded digests.
-
-        The digests come from numpy 2.4.6 on x86-64; another numpy or CPU may
-        round exp, log or the row sums differently.  (2,3) runs 8 chains with
-        700 burn-in steps, so burn-in crosses a 512-step draw block and is
-        retuned seven times; the other MCMC sample counts leave a partial last
-        row of chains.
-        """
-        batches = {
+    @pytest.fixture(scope="class")
+    def seeded_batches(self):
+        return {
             "mcmc_1_3": mcmc_chain(EnsembleDims(1, 3), ChainConfig(samples=1000, burn_in=300,
                                                                    seed=3)),
             "mcmc_2_3": mcmc_chain(EnsembleDims(2, 3), ChainConfig(
@@ -317,12 +311,33 @@ class TestCsv:
             "mcmc_12_24": mcmc_chain(EnsembleDims(12, 24), ChainConfig(samples=2000, seed=2)),
             "matrix_3_3": sample_matrix_model_batch(3, 3000, seed=7),
         }
+
+    @staticmethod
+    def csv_digests(batches, tmp_path):
         digests = {}
         for name, batch in batches.items():
             path = tmp_path / f"{name}.csv"
             write_sample_csv(batch, str(path))
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == self.SEEDED_DIGESTS
+        return digests
+
+    def test_seeded_output_bytes(self, tmp_path, seeded_batches):
+        """Seeded CSVs are byte-identical to the recorded digests.
+
+        The digests come from numpy 2.4.6 on x86-64; another numpy or CPU may
+        round exp, log or the row sums differently.  (2,3) runs 8 chains with
+        700 burn-in steps, so burn-in crosses a 512-step draw block and is
+        retuned seven times; the other MCMC sample counts leave a partial last
+        row of chains.
+        """
+        assert self.csv_digests(seeded_batches, tmp_path) == self.SEEDED_DIGESTS
+
+    def test_seeded_output_bytes_from_worker_pool(self, tmp_path, monkeypatch, seeded_batches):
+        # with 500-row blocks each seeded CSV spans two to six blocks, and with
+        # two usable CPUs forked workers format them
+        monkeypatch.setattr(fileio, "_CSV_BLOCK", 500)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert self.csv_digests(seeded_batches, tmp_path) == self.SEEDED_DIGESTS
 
     def test_creates_missing_directory(self, tmp_path):
         cfg = ChainConfig(samples=20, burn_in=10, thinning=1, chain_count=2, seed=3)
