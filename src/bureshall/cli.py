@@ -78,19 +78,22 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, seeds: list[int], outputs: list[str]) -> str:
+def _write_manifest(args) -> str:
+    """Write the manifest of a simulate or verify run next to its first output:
+    the argv that `main` parsed, the seed and the SHA-256 of every output."""
+    seed = getattr(args, "seed", None)
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "seeds": seeds,
+        "command": "simulate" if args.command == "simulate" else f"verify-{args.target}",
+        "argv": args.argv,
+        "seeds": [] if seed is None else [seed],
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [
             {"path": p, "sha256": _sha256(p), "bytes": os.path.getsize(p)}
-            for p in outputs
+            for p in args.outputs
         ],
     }
-    path = outputs[0] + ".manifest.json"
+    path = args.outputs[0] + ".manifest.json"
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
@@ -150,7 +153,7 @@ def _cmd_simulate(args) -> int:
         batch = mcmc_chain(dims, config)
     out = args.outputs[0]
     write_sample_csv(batch, out)
-    manifest = _write_manifest("simulate", [args.seed], [out])
+    manifest = _write_manifest(args)
 
     st = k_statistics(batch.entropies)
     cs = cumulant_set(dims)
@@ -171,35 +174,12 @@ def _cmd_simulate(args) -> int:
 # verify targets
 # ---------------------------------------------------------------------------
 
-def _params_dict(case_obj) -> dict:
-    out = {"m": case_obj.m}
-    for name in ("a", "b", "c", "alpha"):
-        v = getattr(case_obj, name)
-        if v is not None:
-            out[name] = str(v)
-    return out
-
-
-def _identity_checks(max_m: int):
-    """(identity_id, params, residual) for every case: the identity grid, then
-    the degeneracy relations, then the telescopes."""
-    # imported here so that only this target loads the identity catalog
-    from .identities import (default_grid, degenerate_anomaly_check, identity_residual,
-                             resummation_telescope_check, telescope_grid)
-
-    for cs in default_grid(max_m=max_m):
-        yield cs.identity_id, _params_dict(cs), identity_residual(cs)
-    for m in range(1, 21):
-        for name, residual in degenerate_anomaly_check(m):
-            yield name, {"m": m}, residual
-    for cs in telescope_grid():
-        residual = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
-        yield cs.identity_id, _params_dict(cs), residual
-
-
 def verify_identities_report(max_m: int = 8) -> dict:
+    # imported here so that only this target loads the identity catalog
+    from .identities import identity_checks
+
     cases = []
-    for identity_id, params, residual in _identity_checks(max_m):
+    for identity_id, params, residual in identity_checks(max_m):
         ok = residual.is_zero()
         entry = {"identity_id": identity_id, "params": params, "residual_is_zero": ok}
         if not ok:
@@ -350,8 +330,7 @@ def _cmd_verify(args) -> int:
         report = verify_figure2_report(args.samples, args.seed, args.outputs[1])
 
     write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    seeds = [args.seed] if getattr(args, "seed", None) is not None else []
-    _write_manifest(f"verify-{args.target}", seeds, args.outputs)
+    _write_manifest(args)
 
     if report["all_passed"]:
         print(f"verify {args.target}: PASS ({report_path})")
@@ -432,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # recorded in the run manifest
     if args.command in ("cumulants", "simulate"):
         try:
             args.dims = EnsembleDims(args.m, args.n)

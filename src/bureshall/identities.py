@@ -12,8 +12,10 @@ Three families of objects live here:
   in a few cases collapsing them to closed forms).  Each identity stores its
   domain (admissibility rules and parameter grid) plus builders for its two
   sides; the residual LHS - RHS is an element of the constant ring and must
-  be the zero polynomial.  All but four left-hand sides are anomalies
-  evaluated by `omega`, so the identity grid checks the anomaly catalog too;
+  be the zero polynomial.  Every finite sum on either side is an anomaly
+  evaluated by `omega`, except the three-term cycle's left side, which no
+  row states; so the identity grid checks all 18 rows of the anomaly
+  catalog too;
 
 * telescoping fixtures: re-summation functions G, each an anomaly, with
   their one-step differences written via the shift recurrence
@@ -31,6 +33,7 @@ Inadmissible parameters raise, never skip silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -121,11 +124,14 @@ _OMEGA = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def omega(index: int, m: int, **params) -> ConstPoly:
     """Exact value of Omega_index at summation length m as a polynomial in
     the constant ring; params are the a, b, c (ints or Fractions) that its
     row in the anomaly table reads.  An unknown index, m < 1 or a missing or
-    extra parameter raises ValueError."""
+    extra parameter raises ValueError.  Values are cached per process, like
+    `psi_exact`'s: one anomaly recurs across identities at the same
+    (m, params)."""
     if index not in _OMEGA:
         raise ValueError(f"anomaly index must be 1..18, got {index}")
     if m < 1:
@@ -290,7 +296,7 @@ def _rhs_psi0_over_k2(cs):
     m1 = Fraction(cs.m + 1)
     one = Fraction(1)
     return (
-        _sum_poly(cs.m, lambda k: Fraction(1, k) * _p1(Fraction(k)))
+        omega(5, cs.m, b=0, c=0)
         - _p0(m1) * _p1(m1) - Fraction(1, 2) * _p2(m1)
         + _p0(one) * _p1(one) + Fraction(1, 2) * _p2(one)
     )
@@ -307,7 +313,7 @@ def _rhs_psi0_mk_over_k2(cs):
     m1 = Fraction(cs.m + 1)
     one = Fraction(1)
     return (
-        _sum_poly(cs.m, lambda k: Fraction(1, k) * _p1(Fraction(k)))
+        omega(5, cs.m, b=0, c=0)
         + _p0(one) * _p1(m1) + _p0(m1) * (_p1(one) - 2 * _p1(m1))
         - _p2(m1) + _p2(one)
     )
@@ -324,7 +330,7 @@ def _rhs_psi0sq_mk_over_k(cs):
     m1 = Fraction(cs.m + 1)
     one = Fraction(1)
     return (
-        _sum_poly(cs.m, lambda k: Fraction(1, k) * _p1(Fraction(k)))
+        omega(5, cs.m, b=0, c=0)
         + _p0(m1) ** 3 - _p0(one) * _p0(m1) ** 2 - 2 * _p1(one) * _p0(m1)
         + _p1(m1) * _p0(m1) + _p0(one) * _p1(m1)
     )
@@ -343,7 +349,7 @@ def _rhs_psi0_kb_over_kb2(cs):
     b, m = cs.b, cs.m
     bm1, b1 = b + m + 1, b + 1
     return (
-        _sum_poly(m, lambda k: 1 / (k + b) * _p1(k + b))
+        omega(5, m, b=b, c=b)
         - _p0(bm1) * _p1(bm1) - Fraction(1, 2) * _p2(bm1)
         + _p0(b1) * _p1(b1) + Fraction(1, 2) * _p2(b1)
     )
@@ -360,7 +366,7 @@ def _rhs_psi0_kb_over_k2(cs):
     b, m = cs.b, cs.m
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(m, lambda k: 1 / (k + b) * _p1(Fraction(k)))
+        omega(5, m, b=0, c=b)
         - 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
         - _p1(m1) * _p0(bm1)
         - 1 / b * (_p1(one) - _p1(m1))
@@ -379,7 +385,7 @@ def _rhs_psi0_over_kb2(cs):
     b, m = cs.b, cs.m
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(m, lambda k: Fraction(1, k) * _p1(k + b))
+        omega(5, m, b=b, c=0)
         + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
         - _p0(m1) * _p1(bm1)
         - 1 / b * (_p1(bm1) - _p1(b1))
@@ -397,7 +403,7 @@ _register(
 def _rhs_psi0_kb_over_kc_swap(cs):
     b, c, m = cs.b, cs.c, cs.m
     return (
-        -_sum_poly(m, lambda k: 1 / (k + b) * _p0(k + c))
+        -omega(6, m, b=c, c=b)
         + _p0(m + c + 1) * _p0(m + b + 1) - _p0(b + 1) * _p0(c + 1)
         + 1 / (c - b)
         * (_p0(m + c + 1) - _p0(m + b + 1) - _p0(c + 1) + _p0(b + 1))
@@ -415,7 +421,7 @@ def _rhs_psi0_kb_over_kc2(cs):
     b, c, m = cs.b, cs.c, cs.m
     cm1, c1, bm1, b1 = c + m + 1, c + 1, b + m + 1, b + 1
     return (
-        _sum_poly(m, lambda k: 1 / (k + b) * _p1(k + c))
+        omega(5, m, b=c, c=b)
         + 1 / (c - b) ** 2 * (_p0(cm1) - _p0(c1) - _p0(bm1) + _p0(b1))
         + 1 / (c - b) * (_p1(c1) - _p1(cm1))
         - _p1(cm1) * _p0(bm1) + _p1(c1) * _p0(b1)
@@ -433,10 +439,8 @@ def _rhs_psi0_psi0kb_over_k(cs):
     b, m = cs.b, cs.m
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
-        -Fraction(1, 2) * _sum_poly(
-            m, lambda k: 1 / (k + b) * (_p1(Fraction(k)) + _p0(Fraction(k)) ** 2)
-        )
-        - 1 / b * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
+        -Fraction(1, 2) * (omega(5, m, b=0, c=b) + omega(4, m, b=0, c=b))
+        - 1 / b * omega(6, m, b=b, c=0)
         + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
         + Fraction(1, 2) / b * (
             2 * _p0(m1) * _p0(bm1) - 2 * _p0(one) * _p0(b1)
@@ -459,10 +463,8 @@ def _rhs_psi0_psi0kb_over_kb(cs):
     b, m = cs.b, cs.m
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
-        -Fraction(1, 2) * _sum_poly(
-            m, lambda k: Fraction(1, k) * (_p0(k + b) ** 2 + _p1(k + b))
-        )
-        - 1 / b * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + b))
+        -Fraction(1, 2) * (omega(4, m, b=b, c=0) + omega(5, m, b=b, c=0))
+        - 1 / b * omega(6, m, b=b, c=0)
         + Fraction(1, 2) / b * (
             _p0(bm1) ** 2 + _p1(bm1) - _p0(b1) ** 2 - _p1(b1)
         )
@@ -486,7 +488,7 @@ def _rhs_psi0_ak_over_k(cs):
     a, m = cs.a, cs.m
     am, a1, m1, one = a - m, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        -_sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        -omega(6, m, b=am, c=0)
         + Fraction(1, 2) * (
             -2 * _p0(a1) * (_p0(am) - _p0(m1) + _p0(one))
             + (_p0(am) + 2 * _p0(m1) - 2 * _p0(one)) * _p0(am)
@@ -506,7 +508,7 @@ def _rhs_psi0_over_ak(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        -_sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        -omega(6, m, b=am, c=0)
         + Fraction(1, 2) * (
             (_p0(a1) - _p0(am)) ** 2
             + 2 * _p0(m1) * (-_p0(am1) + _p0(am) + _p0(a1))
@@ -527,7 +529,7 @@ def _rhs_psi0_over_ak2(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(m, lambda k: Fraction(1, k) * _p1(k + am))
+        omega(5, m, b=am, c=0)
         + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
         - _p1(a1) * _p0(m1)
         + _p0(a1) * (_p1(am1) - _p1(a1))
@@ -549,14 +551,8 @@ def _rhs_psi0sq_over_ak(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * _p0(k + am) ** 2
-            + 1 / (k + am) * _p0(Fraction(k)) ** 2
-            + 1 / (k + am) * _p1(k + am),
-        )
-        + (2 / am - 2 * _p0(a1))
-        * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        omega(4, m, b=am, c=0) + omega(4, m, b=0, c=am) + omega(5, m, b=am, c=am)
+        + (2 / am - 2 * _p0(a1)) * omega(6, m, b=am, c=0)
         + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + 1 / am * (
             2 * _p0(a1) * (-_p0(am1) - _p0(m1) + _p0(one))
@@ -588,7 +584,7 @@ def _rhs_psi1_ak_over_k(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        -_sum_poly(m, lambda k: Fraction(1, k) * _p1(k + am))
+        -omega(5, m, b=am, c=0)
         + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + _p1(a1) * (-_p0(am1) + _p0(a1) + _p0(m1) - _p0(one))
         + 1 / am * (_p1(a1) - _p1(am1))
@@ -610,12 +606,7 @@ def _rhs_psi1_over_ak(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(
-            m,
-            lambda k: -Fraction(1, k) * _p1(k + am)
-            + 1 / (k + am) * _p1(Fraction(k))
-            - 1 / (k + am) * _p1(k + am),
-        )
+        -omega(5, m, b=am, c=0) + omega(5, m, b=0, c=am) - omega(5, m, b=am, c=am)
         - _p1(m1) * _p0(am1)
         + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + 1 / am * (_p1(a1) - _p1(am1))
@@ -640,12 +631,7 @@ def _rhs_psi0_ak_over_k2(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * _p1(k + am)
-            - 1 / (k + am) * _p1(Fraction(k))
-            + 1 / (k + am) * _p1(k + am),
-        )
+        omega(5, m, b=am, c=0) - omega(5, m, b=0, c=am) + omega(5, m, b=am, c=am)
         + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
         + 1 / am * (_p1(am1) - _p1(a1))
         + Fraction(1, 2) * (
@@ -668,10 +654,7 @@ def _rhs_psi0_psi0ak_over_ak(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        Fraction(1, 2) * _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * (_p0(a + 1 - k) ** 2 - _p1(k + am)),
-        )
+        Fraction(1, 2) * (omega(10, m, a=a) - omega(5, m, b=am, c=0))
         + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + Fraction(1, 2) / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 4) * (
@@ -696,15 +679,11 @@ def _rhs_psi0_psi0ak_over_k(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        Fraction(1, 2) * _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * _p0(k + am) ** 2
-            + 1 / (k + am) * _p0(Fraction(k)) ** 2
-            - Fraction(1, k) * _p1(k + am)
-            + 1 / (k + am) * _p1(Fraction(k)),
+        Fraction(1, 2) * (
+            omega(4, m, b=am, c=0) + omega(4, m, b=0, c=am)
+            - omega(5, m, b=am, c=0) + omega(5, m, b=0, c=am)
         )
-        + (1 / am - _p0(a1))
-        * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        + (1 / am - _p0(a1)) * omega(6, m, b=am, c=0)
         + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         - Fraction(1, 2) / am * (
             2 * _p0(a1) * (_p0(am1) + _p0(m1) - _p0(one))
@@ -739,15 +718,11 @@ def _rhs_psi0_psi0ak_over_mk(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        Fraction(1, 2) * _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * _p0(a + 1 - k) ** 2
-            - 1 / (k + am) * _p0(Fraction(k)) ** 2
-            + Fraction(1, k) * _p1(k + am)
-            - 1 / (k + am) * _p1(Fraction(k)),
+        Fraction(1, 2) * (
+            omega(10, m, a=a) - omega(4, m, b=0, c=am)
+            + omega(5, m, b=am, c=0) - omega(5, m, b=0, c=am)
         )
-        - (1 / am - _p0(a1))
-        * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        - (1 / am - _p0(a1)) * omega(6, m, b=am, c=0)
         + Fraction(1, 2) / (am * am)
         * (3 * (_p0(a1) - _p0(am1) - _p0(m1) + _p0(one)))
         - Fraction(1, 2) / am * (
@@ -789,14 +764,11 @@ def _rhs_psi0_psi0shift_over_mk(cs):
     a, m = cs.a, cs.m
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
-        Fraction(1, 2) * _sum_poly(
-            m,
-            lambda k: Fraction(1, k) * _p0(a + 1 - k) ** 2
-            + Fraction(1, k) * _p0(k + am) ** 2
-            + 1 / (k + am) * _p0(Fraction(k)) ** 2
-            + 1 / (k + am) * _p1(Fraction(k)),
+        Fraction(1, 2) * (
+            omega(10, m, a=a) + omega(4, m, b=am, c=0)
+            + omega(4, m, b=0, c=am) + omega(5, m, b=0, c=am)
         )
-        + 1 / am * _sum_poly(m, lambda k: Fraction(1, k) * _p0(k + am))
+        + 1 / am * omega(6, m, b=am, c=0)
         + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
         + Fraction(1, 2) / am * (_p0(am1) ** 2 - _p0(a1) ** 2)
         + Fraction(1, 12) * (
@@ -837,17 +809,13 @@ def _lhs_three_term(cs):
 
 def _rhs_three_term(cs):
     a, b, c, m = cs.a, cs.b, cs.c, cs.m
-
-    def s(num, den):
-        return _sum_poly(m, lambda k: 1 / (k + den) * _p0(k + num))
-
     return (
-        (1 / (b - a) + _p0(a)) * s(c, b)
-        + (1 / (c - a) + _p0(a)) * s(b, c)
-        + (1 / (a - b) + _p0(b)) * s(c, a)
-        + (1 / (c - b) + _p0(b)) * s(a, c)
-        + (1 / (a - c) + _p0(c + m)) * s(b, a)
-        + (1 / (b - c) + _p0(c + m)) * s(a, b)
+        (1 / (b - a) + _p0(a)) * omega(6, m, b=c, c=b)
+        + (1 / (c - a) + _p0(a)) * omega(6, m, b=b, c=c)
+        + (1 / (a - b) + _p0(b)) * omega(6, m, b=c, c=a)
+        + (1 / (c - b) + _p0(b)) * omega(6, m, b=a, c=c)
+        + (1 / (a - c) + _p0(c + m)) * omega(6, m, b=b, c=a)
+        + (1 / (b - c) + _p0(c + m)) * omega(6, m, b=a, c=b)
         + (1 / (c - b) - 1 / (c + m)) * _p0(a) * _p0(b + m)
         + (1 / (c - a) - 1 / (c + m)) * _p0(a + m) * _p0(b)
         + _p0(a) * _p0(b) * _p0(c + m)
@@ -881,10 +849,9 @@ _register(
 
 def _lhs_block_diff(cs):
     a, b, m = cs.a, cs.b, cs.m
-    return _sum_poly(
-        m,
-        lambda k: (1 / (k + a) + 1 / (k + b))
-        * (_p0(k + a + b + m) - _p0(k + a + b)),
+    return (
+        omega(6, m, b=a + b + m, c=a) + omega(6, m, b=a + b + m, c=b)
+        - omega(6, m, b=a + b, c=a) - omega(6, m, b=a + b, c=b)
     )
 
 
@@ -909,11 +876,9 @@ _register("psi0_block_difference_pair", _AB_POS,
 
 def _lhs_trigamma_closed_1(cs):
     t, m = 2 * cs.alpha, cs.m
-    return _sum_poly(
-        m,
-        lambda k: Fraction(1, k) * (_p1(k + t + m) - _p1(k + t))
-        - 1 / (k + t + m) * _p1(k + t)
-        + 1 / (k + t) * _p1(k + t + m),
+    return (
+        omega(5, m, b=t + m, c=0) - omega(5, m, b=t, c=0)
+        - omega(5, m, b=t, c=t + m) + omega(5, m, b=t + m, c=t)
     )
 
 
@@ -951,10 +916,9 @@ _register("trigamma_alpha_closed_1", _ALPHA_POS,
 
 def _lhs_trigamma_closed_2(cs):
     t, m = 2 * cs.alpha, cs.m
-    return _sum_poly(
-        m,
-        lambda k: 1 / (t + k) * (_p1(Fraction(k)) - _p1(t + k))
-        - 1 / (t + k + m) * (_p1(Fraction(k)) - _p1(t + k)),
+    return (
+        omega(5, m, b=0, c=t) - omega(5, m, b=t, c=t)
+        - omega(5, m, b=0, c=t + m) + omega(5, m, b=t, c=t + m)
     )
 
 
@@ -1143,3 +1107,34 @@ def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
     for i in range(1, m + 1):
         total = total + delta(i, cs.b)
     return omega(index, m, a=cs.b + m) - total
+
+
+# ---------------------------------------------------------------------------
+# the verification suite
+# ---------------------------------------------------------------------------
+
+_DEGENERACY_MAX_M = 20
+
+
+def _params_dict(cs: IdentityCase) -> dict:
+    """A case's m, then each parameter it sets as text, for reports."""
+    out = {"m": cs.m}
+    for name in ("a", "b", "c", "alpha"):
+        v = getattr(cs, name)
+        if v is not None:
+            out[name] = str(v)
+    return out
+
+
+def identity_checks(max_m: int):
+    """(check id, params, residual) for every case of the verification suite:
+    the identity grid up to max_m, then the degeneracy relations, then the
+    telescopes.  Each residual must be zero."""
+    for cs in default_grid(max_m=max_m):
+        yield cs.identity_id, _params_dict(cs), identity_residual(cs)
+    for m in range(1, _DEGENERACY_MAX_M + 1):
+        for name, residual in degenerate_anomaly_check(m):
+            yield name, {"m": m}, residual
+    for cs in telescope_grid():
+        residual = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
+        yield cs.identity_id, _params_dict(cs), residual

@@ -202,14 +202,20 @@ class TestSimulateCommand:
 class TestVerifyCommands:
     def test_identities_report(self, outdir, capsys):
         assert main(["verify", "identities", "--max-m", "2"]) == 0
-        report = json.loads((outdir / "identities_report.json").read_text())
+        report_bytes = (outdir / "identities_report.json").read_bytes()
+        report = json.loads(report_bytes)
         jsonschema.validate(report, IDENTITIES_REPORT_SCHEMA)
         assert report["all_passed"]
-        assert report["n_cases"] > 300
+        assert report["n_cases"] == 856
+        # the whole report, every case id and parameter set in order, is pinned
+        assert hashlib.sha256(report_bytes).hexdigest() == (
+            "3d29b884c791ca926d730b7e9a49fb210b320b8d6a9aeec78926daf0e1c4ffda")
         manifest = json.loads(
             (outdir / "identities_report.json.manifest.json").read_text()
         )
         jsonschema.validate(manifest, MANIFEST_SCHEMA)
+        # the argv main parsed, not the host process's sys.argv
+        assert manifest["argv"] == ["verify", "identities", "--max-m", "2"]
 
     def test_oracles_report(self, outdir, capsys):
         assert main(["verify", "oracles"]) == 0

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from bureshall import cli
+from bureshall import cli, identities
 from bureshall.identities import (
     _IDENTITIES,
+    _OMEGA,
     AnomalyDomainError,
     IdentityDomainError,
+    _params_dict,
     case,
     default_grid,
     degenerate_anomaly_check,
@@ -58,12 +60,46 @@ class TestOmega:
         assert any(mono[1] > 0 for mono in value.terms)  # an l2 term appears
 
     def test_rows_no_identity_reaches(self):
-        # Omega_4 and Omega_5 appear in no identity, telescope or degeneracy
-        # relation; values summed by hand from psi0(2) = 1 - g, psi0(3) = 3/2 - g,
-        # psi1(2) = z2 - 1, psi1(3) = z2 - 5/4
+        # Omega_4 and Omega_5 are the whole left side of no identity; the grid
+        # reaches them only as terms of other identities' sides, so here they
+        # are also checked against values summed by hand from psi0(2) = 1 - g,
+        # psi0(3) = 3/2 - g, psi1(2) = z2 - 1, psi1(3) = z2 - 5/4
         expected = Fraction(3, 2) * GAMMA ** 2 - Fraction(7, 2) * GAMMA + Fraction(17, 8)
         assert omega(4, 2, b=1, c=0) == expected
         assert omega(5, 2, b=1, c=2) == Fraction(7, 12) * ZETA2 - Fraction(31, 48)
+
+    def test_every_row_reached(self, monkeypatch):
+        # the verification suite evaluates each row of the anomaly table
+        reached = set()
+
+        def recording(index, m, **params):
+            reached.add(index)
+            return omega(index, m, **params)
+
+        monkeypatch.setattr(identities, "omega", recording)
+        assert cli.verify_identities_report(max_m=1)["all_passed"]
+        assert reached == set(_OMEGA)
+
+    @pytest.mark.parametrize("index, wrong_row", [
+        (4, (_OMEGA[4][0], 2, _OMEGA[4][2])),  # power 2 instead of 1
+        (5, (_OMEGA[5][0], 1, ((2, _OMEGA[5][2][0][1]),))),  # psi2 instead of psi1
+    ], ids=["omega4_power", "omega5_order"])
+    def test_wrong_row_fails_verification(self, monkeypatch, index, wrong_row):
+        # every row is reached by the suite, so a wrong one must fail it; the
+        # cache is cleared on both sides of the mutation, or stale values would
+        # hide it (before) or leak into later tests (after)
+        omega.cache_clear()
+        monkeypatch.setitem(_OMEGA, index, wrong_row)
+        try:
+            report = cli.verify_identities_report(max_m=2)
+        finally:
+            monkeypatch.undo()
+            omega.cache_clear()
+        failing = [c for c in report["cases"] if not c["residual_is_zero"]]
+        assert report["n_failures"] == len(failing) > 0
+        assert not report["all_passed"]
+        for c in failing:
+            assert not ConstPoly.from_text(c["residual_text_if_nonzero"]).is_zero()
 
     def test_degree_at_most_two(self):
         specs = [
@@ -127,7 +163,7 @@ class TestIdentityGrid:
         # the digest pins every identity id and parameter set, in order
         grid = default_grid(8)
         assert len(grid) == 2128
-        listing = json.dumps([[cs.identity_id, cli._params_dict(cs)] for cs in grid])
+        listing = json.dumps([[cs.identity_id, _params_dict(cs)] for cs in grid])
         assert hashlib.sha256(listing.encode()).hexdigest() == (
             "0384af302f8a07e31749550a7534fc2c580524389dbb53abd39350fc3f2524c8")
 
