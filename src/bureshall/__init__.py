@@ -4,7 +4,7 @@ numerical oracles (quadrature, Monte Carlo) and an exact verifier for the
 summation-identity apparatus behind the closed forms."""
 
 from .ring import ConstPoly, GAMMA, LN2, ZETA2, ZETA3
-from .polygamma import HalfInteger, psi_exact
+from .polygamma import psi_exact
 from .cumulants import (
     CumulantSet,
     EnsembleDims,
@@ -24,7 +24,6 @@ __all__ = [
     "LN2",
     "ZETA2",
     "ZETA3",
-    "HalfInteger",
     "psi_exact",
     "EnsembleDims",
     "CumulantSet",

@@ -80,12 +80,15 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(args) -> str:
     """Write the manifest of a simulate or verify run next to its first output:
-    the argv that `main` parsed, the seed and the SHA-256 of every output."""
+    the argv that `main` parsed, the seeds and the SHA-256 of every output."""
     seed = getattr(args, "seed", None)
+    seeds = [] if seed is None else [seed]
+    if getattr(args, "fig", None) == 2:
+        seeds = _fig2_seeds(seed)
     manifest = {
         "command": "simulate" if args.command == "simulate" else f"verify-{args.target}",
         "argv": args.argv,
-        "seeds": [] if seed is None else [seed],
+        "seeds": seeds,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [
@@ -105,28 +108,21 @@ def _write_manifest(args) -> str:
 def _cmd_cumulants(args) -> int:
     dims = args.dims
     cs = cumulant_set(dims)
+    values = {"kappa1": cs.kappa1_f, "kappa2": cs.kappa2_f, "kappa3": cs.kappa3_f,
+              "skewness": cs.skewness}
     exact = {}
     if args.exact:
         exact = {f"kappa{i}": k(dims).to_text() for i, k in enumerate((kappa1, kappa2, kappa3), 1)}
     if args.format == "json":
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "kappa1": cs.kappa1_f,
-            "kappa2": cs.kappa2_f,
-            "kappa3": cs.kappa3_f,
-            "skewness": cs.skewness,
-        }
+        payload = {"m": args.m, "n": args.n, **values}
         if exact:
             payload["exact"] = exact
         print(json.dumps(payload, indent=2))
     else:
         for name, text in exact.items():
             print(f"{name} = {text}")
-        print(f"kappa1 = {cs.kappa1_f!r}")
-        print(f"kappa2 = {cs.kappa2_f!r}")
-        print(f"kappa3 = {cs.kappa3_f!r}")
-        print(f"skewness = {cs.skewness!r}")
+        for name, value in values.items():
+            print(f"{name} = {value!r}")
     return 0
 
 
@@ -271,6 +267,11 @@ def verify_figure1_report(samples: int, seed: int, csv_path: str) -> dict:
 _FIG2_SPOTS = ((3, 3), (4, 8), (5, 15))
 
 
+def _fig2_seeds(seed: int) -> list[int]:
+    """The seeds of figure 2's spot checks, one per entry of _FIG2_SPOTS."""
+    return [seed + i for i in range(len(_FIG2_SPOTS))]
+
+
 def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
     from .sampler import ChainConfig, k_statistics, mcmc_chain
 
@@ -292,10 +293,10 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
             monotone_ok = False
     curve = {(r["m"], r["n"]): r["kappa3"] for r in rows}
     spot_checks = []
-    for i, (m, n) in enumerate(_FIG2_SPOTS):
+    for (m, n), spot_seed in zip(_FIG2_SPOTS, _fig2_seeds(seed)):
         dims = EnsembleDims(m, n)
         config = ChainConfig(
-            samples=samples, burn_in=2000, thinning=20, chain_count=100, seed=seed + i
+            samples=samples, burn_in=2000, thinning=20, chain_count=100, seed=spot_seed
         )
         st = k_statistics(mcmc_chain(dims, config).entropies)
         ref = curve[m, n]
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     if args.command == "simulate" and args.backend == "matrix" and args.m != args.n:
         parser.error("the matrix backend requires n = m")
-    if getattr(args, "fig", None) == 2 and args.seed + len(_FIG2_SPOTS) > 2 ** 64:
+    if getattr(args, "fig", None) == 2 and _fig2_seeds(args.seed)[-1] >= 2 ** 64:
         parser.error(f"figure 2 uses seeds --seed .. --seed+{len(_FIG2_SPOTS) - 1}, "
                      "which must stay below 2^64")
     if args.command != "cumulants":

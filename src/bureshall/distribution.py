@@ -43,7 +43,6 @@ class DensityComparison:
     l1_edgeworth: float
     sup_gaussian: float
     sup_edgeworth: float
-    n_samples: int
 
 
 def gaussian_pdf(x):
@@ -94,7 +93,6 @@ def density_comparison(samples, dims: EnsembleDims) -> DensityComparison:
         l1_edgeworth=l1_e,
         sup_gaussian=float(np.max(np.abs(hist - gauss))),
         sup_edgeworth=float(np.max(np.abs(hist - edge))),
-        n_samples=len(samples),
     )
 
 

@@ -149,10 +149,8 @@ def omega(index: int, m: int, **params) -> ConstPoly:
 
     def term(k: int) -> ConstPoly:
         value = _inv(at(den, k), what, k) ** power
-        # a repeated factor costs one polygamma evaluation
-        psis = {(o, arg): _psi(o, at(arg, k), what, k) for o, arg in dict.fromkeys(factors)}
-        for f in factors:
-            value = value * psis[f]
+        for order, arg in factors:
+            value = value * _psi(order, at(arg, k), what, k)
         return value
 
     return _sum_poly(m, term)

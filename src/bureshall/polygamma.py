@@ -17,11 +17,13 @@ from six start values:
     psi_2(1) = -2*z3       psi_2(1/2) = -14*z3
 
 Orders k >= 3 are deliberately unsupported; nothing in this package needs
-them.
+them.  ``psi_exact`` is a per-process ``functools.lru_cache`` keyed by
+(order, arg); it keeps no exceptions, so a rejected input raises every time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,24 +63,17 @@ _START = {
     (2, 1): -14 * ZETA3,
 }
 
-_cache: dict[tuple[int, int], ConstPoly] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def psi_exact(order: int, arg) -> ConstPoly:
-    """Exact psi_order at a positive integer or half-integer argument."""
+    """Exact psi_order at a positive integer or half-integer argument; an int
+    and a Fraction of equal value share one cache entry."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     h = HalfInteger.of(arg)
     if h.twice <= 0:
         raise ValueError(f"polygamma argument must be positive, got {Fraction(h.twice, 2)}")
-    key = (order, h.twice)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
-
     start = 2 - h.twice % 2
     power = order + 1
     partial = sum((Fraction(1, j ** power) for j in range(start, h.twice - 1, 2)), Fraction(0))
-    poly = _START[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
-    _cache[key] = poly
-    return poly
+    return _START[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial

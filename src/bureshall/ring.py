@@ -74,7 +74,7 @@ def _unlimited_int_text():
 class ConstPoly:
     """Immutable multivariate polynomial in (g, l2, z2, z3) over Q."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         parts: dict[Monomial, tuple[int, int]] = {}
@@ -88,7 +88,6 @@ class ConstPoly:
         den = math.lcm(*(q for _, q in parts.values()))
         self._num = {m: p * (den // q) for m, (p, q) in parts.items()}
         self._den = den
-        self._hash = None
 
     @classmethod
     def _make(cls, num: dict[Monomial, int], den: int) -> "ConstPoly":
@@ -96,7 +95,6 @@ class ConstPoly:
         poly = object.__new__(cls)
         poly._num = num
         poly._den = den if num else 1
-        poly._hash = None
         return poly
 
     @classmethod
@@ -115,14 +113,6 @@ class ConstPoly:
     def const(cls, value: Scalar) -> "ConstPoly":
         p, q = _scalar(value)
         return cls._make({_ZERO_MONO: p} if p else {}, q)
-
-    @classmethod
-    def symbol(cls, name: str) -> "ConstPoly":
-        if name not in SYMBOLS:
-            raise ValueError(f"unknown symbol {name!r}; expected one of {SYMBOLS}")
-        mono = [0, 0, 0, 0]
-        mono[SYMBOLS.index(name)] = 1
-        return cls._make({tuple(mono): 1}, 1)  # type: ignore[dict-item]
 
     # -- basic queries ------------------------------------------------------
 
@@ -145,17 +135,11 @@ class ConstPoly:
         else:
             p, o_den = _scalar(other)
             o_num = {_ZERO_MONO: p} if p else {}
-        den = self._den
-        if den == o_den:
-            out = dict(self._num)
-        else:
-            lcm = math.lcm(den, o_den)
-            scale, o_scale = lcm // den, lcm // o_den
-            out = {m: c * scale for m, c in self._num.items()}
-            o_num = {m: c * o_scale for m, c in o_num.items()}
-            den = lcm
+        den = math.lcm(self._den, o_den)
+        scale, o_scale = den // self._den, den // o_den
+        out = {m: c * scale for m, c in self._num.items()}
         for mono, coef in o_num.items():
-            new = out.get(mono, 0) + coef
+            new = out.get(mono, 0) + coef * o_scale
             if new:
                 out[mono] = new
             else:
@@ -209,9 +193,7 @@ class ConstPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- numeric evaluation ---------------------------------------------------
 
@@ -320,8 +302,8 @@ class ConstPoly:
 
 
 ZERO = ConstPoly()
-GAMMA = ConstPoly.symbol("g")
-LN2 = ConstPoly.symbol("l2")
-ZETA2 = ConstPoly.symbol("z2")
-ZETA3 = ConstPoly.symbol("z3")
+GAMMA = ConstPoly._make({(1, 0, 0, 0): 1}, 1)
+LN2 = ConstPoly._make({(0, 1, 0, 0): 1}, 1)
+ZETA2 = ConstPoly._make({(0, 0, 1, 0): 1}, 1)
+ZETA3 = ConstPoly._make({(0, 0, 0, 1): 1}, 1)
 

@@ -244,6 +244,9 @@ class TestVerifyCommands:
         csv_lines = (outdir / "figure2_kappa3.csv").read_text().splitlines()
         assert csv_lines[0] == "m,n,kappa3"
         assert len(csv_lines) == 31  # header + 10 m-values x 3 families
+        manifest = json.loads((outdir / "figure2_report.json.manifest.json").read_text())
+        jsonschema.validate(manifest, MANIFEST_SCHEMA)
+        assert manifest["seeds"] == [11, 12, 13]  # one per spot check
 
     def test_unconverged_oracle_fails(self):
         # a value within tolerance does not pass when its quadrature did not converge

@@ -78,6 +78,22 @@ class TestPsiExactExamples:
             psi_exact(3, 1)
 
 
+class TestCache:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equal_arguments_share_values(self, k):
+        # an int and a Fraction of equal value hash alike: one cache entry
+        assert psi_exact(k, 3) is psi_exact(k, Fraction(3))
+        assert psi_exact(k, Fraction(7, 2)) == psi_exact(k, HalfInteger(7))
+
+    @pytest.mark.parametrize("order, arg", [(0, 0), (0, Fraction(1, 3)), (3, 1)],
+                             ids=["argument 0", "argument 1/3", "order 3"])
+    def test_rejected_on_every_call(self, order, arg):
+        # the cache keeps no exceptions, so a repeated call is checked again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                psi_exact(order, arg)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.integers(min_value=0, max_value=2),

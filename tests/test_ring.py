@@ -111,6 +111,7 @@ def test_canonical_text_examples():
     p = Fraction(75, 8) * ZETA3 - Fraction(33, 160) * ZETA2 - Fraction(295, 27)
     assert p.to_text() == "75/8*z3 - 33/160*z2 - 295/27"
     assert ConstPoly().to_text() == "0"
+    assert [c.to_text() for c in (GAMMA, LN2, ZETA2, ZETA3)] == ["g", "l2", "z2", "z3"]
     assert (-GAMMA).to_text() == "-g"
     assert (2 * LN2 - Fraction(7, 6)).to_text() == "2*l2 - 7/6"
     assert (GAMMA ** 2 * LN2).to_text() == "g^2*l2"
@@ -132,6 +133,7 @@ def test_immutability_of_views():
 def test_pow_and_degree():
     p = (GAMMA + LN2) ** 3
     assert p.total_degree() == 3
+    assert [c.total_degree() for c in (GAMMA, LN2, ZETA2, ZETA3)] == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         GAMMA ** -1
 
