@@ -16,6 +16,7 @@ from .cumulants import (
     moments_cumulants_convert,
     skewness,
     third_moment_conversion,
+    unconstrained_moments,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "skewness",
     "moments_cumulants_convert",
     "third_moment_conversion",
+    "unconstrained_moments",
 ]
 
 __version__ = "0.1.0"

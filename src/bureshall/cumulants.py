@@ -18,12 +18,18 @@ closed form is stated once, in _kappa, and evaluated with either polygamma:
 kappa1..kappa3 use psi_exact and return exact elements of the constant ring,
 whose cost grows like lcm(1..d)^3 through the polygamma partial sums;
 cumulant_set uses mpmath.psi at _DPS digits, which takes about a millisecond
-at any (m, n).  The Gamma-law log-moments behind the m = 1 oracle and the
-third-moment conversion are likewise stated once, in _log_moment.
+at any (m, n).
+
+The trace factorization T = theta ln theta - theta S, with theta ~ Gamma(d)
+independent of S, is likewise stated once, in _trace_moment: it gives the
+exact moments of T from kappa1..kappa3 (unconstrained_moments), against which
+the closed form kappa3_T is checked at every (m, n), and, solved for E_f[S^3],
+the third-moment conversion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,46 +110,20 @@ def kappa3(dims: EnsembleDims) -> ConstPoly:
     return _kappa(3, dims, psi_exact)
 
 
-def _log_moment(k: int, s, psi):
-    """E[(ln Y)^k] for Y ~ Gamma(s) and k = 1, 2, 3: the complete Bell
-    polynomial in the cumulants psi0(s), psi1(s), psi2(s) of ln Y, with psi
-    as in _kappa."""
-    p0 = psi(0, s)
-    if k == 1:
-        return p0
-    if k == 2:
-        return p0 ** 2 + psi(1, s)
-    return p0 ** 3 + 3 * p0 * psi(1, s) + psi(2, s)
-
-
 def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
-    """Third cumulant of T = sum x_i ln x_i over the unconstrained ensemble."""
+    """Third cumulant of T = sum x_i ln x_i over the unconstrained ensemble:
+    m(2n - m) times a cubic in psi0, psi1, psi2 at n + 1/2.  It equals kappa3
+    of unconstrained_moments(dims) exactly."""
     m, n = dims.m, dims.n
     b1 = Fraction(-4 * m * m + 8 * m * n + 4 * n * n + 7, 8)
     b2 = Fraction(3 * (-m * m + 2 * m * n + 4 * n * n + 1), 4 * n)
     b3 = Fraction(
-        -(m ** 4)
-        - 16 * m * m * n * n
-        + 4 * m * m * n
-        + 5 * m * m
-        + 24 * m * n ** 3
-        - 10 * m * n
-        + 24 * n ** 4
-        + 10 * n * n
-        - 4,
+        -(m ** 4) + 4 * m ** 3 * n - 16 * m * m * n * n + 5 * m * m + 24 * m * n ** 3
+        - 10 * m * n + 24 * n ** 4 + 10 * n * n - 4,
         2 * n * (2 * n - 1) * (2 * n + 1),
     )
-    p0 = psi_exact(0, dims.n_half)
-    p1 = psi_exact(1, dims.n_half)
-    p2 = psi_exact(2, dims.n_half)
-    inner = (
-        b1 * p2
-        + b2 * p0 * p1
-        + b3 * p1
-        + p0 ** 3
-        + Fraction(9, 2) * p0 ** 2
-        + 3 * p0
-    )
+    p0, p1, p2 = (psi_exact(k, dims.n_half) for k in (0, 1, 2))
+    inner = b1 * p2 + b2 * p0 * p1 + b3 * p1 + p0 ** 3 + Fraction(9, 2) * p0 ** 2 + 3 * p0
     return m * (2 * n - m) * inner
 
 
@@ -220,45 +200,52 @@ def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _log_moment(k: int, s, psi):
+    """E[(ln Y)^k] for Y ~ Gamma(s) and k = 0..3: the complete Bell
+    polynomial in the cumulants psi0(s), psi1(s), psi2(s) of ln Y, with psi
+    as in _kappa."""
+    if k == 0:
+        return 1
+    p0 = psi(0, s)
+    if k == 1:
+        return p0
+    if k == 2:
+        return p0 ** 2 + psi(1, s)
+    return p0 ** 3 + 3 * p0 * psi(1, s) + psi(2, s)
+
+
+def _trace_moment(k: int, d: Fraction, es: Sequence, psi):
+    """E_h[T^k] for T = theta ln theta - theta S with theta ~ Gamma(d)
+    independent of S, given es = (1, E_f[S], ..., E_f[S^k]):
+
+        E_h[T^k] = (d)_k sum_{j=0..k} C(k, j) (-1)^j E[(ln Y)^(k-j)] E_f[S^j]
+
+    with Y ~ Gamma(d + k), since E[theta^k g(theta)] = (d)_k E[g(Y)]; psi as
+    in _kappa."""
+    total = sum(math.comb(k, j) * (-1) ** j * _log_moment(k - j, d + k, psi) * es[j]
+                for j in range(k + 1))
+    return math.prod(d + i for i in range(k)) * total
+
+
+def unconstrained_moments(dims: EnsembleDims) -> tuple[ConstPoly, ConstPoly, ConstPoly]:
+    """Exact E_h[T], E_h[T^2], E_h[T^3] over the unconstrained ensemble, from
+    kappa1..kappa3 through the trace factorization."""
+    es = (1,) + moments_cumulants_convert(
+        (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments")
+    return tuple(_trace_moment(k, dims.d, es, psi_exact) for k in (1, 2, 3))
+
+
 def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
     """Map E_h[T^3] over the unconstrained ensemble to E_f[S^3].
 
-    E_f[S^3] = -E_h[T^3]/(d)_3 + 3 psi0(d+3) E_f[S^2]
-               - 3 (psi0^2 + psi1)(d+3) E_f[S]
-               + (psi0^3 + 3 psi0 psi1 + psi2)(d+3)
-
-    with (d)_3 = d(d+1)(d+2).  E_f[S] = kappa1 and E_f[S^2] = kappa2 + kappa1^2
-    come from the closed forms, all evaluated at _DPS digits.
+    The trace factorization at k = 3 holds E_f[S^3] with the coefficient
+    -(d)_3, so E_f[S^3] = (F - E_h[T^3]) / (d)_3, where F is the
+    factorization with E_f[S^3] := 0.  E_f[S] = kappa1 and
+    E_f[S^2] = kappa2 + kappa1^2 come from the closed forms, all evaluated at
+    _DPS digits.
     """
     d = dims.d
-    poch3 = d * (d + 1) * (d + 2)
     with mpmath.workdps(_DPS):
         v1, v2, _ = _numeric_cumulants(dims)
-        es1, es2 = v1, v2 + v1 ** 2
-        value = (
-            -mpmath.mpf(e_h_t3) / poch3
-            + 3 * _log_moment(1, d + 3, mpmath.psi) * es2
-            - 3 * _log_moment(2, d + 3, mpmath.psi) * es1
-            + _log_moment(3, d + 3, mpmath.psi)
-        )
-        return float(value)
-
-
-def single_eigenvalue_entropy_moments(dims: EnsembleDims) -> tuple[ConstPoly, ConstPoly, ConstPoly]:
-    """Exact E_h[T], E_h[T^2], E_h[T^3] for m = 1.
-
-    At m = 1 the unconstrained ensemble is a Gamma(d) law for the single
-    eigenvalue x, and E[(x ln x)^k] = (d)_k E[(ln Y)^k] with Y ~ Gamma(d + k):
-
-        E[T]   = (d)_1 psi0(d+1)
-        E[T^2] = (d)_2 (psi0^2 + psi1)(d+2)
-        E[T^3] = (d)_3 (psi0^3 + 3 psi0 psi1 + psi2)(d+3)
-    """
-    if dims.m != 1:
-        raise ValueError("the Gamma-law moment oracle applies only to m = 1")
-    d = dims.d
-    return (
-        d * _log_moment(1, d + 1, psi_exact),
-        d * (d + 1) * _log_moment(2, d + 2, psi_exact),
-        d * (d + 1) * (d + 2) * _log_moment(3, d + 3, psi_exact),
-    )
+        rest = _trace_moment(3, d, (1, v1, v2 + v1 ** 2, 0), mpmath.psi)
+        return float((rest - mpmath.mpf(e_h_t3)) / (d * (d + 1) * (d + 2)))

@@ -9,7 +9,8 @@ refined with the third-cumulant correction
 The Hermite factor (x^3 - 3x) integrates to zero against phi and leaves the
 first two moments untouched, so the correction changes only the asymmetry.
 It can dip slightly negative in the far tails; values are reported as-is
-because clipping would break the moment identities.
+because clipping would break the moment identities.  edgeworth_pdf takes the
+coefficient itself, so that its callers evaluate the cumulants once.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ def gaussian_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def edgeworth_pdf(x, dims: EnsembleDims):
-    """Gaussian density with the cubic skewness correction for these dims."""
-    return _edgeworth_pdf(x, _nondegenerate_set(dims).skew_coefficient)
-
-
-def _edgeworth_pdf(x, coef: float):
+def edgeworth_pdf(x, coef: float):
+    """Gaussian density with the cubic skewness correction of coefficient
+    coef = kappa3 / (6 kappa2^(3/2)), cumulant_set(dims).skew_coefficient."""
     x = np.asarray(x, dtype=float)
     return gaussian_pdf(x) * (1.0 + coef * (x ** 3 - 3.0 * x))
 
@@ -83,7 +81,7 @@ def density_comparison(samples, dims: EnsembleDims) -> DensityComparison:
     cs = _nondegenerate_set(dims)
     std = (samples - cs.kappa1_f) / cs.sd
     gauss = gaussian_pdf(xs)
-    edge = _edgeworth_pdf(xs, cs.skew_coefficient)
+    edge = edgeworth_pdf(xs, cs.skew_coefficient)
     hist = _histogram_on_grid(std, xs)
     l1_g = float(_trapezoid(np.abs(hist - gauss), xs))
     l1_e = float(_trapezoid(np.abs(hist - edge), xs))

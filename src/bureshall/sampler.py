@@ -26,7 +26,8 @@ Two backends:
   complex Ginibre and U Haar unitary, spectrum = eig(M) / tr(M).
 
 Also here: the unbiased k-statistics with batch-means standard errors used
-by every Monte Carlo acceptance check, and the sample CSV writer.
+by every Monte Carlo acceptance check, whose batches follow each chain when
+the chain index is given, and the sample CSV writer.
 """
 
 from __future__ import annotations
@@ -344,14 +345,17 @@ _MIN_BATCHES = 30
 _MAX_BATCHES = 50
 
 
-def k_statistics(values) -> KStats:
+def k_statistics(values, chain_index=None) -> KStats:
     """Unbiased cumulant estimators k1, k2, k3 with batch-means standard errors.
 
     k1 is the sample mean, k2 the unbiased variance and
     k3 = N^2/((N-1)(N-2)) times the mean cubed deviation.  Standard errors
     come from the dispersion of per-batch estimates over non-overlapping
     batches: up to _MAX_BATCHES batches of length >= 3 (n // 3 caps their
-    number), and NaN when fewer than _MIN_BATCHES fit.
+    number), and NaN when fewer than _MIN_BATCHES fit.  Given each value's
+    chain_index, batches are cut in chain-major order (a stable sort), so
+    they follow each chain; cut across the chains of mcmc_chain's step-major
+    output, they would span a few steps and understate the SEs.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 3:
@@ -362,6 +366,8 @@ def k_statistics(values) -> KStats:
     n_batches = min(_MAX_BATCHES, n // 3)
     if n_batches < _MIN_BATCHES:
         return KStats(k1, k2, k3, math.nan, math.nan, math.nan)
+    if chain_index is not None:
+        values = values[np.argsort(chain_index, kind="stable")]
     batch_len = n // n_batches
     trimmed = values[: n_batches * batch_len].reshape(n_batches, batch_len)
     stats = np.array([_k123(row) for row in trimmed])

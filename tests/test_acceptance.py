@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances are fixed here and match the package's documented
 guarantees.  Monte Carlo criteria use fixed seeds, batch-means standard
-errors and 4-SE bands.
+errors over chain-major batches and 4-SE bands.
 """
 
 import math
@@ -15,14 +15,15 @@ from scipy import integrate, stats
 
 from bureshall.cumulants import (
     EnsembleDims,
+    cumulant_set,
     kappa1,
     kappa2,
     kappa3,
     kappa3_unconstrained,
     moments_cumulants_convert,
-    single_eigenvalue_entropy_moments,
     skewness,
     third_moment_conversion,
+    unconstrained_moments,
 )
 from bureshall.distribution import density_comparison, edgeworth_pdf
 from bureshall.identities import (
@@ -129,7 +130,8 @@ def test_criterion_07_monte_carlo_vs_formulas():
         dims = EnsembleDims(m, n)
         cfg = ChainConfig(samples=100_000, burn_in=2000, thinning=20,
                           chain_count=100, seed=202 + i)
-        st = k_statistics(mcmc_chain(dims, cfg).entropies)
+        batch = mcmc_chain(dims, cfg)
+        st = k_statistics(batch.entropies, batch.chain_index)
         zs = (
             (st.k1 - float(kappa1(dims))) / st.se1,
             (st.k2 - float(kappa2(dims))) / st.se2,
@@ -142,11 +144,14 @@ def test_criterion_07_monte_carlo_vs_formulas():
            ok and elapsed < 600, "; ".join(details) + f", {elapsed:.0f}s")
 
 
+def _kappa3_T_oracle(dims):
+    """kappa3 of the exact moments of T = theta ln theta - theta S."""
+    return moments_cumulants_convert(unconstrained_moments(dims), "moments_to_cumulants")[2]
+
+
 def test_criterion_08_unconstrained_third_cumulant():
     dims11 = EnsembleDims(1, 1)
-    oracle = moments_cumulants_convert(
-        single_eigenvalue_entropy_moments(dims11), "moments_to_cumulants"
-    )[2]
+    oracle = _kappa3_T_oracle(dims11)
     formula = kappa3_unconstrained(dims11)
     exact_match = (formula - oracle).is_zero()
     float_match = abs(float(formula) - float(oracle)) < 1e-9
@@ -158,11 +163,13 @@ def test_criterion_08_unconstrained_third_cumulant():
         dims = EnsembleDims(m, n)
         cfg = ChainConfig(samples=200_000, burn_in=2000, thinning=20,
                           chain_count=100, seed=303 + i)
-        st = k_statistics(mcmc_chain(dims, cfg).entropies_T())
+        exact_match &= (kappa3_unconstrained(dims) - _kappa3_T_oracle(dims)).is_zero()
+        batch = mcmc_chain(dims, cfg)
+        st = k_statistics(batch.entropies_T(), batch.chain_index)
         z = (st.k3 - float(kappa3_unconstrained(dims))) / st.se3
         ok_mc &= abs(z) <= 4
-        details.append(f"({m},{n}) z={z:+.1f}")
-    report(8, "kappa3_T: exact Gamma-oracle match at (1,1); MC match at (2,2),(3,4)",
+        details.append(f"({m},{n}) z={z:+.2f}")
+    report(8, "kappa3_T: exact factorization match at (1,1),(2,2),(3,4); MC at (2,2),(3,4)",
            exact_match and float_match and anchor and ok_mc, "; ".join(details))
 
 
@@ -179,8 +186,8 @@ def test_criterion_09_moment_conversion():
         arg = dims.d + 3
         p0, p1, p2 = (psi_exact(k, arg) for k in (0, 1, 2))
         closed = ConstPoly.const(poch3) * (p0 ** 3 + 3 * p0 * p1 + p2)
-        collapse_ok &= (single_eigenvalue_entropy_moments(dims)[2] - closed).is_zero()
-        t3 = float(single_eigenvalue_entropy_moments(dims)[2])
+        collapse_ok &= (unconstrained_moments(dims)[2] - closed).is_zero()
+        t3 = float(unconstrained_moments(dims)[2])
         collapse_ok &= abs(third_moment_conversion(t3, dims)) < 1e-9
 
     ok_mc = True
@@ -191,7 +198,7 @@ def test_criterion_09_moment_conversion():
                           chain_count=100, seed=404 + i)
         batch = mcmc_chain(dims, cfg)
         t_cubed = batch.entropies_T() ** 3
-        st = k_statistics(t_cubed)
+        st = k_statistics(t_cubed, batch.chain_index)
         d = dims.d
         poch3 = float(d * (d + 1) * (d + 2))
         converted = third_moment_conversion(st.k1, dims)
@@ -228,10 +235,10 @@ def test_criterion_11_asymptotic_decay():
 
 
 def test_criterion_12_edgeworth_moment_preservation():
-    dims = EnsembleDims(4, 6)
-    mass, _ = integrate.quad(lambda x: edgeworth_pdf(x, dims), -10, 10, limit=300)
-    mean, _ = integrate.quad(lambda x: x * edgeworth_pdf(x, dims), -10, 10, limit=300)
-    var, _ = integrate.quad(lambda x: x * x * edgeworth_pdf(x, dims), -10, 10, limit=300)
+    coef = cumulant_set(EnsembleDims(4, 6)).skew_coefficient
+    mass, _ = integrate.quad(lambda x: edgeworth_pdf(x, coef), -10, 10, limit=300)
+    mean, _ = integrate.quad(lambda x: x * edgeworth_pdf(x, coef), -10, 10, limit=300)
+    var, _ = integrate.quad(lambda x: x * x * edgeworth_pdf(x, coef), -10, 10, limit=300)
     ok = abs(mass - 1) < 1e-8 and abs(mean) < 1e-6 and abs(var - 1) < 1e-6
     report(12, "corrected density keeps mass 1 and first two moments (0,1)",
            ok, f"mass-1={mass-1:.1e} mean={mean:.1e} var-1={var-1:.1e}")

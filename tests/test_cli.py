@@ -256,6 +256,14 @@ class TestVerifyCommands:
         assert not check["converged"]
         assert not check["passed"]
 
+    def test_oracle_outside_error_estimate_fails(self):
+        # a converged value within tolerance does not pass when it misses the
+        # target by more than the quadrature's own error estimate
+        res = QuadratureResult(1.0 + 1e-7, 1e-9, 1, converged=True)
+        check = _oracle_check(3, 3, "kappa3", res, 1.0, 1e-6)
+        assert res.error_estimate < check["abs_diff"] < check["tolerance"]
+        assert not check["passed"]
+
     def test_verify_requires_target(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])

@@ -1,5 +1,6 @@
 """Closed-form cumulant tests: exact polynomial values, degeneracies,
-conversions, and the Gamma-law oracle for the single-eigenvalue case."""
+conversions, and the trace factorization behind kappa3_T and the
+third-moment conversion."""
 
 import math
 import re
@@ -21,9 +22,9 @@ from bureshall.cumulants import (
     kappa3,
     kappa3_unconstrained,
     moments_cumulants_convert,
-    single_eigenvalue_entropy_moments,
     skewness,
     third_moment_conversion,
+    unconstrained_moments,
 )
 from bureshall.ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 
@@ -231,25 +232,37 @@ class TestUnconstrainedThirdCumulant:
     def test_exact_match_with_gamma_oracle_m1(self):
         for n in (1, 2, 3, 5):
             dims = EnsembleDims(1, n)
-            moments = single_eigenvalue_entropy_moments(dims)
+            moments = unconstrained_moments(dims)
             oracle = moments_cumulants_convert(moments, "moments_to_cumulants")[2]
             assert (kappa3_unconstrained(dims) - oracle).is_zero()
+
+    def test_exact_match_with_factorization(self):
+        # the closed form kappa3_T against kappa3 of the moments of
+        # T = theta ln theta - theta S, built from kappa1..kappa3
+        for m in range(1, 9):
+            for n in range(m, m + 9):
+                dims = EnsembleDims(m, n)
+                moments = unconstrained_moments(dims)
+                oracle = moments_cumulants_convert(moments, "moments_to_cumulants")[2]
+                assert (kappa3_unconstrained(dims) - oracle).is_zero(), (m, n)
 
     def test_float_value_1_1(self):
         assert float(kappa3_unconstrained(EnsembleDims(1, 1))) == pytest.approx(
             4.323829, abs=1e-6
         )
 
-    def test_oracle_requires_m1(self):
-        with pytest.raises(ValueError):
-            single_eigenvalue_entropy_moments(EnsembleDims(2, 2))
+    def test_float_value_2_2(self):
+        # a direct 2-D quadrature of E_h[T^k] at (2, 2) gives the same value
+        assert float(kappa3_unconstrained(EnsembleDims(2, 2))) == pytest.approx(
+            43.81315693523868, rel=1e-13
+        )
 
 
 class TestThirdMomentConversion:
     def test_m1_collapse(self):
         for n in (1, 2, 5):
             dims = EnsembleDims(1, n)
-            t3 = float(single_eigenvalue_entropy_moments(dims)[2])
+            t3 = float(unconstrained_moments(dims)[2])
             assert third_moment_conversion(t3, dims) == pytest.approx(0.0, abs=1e-9)
 
     def test_m1_collapse_exact_in_ring(self):
@@ -264,8 +277,19 @@ class TestThirdMomentConversion:
             arg = dims.d + 3
             p0, p1, p2 = (psi_exact(k, arg) for k in (0, 1, 2))
             rhs = ConstPoly.const(poch3) * (p0 ** 3 + 3 * p0 * p1 + p2)
-            lhs = single_eigenvalue_entropy_moments(dims)[2]
+            lhs = unconstrained_moments(dims)[2]
             assert (lhs - rhs).is_zero()
+
+    def test_inverts_exact_moments(self):
+        for m, n in ((2, 2), (2, 5), (3, 4), (4, 6), (5, 9), (8, 16)):
+            dims = EnsembleDims(m, n)
+            t3 = float(unconstrained_moments(dims)[2])
+            mu3 = moments_cumulants_convert(
+                (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments"
+            )[2]
+            assert third_moment_conversion(t3, dims) == pytest.approx(
+                float(mu3), rel=1e-12
+            ), (m, n)
 
     def test_entropy_moments_match_cumulants(self):
         dims = EnsembleDims(3, 4)

@@ -47,38 +47,37 @@ class TestGaussian:
                                    atol=1e-7)
 
 
+def _coef(m: int, n: int) -> float:
+    return cumulant_set(EnsembleDims(m, n)).skew_coefficient
+
+
 class TestEdgeworth:
     def test_center_equals_gaussian(self):
-        assert edgeworth_pdf(0.0, EnsembleDims(2, 2)) == pytest.approx(0.3989423, abs=1e-7)
+        assert edgeworth_pdf(0.0, _coef(2, 2)) == pytest.approx(0.3989423, abs=1e-7)
 
     def test_correction_vanishes_at_sqrt3(self):
         x = math.sqrt(3.0)
-        for dims in (EnsembleDims(2, 2), EnsembleDims(4, 6)):
-            assert edgeworth_pdf(x, dims) == pytest.approx(gaussian_pdf(x), abs=1e-15)
+        for coef in (_coef(2, 2), _coef(4, 6)):
+            assert edgeworth_pdf(x, coef) == pytest.approx(gaussian_pdf(x), abs=1e-15)
 
     def test_value_at_one_for_2_2(self):
         # phi(1) * (1 + skewness/6 * (1 - 3)), skewness(2,2) = 0.648675
-        assert edgeworth_pdf(1.0, EnsembleDims(2, 2)) == pytest.approx(0.189651, abs=1e-5)
-
-    def test_m1_rejected(self):
-        with pytest.raises(DegenerateEnsembleError):
-            edgeworth_pdf(0.0, EnsembleDims(1, 5))
+        assert edgeworth_pdf(1.0, _coef(2, 2)) == pytest.approx(0.189651, abs=1e-5)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 6)])
     def test_moment_preservation(self, m, n):
-        dims = EnsembleDims(m, n)
-        mass, _ = integrate.quad(lambda x: edgeworth_pdf(x, dims), -10, 10, limit=200)
-        mean, _ = integrate.quad(lambda x: x * edgeworth_pdf(x, dims), -10, 10, limit=200)
-        var, _ = integrate.quad(lambda x: x * x * edgeworth_pdf(x, dims), -10, 10, limit=200)
+        coef = _coef(m, n)
+        mass, _ = integrate.quad(lambda x: edgeworth_pdf(x, coef), -10, 10, limit=200)
+        mean, _ = integrate.quad(lambda x: x * edgeworth_pdf(x, coef), -10, 10, limit=200)
+        var, _ = integrate.quad(lambda x: x * x * edgeworth_pdf(x, coef), -10, 10, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert mean == pytest.approx(0.0, abs=1e-6)
         assert var == pytest.approx(1.0, abs=1e-6)
 
     def test_negative_tail_not_clipped(self):
         # the cubic correction must be allowed to push the tail below zero
-        dims = EnsembleDims(2, 2)
         xs = np.linspace(-8, -3, 200)
-        assert edgeworth_pdf(xs, dims).min() < 0
+        assert edgeworth_pdf(xs, _coef(2, 2)).min() < 0
 
 
 class TestDensityComparison:

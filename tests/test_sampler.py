@@ -131,6 +131,26 @@ class TestKStatistics:
         assert st.se1 == pytest.approx(1 / math.sqrt(5000), rel=0.3)
         assert all(np.isfinite([st.se1, st.se2, st.se3]))
 
+    def test_chain_major_batches_of_ar1_chains(self):
+        # 64 stationary unit-variance AR(1) chains, laid out step-major as
+        # mcmc_chain lays out its draws; the SE of the grand mean is known
+        phi, steps, chains = 0.99, 2000, 64
+        noise = np.random.default_rng(5).standard_normal((steps, chains))
+        x = np.empty((steps, chains))
+        x[0] = noise[0]
+        for t in range(1, steps):
+            x[t] = phi * x[t - 1] + math.sqrt(1 - phi * phi) * noise[t]
+        lags = np.arange(1, steps)
+        var_chain_mean = (steps + 2 * np.sum((steps - lags) * phi ** lags)) / steps ** 2
+        se_true = math.sqrt(var_chain_mean / chains)
+        values = x.reshape(-1)
+        chain_index = np.tile(np.arange(chains), steps)
+        st = k_statistics(values, chain_index)
+        assert st.se1 == pytest.approx(se_true, rel=0.25)
+        assert st[:3] == k_statistics(values)[:3]
+        # batches of a few steps across all chains see little of the drift
+        assert k_statistics(values).se1 < 0.5 * se_true
+
 
 class TestChainConfig:
     def test_validation(self):
@@ -181,7 +201,7 @@ class TestMcmc:
     def test_mean_entropy_2_2(self):
         cfg = ChainConfig(samples=60000, burn_in=2000, thinning=10, chain_count=60, seed=11)
         batch = mcmc_chain(EnsembleDims(2, 2), cfg)
-        st = k_statistics(batch.entropies)
+        st = k_statistics(batch.entropies, batch.chain_index)
         assert abs(st.k1 - K1_22) <= 4 * st.se1
 
     def test_entropies_T_identity(self):
@@ -197,7 +217,8 @@ class TestMcmc:
         dims = EnsembleDims(4, 6)
         cfg = ChainConfig(samples=200_000, burn_in=2000, thinning=10,
                           chain_count=100, seed=53)
-        st = k_statistics(mcmc_chain(dims, cfg).entropies)
+        batch = mcmc_chain(dims, cfg)
+        st = k_statistics(batch.entropies, batch.chain_index)
         for value, se, ref in (
             (st.k1, st.se1, float(kappa1(dims))),
             (st.k2, st.se2, float(kappa2(dims))),
