@@ -19,8 +19,6 @@ found before any sampling or verification starts.
 from __future__ import annotations
 
 import argparse
-import datetime
-import hashlib
 import json
 import math
 import os
@@ -71,6 +69,8 @@ def _unwritable(path: str) -> str | None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -81,6 +81,10 @@ def _sha256(path: str) -> str:
 def _write_manifest(args) -> str:
     """Write the manifest of a simulate or verify run next to its first output:
     the argv that `main` parsed, the seeds and the SHA-256 of every output."""
+    # imported here, like hashlib in _sha256, so that only the commands that
+    # write a manifest load them
+    import datetime
+
     seed = getattr(args, "seed", None)
     seeds = [] if seed is None else [seed]
     if getattr(args, "fig", None) == 2:

@@ -17,8 +17,9 @@ EnsembleDims gives the half-integers alpha, d and n + 1/2 as Fractions.  Each
 closed form is stated once, in _kappa, and evaluated with either polygamma:
 kappa1..kappa3 use psi_exact and return exact elements of the constant ring,
 whose cost grows like lcm(1..d)^3 through the polygamma partial sums;
-cumulant_set uses mpmath.psi at _DPS digits, which takes about a millisecond
-at any (m, n).
+cumulant_set and third_moment_conversion use psi_numeric, whose values are
+Fractions of 60-digit decimals: the closed forms combine them exactly and
+round once, in under a millisecond at any (m, n) and without mpmath.
 
 The trace factorization T = theta ln theta - theta S, with theta ~ Gamma(d)
 independent of S, is likewise stated once, in _trace_moment: it gives the
@@ -31,17 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import mpmath
-
-from .polygamma import psi_exact
+from .polygamma import psi_exact, psi_numeric
 from .ring import ConstPoly
 
 
-#: decimal digits of every numeric evaluation of the exact forms
+#: decimal digits at which cumulant_set takes sd, skewness and the skew
+#: coefficient before rounding to floats
 _DPS = 40
 
 
@@ -78,7 +79,7 @@ class EnsembleDims:
 
 def _kappa(order: int, dims: EnsembleDims, psi):
     """kappa_order (1, 2 or 3) from its closed form, with psi(k, x) either
-    psi_exact (an element of the ring) or mpmath.psi (a number)."""
+    psi_exact (an element of the ring) or psi_numeric (a Fraction)."""
     m, n = dims.m, dims.n
     top, half = dims.d + 1, dims.n_half
     if order == 1:
@@ -127,21 +128,12 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
     return m * (2 * n - m) * inner
 
 
-def _numeric_cumulants(dims: EnsembleDims) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
-    """kappa1, kappa2, kappa3 at the working precision, from mpmath.psi on
-    the closed forms; call inside mpmath.workdps(_DPS).  kappa2 and kappa3
-    share psi1(n + 1/2), so psi values are kept for this call only: they
-    depend on the working precision."""
-    psi = lru_cache(maxsize=None)(mpmath.psi)
-    return tuple(_kappa(order, dims, psi) for order in (1, 2, 3))
-
-
 @dataclass(frozen=True)
 class CumulantSet:
     """Floating forms of the first three cumulants of S.
 
-    The floats all come from one evaluation of the closed forms at _DPS
-    digits; the ratios are taken at that precision before rounding.  sd,
+    The floats all come from one evaluation of the closed forms with
+    psi_numeric; the ratios are taken at _DPS digits before rounding.  sd,
     skewness and skew_coefficient (the Hermite-correction coefficient
     kappa3 / (6 kappa2^(3/2))) are None for m = 1, where S is identically 0.
     The exact polynomials are kappa1(dims), kappa2(dims) and kappa3(dims).
@@ -155,21 +147,32 @@ class CumulantSet:
     skew_coefficient: Optional[float]
 
 
+def _numeric_psi():
+    """psi_numeric behind a cache for one evaluation, which calls it with
+    each argument once: kappa2 and kappa3 share psi1(n + 1/2).  A cache per
+    evaluation holds nothing after it."""
+    return lru_cache(maxsize=None)(psi_numeric)
+
+
 def cumulant_set(dims: EnsembleDims) -> CumulantSet:
+    psi = _numeric_psi()
+    v1, v2, v3 = (_kappa(order, dims, psi) for order in (1, 2, 3))
     sd = skew = coef = None
-    with mpmath.workdps(_DPS):
-        v1, v2, v3 = _numeric_cumulants(dims)
-        if dims.m >= 2:
-            scale = v2 ** mpmath.mpf("1.5")
-            sd, skew, coef = float(mpmath.sqrt(v2)), float(v3 / scale), float(v3 / (6 * scale))
-        return CumulantSet(
-            kappa1_f=float(v1),
-            kappa2_f=float(v2),
-            kappa3_f=float(v3),
-            skewness=skew,
-            sd=sd,
-            skew_coefficient=coef,
-        )
+    if dims.m >= 2:
+        with localcontext(Context(prec=_DPS)):
+            k2 = Decimal(v2.numerator) / v2.denominator
+            k3 = Decimal(v3.numerator) / v3.denominator
+            root = k2.sqrt()
+            scale = k2 * root
+            sd, skew, coef = float(root), float(k3 / scale), float(k3 / (6 * scale))
+    return CumulantSet(
+        kappa1_f=float(v1),
+        kappa2_f=float(v2),
+        kappa3_f=float(v3),
+        skewness=skew,
+        sd=sd,
+        skew_coefficient=coef,
+    )
 
 
 def _nondegenerate_set(dims: EnsembleDims) -> CumulantSet:
@@ -241,11 +244,11 @@ def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
     The trace factorization at k = 3 holds E_f[S^3] with the coefficient
     -(d)_3, so E_f[S^3] = (F - E_h[T^3]) / (d)_3, where F is the
     factorization with E_f[S^3] := 0.  E_f[S] = kappa1 and
-    E_f[S^2] = kappa2 + kappa1^2 come from the closed forms, all evaluated at
-    _DPS digits.
+    E_f[S^2] = kappa2 + kappa1^2 come from the closed forms, all evaluated
+    with psi_numeric and combined exactly before the one rounding to float.
     """
     d = dims.d
-    with mpmath.workdps(_DPS):
-        v1, v2, _ = _numeric_cumulants(dims)
-        rest = _trace_moment(3, d, (1, v1, v2 + v1 ** 2, 0), mpmath.psi)
-        return float((rest - mpmath.mpf(e_h_t3)) / (d * (d + 1) * (d + 2)))
+    psi = _numeric_psi()
+    v1, v2 = (_kappa(order, dims, psi) for order in (1, 2))
+    rest = _trace_moment(3, d, (1, v1, v2 + v1 ** 2, 0), psi)
+    return float((rest - Fraction(e_h_t3)) / (d * (d + 1) * (d + 2)))

@@ -32,9 +32,10 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 #: symbol order used for exponent tuples
 SYMBOLS = ("g", "l2", "z2", "z3")
@@ -199,6 +200,10 @@ class ConstPoly:
 
     def evalf(self, precision: int = 30) -> mpmath.mpf:
         """Evaluate at `precision` decimal digits; requires precision >= 15."""
+        # imported here, the only use of mpmath in the exact layer, so that
+        # importing the ring does not load it
+        import mpmath
+
         if precision < 15:
             raise ValueError("precision must be at least 15 decimal digits")
         with mpmath.workdps(precision):

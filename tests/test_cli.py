@@ -365,6 +365,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == ["loaded []"] * 4
 
 
+def test_cli_import_leaves_mpmath_unloaded(tmp_path):
+    # the numeric cumulants come from psi_numeric in the stdlib decimal
+    # module, so only `verify oracles`, through its quadrature, loads mpmath
+    code = textwrap.dedent("""
+        import sys, bureshall.cli as cli
+        dims = ["--m", "4", "--n", "6"]
+        for argv in (["cumulants", *dims], ["cumulants", *dims, "--format", "json"],
+                     ["cumulants", *dims, "--exact"], ["verify", "identities", "--max-m", "1"],
+                     ["verify", "oracles"]):
+            assert cli.main(argv) == 0
+            print("loaded", "mpmath" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded False"] * 4 + ["loaded True"]
+
+
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     # only a CSV of two or more blocks imports multiprocessing, for its pool
     code = textwrap.dedent("""

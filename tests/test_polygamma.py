@@ -1,4 +1,5 @@
-"""Polygamma tests: exact finite sums, shift recurrence, numeric cross-check."""
+"""Polygamma tests: exact finite sums, shift recurrence, numeric cross-checks
+of psi_exact and of psi_numeric."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bureshall.polygamma import HalfInteger, psi_exact
+from bureshall.cumulants import _DPS
+from bureshall.polygamma import _DIGITS, HalfInteger, psi_exact, psi_numeric
 from bureshall.ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
 
 
@@ -123,3 +125,37 @@ def test_exact_vs_float_consistency():
                 exact = float(psi_exact(k, h).evalf(30))
                 ref = float(mpmath.polygamma(k, mpmath.mpf(h.twice) / 2))
                 assert abs(ref - exact) <= 1e-12 * max(1.0, abs(exact)), (k, h)
+
+
+_NUMERIC_ARGS = [Fraction(t, 2) for t in range(1, 121)] + [
+    Fraction(2001, 2), Fraction(10 ** 6), Fraction(2 * 10 ** 12 + 1, 2)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_numeric_vs_mpmath(k):
+    """psi_numeric is within 10^-(_DIGITS - 5) of mpmath.psi at 80 digits,
+    both where it shifts the argument (x < 40) and where it sums the
+    asymptotic series at the argument itself.  That is well inside the
+    10^-(_DPS + 5) the numeric cumulants need, and tight enough to catch a
+    series cut short."""
+    assert _DIGITS - 5 >= _DPS + 5
+    with mpmath.workdps(80):
+        for x in _NUMERIC_ARGS:
+            ref = mpmath.psi(k, mpmath.mpf(x.numerator) / x.denominator)
+            got = psi_numeric(k, x)
+            error = abs(mpmath.mpf(got.numerator) / got.denominator - ref) / abs(ref)
+            assert error <= mpmath.mpf(10) ** -(_DIGITS - 5), (k, x)
+
+
+@pytest.mark.parametrize("order, arg", [
+    (0, 0), (1, Fraction(-1, 2)), (0, Fraction(1, 3)), (2, Fraction(7, 4)), (3, 1),
+], ids=["argument 0", "argument -1/2", "argument 1/3", "argument 7/4", "order 3"])
+def test_numeric_rejects_as_exact(order, arg):
+    # psi_numeric parses its arguments as psi_exact does
+    for psi in (psi_exact, psi_numeric):
+        with pytest.raises(ValueError):
+            psi(order, arg)
+
+
+def test_numeric_takes_ints_and_half_integers():
+    assert psi_numeric(1, 3) == psi_numeric(1, Fraction(6, 2)) == psi_numeric(1, HalfInteger(6))
