@@ -6,7 +6,8 @@ Subcommands:
 * ``simulate``   draw spectra (MCMC or matrix backend), write a sample CSV
                  plus a run manifest, print k-statistics next to the formulas;
 * ``verify``     run a verification target (identities | oracles | figures)
-                 and write a JSON report.
+                 and write a JSON report; ``identities`` checks its cases
+                 on every usable CPU, in the same report order.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.  Every
 randomized command takes an explicit seed, and every file-producing run
@@ -175,15 +176,16 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def verify_identities_report(max_m: int = 8) -> dict:
+    """The identities report: one entry per case of `identity_checks`, in its
+    order, whichever process checked the case."""
     # imported here so that only this target loads the identity catalog
     from .identities import identity_checks
 
     cases = []
-    for identity_id, params, residual in identity_checks(max_m):
-        ok = residual.is_zero()
+    for identity_id, params, ok, text in identity_checks(max_m):
         entry = {"identity_id": identity_id, "params": params, "residual_is_zero": ok}
         if not ok:
-            entry["residual_text_if_nonzero"] = residual.to_text()
+            entry["residual_text_if_nonzero"] = text
         cases.append(entry)
     failures = sum(not c["residual_is_zero"] for c in cases)
     return {

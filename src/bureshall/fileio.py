@@ -1,5 +1,6 @@
-"""Atomic text-file writes, shared by the CLI reports and manifests, and the
-one CSV formatter behind the sample, density and figure-2 CSVs.
+"""Atomic text-file writes, shared by the CLI reports and manifests, the
+one CSV formatter behind the sample, density and figure-2 CSVs, and the one
+count of the processes that may share independent jobs.
 
 A CSV is formatted a block of rows at a time.  When it has two or more
 blocks and the process may run on two or more CPUs, forked workers format
@@ -41,6 +42,20 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
         raise
 
 
+def _fork_workers(jobs: int) -> int:
+    """How many processes may share `jobs` independent jobs: the usable CPUs
+    (`os.sched_getaffinity`, taken as 1 where the platform lacks it), capped
+    at `jobs`, and 1 where the platform cannot start processes by `fork`.
+    multiprocessing is imported only when the answer could exceed 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(cpus, jobs) > 1:
+        import multiprocessing  # imported here so that no other path pays for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return min(cpus, jobs)
+    return 1
+
+
 def _format_block(start: int) -> str:
     """The CSV rows start .. start + _CSV_BLOCK - 1 of the current job."""
     row, columns = _job
@@ -60,17 +75,15 @@ def _write_csv(path: str, header: str, columns: Sequence) -> None:
     global _job
     columns = [np.asarray(col) for col in columns]
     starts = range(0, len(columns[0]), _CSV_BLOCK)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(starts))
+    workers = _fork_workers(len(starts))
     _job = (",".join(["%r"] * len(columns)) + "\n", columns)
     try:
         if workers > 1:
-            import multiprocessing  # imported here so that no other command pays for it
+            import multiprocessing
 
-            if "fork" in multiprocessing.get_all_start_methods():
-                with multiprocessing.get_context("fork").Pool(workers) as pool:
-                    write_atomic(path, chain([header + "\n"], pool.imap(_format_block, starts)))
-                return
-        write_atomic(path, chain([header + "\n"], map(_format_block, starts)))
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                write_atomic(path, chain([header + "\n"], pool.imap(_format_block, starts)))
+        else:
+            write_atomic(path, chain([header + "\n"], map(_format_block, starts)))
     finally:
         _job = None

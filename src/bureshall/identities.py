@@ -29,6 +29,11 @@ builders meet, so the builders divide Fractions directly.  Anomalies have no
 domain entry; `omega` raises AnomalyDomainError naming the summation index k
 at which a denominator vanishes or a polygamma argument is nonpositive.
 Inadmissible parameters raise, never skip silently.
+
+The verification suite, `identity_checks`, is a list of independent jobs,
+one entry-point call each.  It splits them between the calling process and
+forked workers, one strided share per usable CPU, and returns the outcomes
+in the suite's order.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
 
+from .fileio import _fork_workers
 from .polygamma import psi_exact
 from .ring import ConstPoly, ZERO
 
@@ -1124,15 +1130,71 @@ def _params_dict(cs: IdentityCase) -> dict:
     return out
 
 
-def identity_checks(max_m: int):
-    """(check id, params, residual) for every case of the verification suite:
-    the identity grid up to max_m, then the degeneracy relations, then the
-    telescopes.  Each residual must be zero."""
-    for cs in default_grid(max_m=max_m):
-        yield cs.identity_id, _params_dict(cs), identity_residual(cs)
-    for m in range(1, _DEGENERACY_MAX_M + 1):
-        for name, residual in degenerate_anomaly_check(m):
-            yield name, {"m": m}, residual
-    for cs in telescope_grid():
-        residual = resummation_telescope_check(cs.identity_id, cs.m, cs.b)
-        yield cs.identity_id, _params_dict(cs), residual
+# The suite's three kinds of job: each calls one entry point, through its
+# module global, and returns (check id, params, residual) triples.
+
+def _identity_case(cs: IdentityCase) -> list[tuple[str, dict, ConstPoly]]:
+    return [(cs.identity_id, _params_dict(cs), identity_residual(cs))]
+
+
+def _degeneracies(m: int) -> list[tuple[str, dict, ConstPoly]]:
+    return [(name, {"m": m}, residual) for name, residual in degenerate_anomaly_check(m)]
+
+
+def _telescope(cs: IdentityCase) -> list[tuple[str, dict, ConstPoly]]:
+    return [(cs.identity_id, _params_dict(cs),
+             resummation_telescope_check(cs.identity_id, cs.m, cs.b))]
+
+
+# (jobs, stride) of the suite being checked, in a forked worker only
+_inherited = None
+
+
+def _inherit(jobs: list, stride: int) -> None:
+    global _inherited
+    _inherited = (jobs, stride)
+
+
+def _share(jobs: list, start: int, stride: int) -> list[list[tuple]]:
+    """The outcomes of jobs start, start + stride, ...: per job, its
+    (check id, params, is_zero, residual text if nonzero) tuples."""
+    return [
+        [(check_id, params, residual.is_zero(),
+          None if residual.is_zero() else residual.to_text())
+         for check_id, params, residual in evaluate(arg)]
+        for evaluate, arg in jobs[start::stride]
+    ]
+
+
+def _inherited_share(start: int) -> list[list[tuple]]:
+    jobs, stride = _inherited
+    return _share(jobs, start, stride)
+
+
+def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
+    """(check id, params, is_zero, residual text if nonzero) for every case of
+    the verification suite, in order: the identity grid up to max_m, then the
+    degeneracy relations, then the telescopes.  Each residual must be zero.
+
+    A job is one call of an entry point (`identity_residual`,
+    `degenerate_anomaly_check`, `resummation_telescope_check`).  With k usable
+    CPUs (`fileio._fork_workers`), the calling process evaluates every k-th
+    job from the first, and k - 1 forked workers each evaluate one of the
+    other strided shares; only the outcomes cross processes, and an exception
+    in a worker is raised here.  With one usable CPU every job runs here."""
+    jobs = [
+        *((_identity_case, cs) for cs in default_grid(max_m=max_m)),
+        *((_degeneracies, m) for m in range(1, _DEGENERACY_MAX_M + 1)),
+        *((_telescope, cs) for cs in telescope_grid()),
+    ]
+    stride = _fork_workers(len(jobs))
+    if stride == 1:
+        shares = [_share(jobs, 0, 1)]
+    else:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        with context.Pool(stride - 1, initializer=_inherit, initargs=(jobs, stride)) as pool:
+            others = pool.map_async(_inherited_share, range(1, stride), chunksize=1)
+            shares = [_share(jobs, 0, stride), *others.get()]
+    return [outcome for i in range(len(jobs)) for outcome in shares[i % stride][i // stride]]

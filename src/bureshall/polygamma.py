@@ -18,8 +18,10 @@ from six start values:
     psi_2(1) = -2*z3       psi_2(1/2) = -14*z3
 
 Orders k >= 3 are deliberately unsupported; nothing in this package needs
-them.  ``psi_exact`` is a per-process ``functools.lru_cache`` keyed by
-(order, arg); it keeps no exceptions, so a rejected input raises every time.
+them.  ``psi_exact`` parses its argument on every call and looks the value
+up in a per-process ``functools.lru_cache`` keyed by the ints (order,
+twice), so a hit hashes no Fraction; the cache keeps no exceptions, so a
+rejected input raises every time.
 
 ``psi_numeric`` takes the same arguments and costs well under a millisecond
 at any size, where the exact sums grow like lcm(1..x)^(k+1).  It shifts x up
@@ -53,17 +55,22 @@ class HalfInteger:
 
     @classmethod
     def of(cls, value: Union["HalfInteger", int, Fraction]) -> "HalfInteger":
-        if isinstance(value, HalfInteger):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return cls(2 * value.numerator)
-            if value.denominator == 2:
-                return cls(value.numerator)
-            raise ValueError(f"{value} is not an integer or half-integer")
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
+        return cls(_twice(value))
+
+
+def _twice(value: Union[HalfInteger, int, Fraction]) -> int:
+    """Twice an integer or half-integer value."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return 2 * value.numerator
+        if value.denominator == 2:
+            return value.numerator
+        raise ValueError(f"{value} is not an integer or half-integer")
+    if isinstance(value, HalfInteger):
+        return value.twice
+    raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
 # (order, start) -> psi_order(start / 2)
@@ -77,25 +84,28 @@ _START = {
 }
 
 
-def _parse(order: int, arg) -> HalfInteger:
-    """The argument of psi_order as a HalfInteger; rejects an order other
-    than 0, 1, 2 and an argument that is not positive."""
+def _parse(order: int, arg) -> int:
+    """Twice the argument of psi_order; rejects an order other than 0, 1, 2
+    and an argument that is not positive."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    h = HalfInteger.of(arg)
-    if h.twice <= 0:
-        raise ValueError(f"polygamma argument must be positive, got {Fraction(h.twice, 2)}")
-    return h
+    twice = _twice(arg)
+    if twice <= 0:
+        raise ValueError(f"polygamma argument must be positive, got {Fraction(twice, 2)}")
+    return twice
+
+
+def psi_exact(order: int, arg) -> ConstPoly:
+    """Exact psi_order at a positive integer or half-integer argument; every
+    argument of equal value shares one cache entry."""
+    return _psi_exact(order, _parse(order, arg))
 
 
 @functools.lru_cache(maxsize=None)
-def psi_exact(order: int, arg) -> ConstPoly:
-    """Exact psi_order at a positive integer or half-integer argument; an int
-    and a Fraction of equal value share one cache entry."""
-    h = _parse(order, arg)
-    start = 2 - h.twice % 2
+def _psi_exact(order: int, twice: int) -> ConstPoly:
+    start = 2 - twice % 2
     power = order + 1
-    partial = sum((Fraction(1, j ** power) for j in range(start, h.twice - 1, 2)), Fraction(0))
+    partial = sum((Fraction(1, j ** power) for j in range(start, twice - 1, 2)), Fraction(0))
     return _START[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
 
 
@@ -136,11 +146,11 @@ def psi_numeric(order: int, arg) -> Fraction:
     """psi_order at a positive integer or half-integer argument, as the
     Fraction of a _DIGITS-digit Decimal with a relative error of about 10^-57
     at most; arguments are parsed and rejected as by psi_exact."""
-    h = _parse(order, arg)
+    twice = _parse(order, arg)
     power = order + 1
-    shift = max(0, (2 * _SHIFT_TO - h.twice + 1) // 2)
+    shift = max(0, (2 * _SHIFT_TO - twice + 1) // 2)
     with localcontext(_CONTEXT):
-        x = Decimal(h.twice) / 2
+        x = Decimal(twice) / 2
         z = x + shift
         y = 1 / (z * z)
         series, p = Decimal(0), Decimal(1)

@@ -384,15 +384,21 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
-    # only a CSV of two or more blocks imports multiprocessing, for its pool
+    # only a CSV of two or more blocks and `verify identities` import
+    # multiprocessing, for their worker pools, and only with two or more usable
+    # CPUs; the child sees two, so its last line shows that the guard can fail
     code = textwrap.dedent("""
-        import sys, bureshall.cli as cli
-        assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
-        print("loaded", "multiprocessing" in sys.modules)
+        import os, sys, bureshall.cli as cli
+        os.sched_getaffinity = lambda pid: {0, 1}
+        for argv in (["cumulants", "--m", "4", "--n", "6"], ["verify", "oracles"],
+                     ["verify", "identities", "--max-m", "1"]):
+            assert cli.main(argv) == 0
+            print("loaded", "multiprocessing" in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.splitlines()[-1] == "loaded False"
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded False"] * 2 + ["loaded True"]
 
 
 TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

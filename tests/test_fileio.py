@@ -25,27 +25,10 @@ def test_mode_follows_umask(tmp_path, umask, mode):
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs the writer sees; count the processes it forks."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+def cpus(cpus, monkeypatch):
+    """The shared fixture, with 500-row CSV blocks."""
     monkeypatch.setattr(fileio, "_CSV_BLOCK", 500)
-
-    def use(count):
-        forks.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-        return forks
-
-    return use
+    return cpus
 
 
 def test_worker_pool_matches_in_process(tmp_path, cpus):

@@ -4,6 +4,8 @@ is the zero polynomial."""
 
 import hashlib
 import json
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,8 +70,10 @@ class TestOmega:
         assert omega(4, 2, b=1, c=0) == expected
         assert omega(5, 2, b=1, c=2) == Fraction(7, 12) * ZETA2 - Fraction(31, 48)
 
-    def test_every_row_reached(self, monkeypatch):
-        # the verification suite evaluates each row of the anomaly table
+    def test_every_row_reached(self, monkeypatch, cpus):
+        # the verification suite evaluates each row of the anomaly table; on one
+        # usable CPU every row is evaluated, and recorded, in this process
+        cpus(1)
         reached = set()
 
         def recording(index, m, **params):
@@ -84,22 +88,26 @@ class TestOmega:
         (4, (_OMEGA[4][0], 2, _OMEGA[4][2])),  # power 2 instead of 1
         (5, (_OMEGA[5][0], 1, ((2, _OMEGA[5][2][0][1]),))),  # psi2 instead of psi1
     ], ids=["omega4_power", "omega5_order"])
-    def test_wrong_row_fails_verification(self, monkeypatch, index, wrong_row):
-        # every row is reached by the suite, so a wrong one must fail it; the
-        # cache is cleared on both sides of the mutation, or stale values would
-        # hide it (before) or leak into later tests (after)
-        omega.cache_clear()
-        monkeypatch.setitem(_OMEGA, index, wrong_row)
-        try:
-            report = cli.verify_identities_report(max_m=2)
-        finally:
-            monkeypatch.undo()
+    def test_wrong_row_fails_verification(self, monkeypatch, cpus, index, wrong_row):
+        # every row is reached by the suite, so a wrong one must fail it, on one
+        # usable CPU and with a forked worker alike; the cache is cleared on
+        # both sides of the mutation, or stale values would hide it (before) or
+        # leak into later tests (after)
+        for count, pool_size in ((1, 0), (2, 1)):
+            forks = cpus(count)
             omega.cache_clear()
-        failing = [c for c in report["cases"] if not c["residual_is_zero"]]
-        assert report["n_failures"] == len(failing) > 0
-        assert not report["all_passed"]
-        for c in failing:
-            assert not ConstPoly.from_text(c["residual_text_if_nonzero"]).is_zero()
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setitem(_OMEGA, index, wrong_row)
+                    report = cli.verify_identities_report(max_m=2)
+            finally:
+                omega.cache_clear()
+            assert len(forks) == pool_size
+            failing = [c for c in report["cases"] if not c["residual_is_zero"]]
+            assert report["n_failures"] == len(failing) > 0
+            assert not report["all_passed"]
+            for c in failing:
+                assert not ConstPoly.from_text(c["residual_text_if_nonzero"]).is_zero()
 
     def test_degree_at_most_two(self):
         specs = [
@@ -110,6 +118,35 @@ class TestOmega:
         ]
         for index, m, params in specs:
             assert omega(index, m, **params).total_degree() <= 2
+
+
+class TestSplit:
+    """The suite's jobs split between this process and forked workers."""
+
+    def test_report_independent_of_cpus(self, cpus):
+        reports = {}
+        for count, pool_size in ((1, 0), (2, 1)):
+            forks = cpus(count)
+            reports[count] = json.dumps(cli.verify_identities_report(max_m=3), indent=2)
+            assert len(forks) == pool_size
+        assert reports[1] == reports[2]
+        assert json.loads(reports[1])["all_passed"]
+
+    def test_worker_error_reaches_caller(self, monkeypatch, cpus):
+        # an exception raised in a worker's share is raised here, with its type
+        forks = cpus(2)
+        caller = os.getpid()
+        residual = identities.identity_residual
+
+        def failing_in_worker(cs):
+            if os.getpid() != caller:
+                raise AnomalyDomainError(f"raised in process {os.getpid()}")
+            return residual(cs)
+
+        monkeypatch.setattr(identities, "identity_residual", failing_in_worker)
+        with pytest.raises(AnomalyDomainError, match=r"raised in process \d+") as exc:
+            cli.verify_identities_report(max_m=1)
+        assert int(re.search(r"\d+", str(exc.value)).group()) in forks
 
 
 class TestDegeneracies:
