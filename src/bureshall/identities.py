@@ -32,8 +32,8 @@ Inadmissible parameters raise, never skip silently.
 
 The verification suite, `identity_checks`, is a list of independent jobs,
 one entry-point call each.  It splits them between the calling process and
-forked workers, one strided share per usable CPU, and returns the outcomes
-in the suite's order.
+forked workers, one share per usable CPU that strides through each family
+of jobs, and returns the outcomes in the suite's order.
 """
 
 from __future__ import annotations
@@ -1146,29 +1146,21 @@ def _telescope(cs: IdentityCase) -> list[tuple[str, dict, ConstPoly]]:
              resummation_telescope_check(cs.identity_id, cs.m, cs.b))]
 
 
-# (jobs, stride) of the suite being checked, in a forked worker only
-_inherited = None
+# (jobs, owners) of the suite being checked: job i is evaluated by process
+# owners[i], 0 being the caller.  Set before the pool forks, so that its
+# workers inherit it.
+_suite = None
 
 
-def _inherit(jobs: list, stride: int) -> None:
-    global _inherited
-    _inherited = (jobs, stride)
-
-
-def _share(jobs: list, start: int, stride: int) -> list[list[tuple]]:
-    """The outcomes of jobs start, start + stride, ...: per job, its
-    (check id, params, is_zero, residual text if nonzero) tuples."""
+def _share(owner: int) -> list[list[tuple]]:
+    """The outcomes of the jobs that process `owner` evaluates, in order: per
+    job, its (check id, params, is_zero, residual text if nonzero) tuples."""
+    jobs, owners = _suite
     return [
-        [(check_id, params, residual.is_zero(),
-          None if residual.is_zero() else residual.to_text())
+        [(check_id, params, (ok := residual.is_zero()), None if ok else residual.to_text())
          for check_id, params, residual in evaluate(arg)]
-        for evaluate, arg in jobs[start::stride]
+        for (evaluate, arg), o in zip(jobs, owners) if o == owner
     ]
-
-
-def _inherited_share(start: int) -> list[list[tuple]]:
-    jobs, stride = _inherited
-    return _share(jobs, start, stride)
 
 
 def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
@@ -1178,23 +1170,30 @@ def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
 
     A job is one call of an entry point (`identity_residual`,
     `degenerate_anomaly_check`, `resummation_telescope_check`).  With k usable
-    CPUs (`fileio._fork_workers`), the calling process evaluates every k-th
-    job from the first, and k - 1 forked workers each evaluate one of the
-    other strided shares; only the outcomes cross processes, and an exception
-    in a worker is raised here.  With one usable CPU every job runs here."""
-    jobs = [
-        *((_identity_case, cs) for cs in default_grid(max_m=max_m)),
-        *((_degeneracies, m) for m in range(1, _DEGENERACY_MAX_M + 1)),
-        *((_telescope, cs) for cs in telescope_grid()),
+    CPUs (`fileio._fork_workers`), process p evaluates jobs p, p + k, p + 2k,
+    ... of each of those three families: the calling process is p = 0, so it
+    reaches every entry point, and k - 1 forked workers take the other shares.
+    Only the outcomes cross processes, and an exception in a worker is raised
+    here.  With one usable CPU every job runs here."""
+    global _suite
+    families = [
+        [(_identity_case, cs) for cs in default_grid(max_m=max_m)],
+        [(_degeneracies, m) for m in range(1, _DEGENERACY_MAX_M + 1)],
+        [(_telescope, cs) for cs in telescope_grid()],
     ]
-    stride = _fork_workers(len(jobs))
-    if stride == 1:
-        shares = [_share(jobs, 0, 1)]
-    else:
-        import multiprocessing
+    processes = _fork_workers(max(map(len, families)))
+    owners = [j % processes for family in families for j in range(len(family))]
+    _suite = ([job for family in families for job in family], owners)
+    try:
+        if processes == 1:
+            shares = [_share(0)]
+        else:
+            import multiprocessing
 
-        context = multiprocessing.get_context("fork")
-        with context.Pool(stride - 1, initializer=_inherit, initargs=(jobs, stride)) as pool:
-            others = pool.map_async(_inherited_share, range(1, stride), chunksize=1)
-            shares = [_share(jobs, 0, stride), *others.get()]
-    return [outcome for i in range(len(jobs)) for outcome in shares[i % stride][i // stride]]
+            with multiprocessing.get_context("fork").Pool(processes - 1) as pool:
+                others = pool.map_async(_share, range(1, processes), chunksize=1)
+                shares = [_share(0), *others.get()]
+    finally:
+        _suite = None
+    pending = [iter(share) for share in shares]
+    return [outcome for o in owners for outcome in next(pending[o])]

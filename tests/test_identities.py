@@ -132,6 +132,25 @@ class TestSplit:
         assert reports[1] == reports[2]
         assert json.loads(reports[1])["all_passed"]
 
+    def test_caller_reaches_every_entry_point(self, monkeypatch, cpus):
+        # with more usable CPUs than the suite has degeneracy jobs, this process
+        # still evaluates a job of each family, so a tracer here sees them all
+        forks = cpus(24)
+        caller = os.getpid()
+        reached = set()
+        for name in ("identity_residual", "degenerate_anomaly_check",
+                     "resummation_telescope_check"):
+            def recording(*args, _name=name, _entry=getattr(identities, name)):
+                if os.getpid() == caller:
+                    reached.add(_name)
+                return _entry(*args)
+
+            monkeypatch.setattr(identities, name, recording)
+        assert cli.verify_identities_report(max_m=1)["all_passed"]
+        assert len(forks) == 23
+        assert reached == {"identity_residual", "degenerate_anomaly_check",
+                           "resummation_telescope_check"}
+
     def test_worker_error_reaches_caller(self, monkeypatch, cpus):
         # an exception raised in a worker's share is raised here, with its type
         forks = cpus(2)
