@@ -40,11 +40,19 @@ class TestDims:
         assert d2.d == Fraction(15, 2)
         assert d2.n_half == Fraction(9, 2)
 
+    # (what to call, the exception it raises); the record is immutable
+    INVALID = [
+        (lambda: EnsembleDims(3, 2), ValueError),
+        (lambda: EnsembleDims(0, 2), ValueError),
+        (lambda: EnsembleDims(2.0, 3), TypeError),
+        (lambda: EnsembleDims(Fraction(2), 3), TypeError),
+        (lambda: setattr(EnsembleDims(2, 3), "m", 4), AttributeError),
+    ]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleDims(3, 2)
-        with pytest.raises(ValueError):
-            EnsembleDims(0, 2)
+        for build, error in self.INVALID:
+            with pytest.raises(error):
+                build()
 
 
 class TestDegeneracy:

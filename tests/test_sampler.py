@@ -153,15 +153,21 @@ class TestKStatistics:
 
 
 class TestChainConfig:
+    # (what to call, the exception it raises); the record is immutable
+    INVALID = [
+        (lambda: ChainConfig(samples=0), ValueError),
+        (lambda: ChainConfig(samples=10, thinning=0), ValueError),
+        (lambda: ChainConfig(samples=10, burn_in=-1), ValueError),
+        (lambda: ChainConfig(samples=10, seed=-1), ValueError),
+        (lambda: ChainConfig(samples=10, chain_count=0), ValueError),
+        (lambda: ChainConfig(samples=10, seed=2 ** 64), ValueError),
+        (lambda: setattr(ChainConfig(samples=10), "seed", 1), AttributeError),
+    ]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ChainConfig(samples=0)
-        with pytest.raises(ValueError):
-            ChainConfig(samples=10, thinning=0)
-        with pytest.raises(ValueError):
-            ChainConfig(samples=10, burn_in=-1)
-        with pytest.raises(ValueError):
-            ChainConfig(samples=10, seed=-1)
+        for build, error in self.INVALID:
+            with pytest.raises(error):
+                build()
 
 
 class TestMcmc:
