@@ -1,9 +1,11 @@
 """Exact cumulants and skewness of von Neumann entropy over the Bures-Hall
 ensemble of random bipartite quantum states, together with independent
 numerical oracles (quadrature, Monte Carlo) and an exact verifier for the
-summation-identity apparatus behind the closed forms."""
+summation-identity apparatus behind the closed forms.
 
-from .ring import ConstPoly, GAMMA, LN2, ZETA2, ZETA3
+The constant ring (ConstPoly and the constants GAMMA, LN2, ZETA2, ZETA3)
+lives in bureshall.ring, which only exact arithmetic loads."""
+
 from .polygamma import psi_exact
 from .cumulants import (
     CumulantSet,
@@ -20,11 +22,6 @@ from .cumulants import (
 )
 
 __all__ = [
-    "ConstPoly",
-    "GAMMA",
-    "LN2",
-    "ZETA2",
-    "ZETA3",
     "psi_exact",
     "EnsembleDims",
     "CumulantSet",

@@ -24,11 +24,9 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
-from .fileio import _write_csv, write_atomic
 
 OUT_DIR_ENV = "BURESHALL_OUT_DIR"
 
@@ -57,6 +55,8 @@ def _output_paths(args) -> list[str]:
 def _unwritable(path: str) -> str | None:
     """Why `write_atomic` could not create `path`, or None if it can.  Creates
     the missing directories, as the write would."""
+    import tempfile  # imported here, like fileio, so that `cumulants` skips it
+
     if path.endswith(os.sep) or os.path.isdir(path):
         return f"output {path} names a directory"
     directory = os.path.dirname(os.path.abspath(path))
@@ -85,6 +85,8 @@ def _write_manifest(args) -> str:
     # imported here, like hashlib in _sha256, so that only the commands that
     # write a manifest load them
     import datetime
+
+    from .fileio import write_atomic
 
     seed = getattr(args, "seed", None)
     seeds = [] if seed is None else [seed]
@@ -281,6 +283,7 @@ def _fig2_seeds(seed: int) -> list[int]:
 
 
 def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
+    from .fileio import _write_csv
     from .sampler import ChainConfig, k_statistics, mcmc_chain
 
     # kappa3 is negative over the plotted range (confirmed by quadrature at
@@ -329,6 +332,8 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .fileio import write_atomic
+
     report_path = args.outputs[0]
     if args.target == "identities":
         report = verify_identities_report(max_m=args.max_m)

@@ -31,14 +31,15 @@ the third-moment conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .polygamma import psi_exact, psi_numeric
-from .ring import ConstPoly
+
+if TYPE_CHECKING:
+    from .ring import ConstPoly
 
 
 #: decimal digits at which cumulant_set takes sd, skewness and the skew
@@ -50,18 +51,28 @@ class DegenerateEnsembleError(ValueError):
     """Raised for m = 1, where S is identically zero."""
 
 
-@dataclass(frozen=True)
-class EnsembleDims:
-    """Subsystem dimensions (m, n) with m <= n."""
-
+class _Dims(NamedTuple):
     m: int
     n: int
 
-    def __post_init__(self):
+
+class EnsembleDims(_Dims):
+    """Subsystem dimensions (m, n) with m <= n, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.m, int) and isinstance(self.n, int)):
             raise TypeError("dimensions must be integers")
         if not 1 <= self.m <= self.n:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     @property
     def alpha(self) -> Fraction:
@@ -128,8 +139,7 @@ def kappa3_unconstrained(dims: EnsembleDims) -> ConstPoly:
     return m * (2 * n - m) * inner
 
 
-@dataclass(frozen=True)
-class CumulantSet:
+class CumulantSet(NamedTuple):
     """Floating forms of the first three cumulants of S.
 
     The floats all come from one evaluation of the closed forms with

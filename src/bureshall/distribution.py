@@ -16,7 +16,7 @@ coefficient itself, so that its callers evaluate the cumulants once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,16 +29,14 @@ _GRID = (-6.0, 6.0, 1201)  # density_comparison's grid: lo, hi, point count
 _BINS = "fd"  # Freedman-Diaconis histogram bins
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(NamedTuple):
     xs: np.ndarray
     gaussian: np.ndarray
     edgeworth: np.ndarray
     histogram: np.ndarray
 
 
-@dataclass(frozen=True)
-class DensityComparison:
+class DensityComparison(NamedTuple):
     grid: DensityGrid
     l1_gaussian: float
     l1_edgeworth: float

@@ -39,7 +39,6 @@ of jobs, and returns the outcomes in the suite's order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
@@ -176,8 +175,7 @@ def degenerate_anomaly_check(m: int) -> list[tuple[str, ConstPoly]]:
 # identity catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     identity_id: str
     m: int
     a: Optional[Fraction] = None
@@ -249,8 +247,7 @@ _ALPHA_POS = _Domain(
 )
 
 
-@dataclass(frozen=True)
-class IdentityDef:
+class IdentityDef(NamedTuple):
     identity_id: str
     domain: _Domain
     lhs: Callable[[IdentityCase], ConstPoly]
@@ -957,7 +954,7 @@ def _check_domain(cs: IdentityCase, domain: _Domain) -> None:
         raise IdentityDomainError("m must be a positive integer")
     for holds, message in domain.rules:
         if not holds(cs):
-            raise IdentityDomainError(message.format(**vars(cs)))
+            raise IdentityDomainError(message.format(**cs._asdict()))
 
 
 def identity_residual(cs: IdentityCase) -> ConstPoly:

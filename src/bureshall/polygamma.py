@@ -21,7 +21,9 @@ Orders k >= 3 are deliberately unsupported; nothing in this package needs
 them.  ``psi_exact`` parses its argument on every call and looks the value
 up in a per-process ``functools.lru_cache`` keyed by the ints (order,
 twice), so a hit hashes no Fraction; the cache keeps no exceptions, so a
-rejected input raises every time.
+rejected input raises every time.  The start values, and with them the
+constant ring, are built on the first ``psi_exact`` call, so that a process
+that never evaluates exactly does not load ``ring``.
 
 ``psi_numeric`` takes the same arguments and costs well under a millisecond
 at any size, where the exact sums grow like lcm(1..x)^(k+1).  It shifts x up
@@ -39,22 +41,26 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .ring import GAMMA, LN2, ZETA2, ZETA3, ConstPoly
+if TYPE_CHECKING:
+    from .ring import ConstPoly
 
 
-@dataclass(frozen=True)
-class HalfInteger:
-    """A psi_exact argument, an element of (1/2)Z, stored as twice its value."""
+class HalfInteger(NamedTuple):
+    """A psi_exact argument, an element of (1/2)Z, stored as twice its value.
+
+    The package itself passes ints and Fractions.  This record and `of` stay
+    for the benchmark's tracer (perfbench/trace_child.py), which keys each
+    psi_exact call by `HalfInteger.of(arg).twice` to count repeated
+    arguments; they are not API that only tests use."""
 
     twice: int
 
     @classmethod
-    def of(cls, value: Union["HalfInteger", int, Fraction]) -> "HalfInteger":
+    def of(cls, value: Union[HalfInteger, int, Fraction]) -> HalfInteger:
         return cls(_twice(value))
 
 
@@ -73,15 +79,19 @@ def _twice(value: Union[HalfInteger, int, Fraction]) -> int:
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
-# (order, start) -> psi_order(start / 2)
-_START = {
-    (0, 2): -GAMMA,
-    (1, 2): ZETA2,
-    (2, 2): -2 * ZETA3,
-    (0, 1): -GAMMA - 2 * LN2,
-    (1, 1): 3 * ZETA2,
-    (2, 1): -14 * ZETA3,
-}
+@functools.lru_cache(maxsize=None)
+def _start() -> dict[tuple[int, int], ConstPoly]:
+    """(order, start) -> psi_order(start / 2), built on first use."""
+    from .ring import GAMMA, LN2, ZETA2, ZETA3
+
+    return {
+        (0, 2): -GAMMA,
+        (1, 2): ZETA2,
+        (2, 2): -2 * ZETA3,
+        (0, 1): -GAMMA - 2 * LN2,
+        (1, 1): 3 * ZETA2,
+        (2, 1): -14 * ZETA3,
+    }
 
 
 def _parse(order: int, arg) -> int:
@@ -106,7 +116,7 @@ def _psi_exact(order: int, twice: int) -> ConstPoly:
     start = 2 - twice % 2
     power = order + 1
     partial = sum((Fraction(1, j ** power) for j in range(start, twice - 1, 2)), Fraction(0))
-    return _START[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
+    return _start()[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
 
 
 #: decimal digits of psi_numeric's arithmetic, 20 above cumulants._DPS

@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
 from .cumulants import EnsembleDims, moments_cumulants_convert
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

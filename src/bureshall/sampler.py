@@ -33,7 +33,6 @@ the chain index is given, and the sample CSV writer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,19 +41,24 @@ from .cumulants import EnsembleDims
 from .fileio import _write_csv
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Metropolis chain settings.  The component step starts at 0.25/sqrt(m)
-    and the scale step at 2.4/sqrt(max(d, 1)); burn-in tunes both to
-    acceptance in [0.2, 0.5], and they stay frozen after it."""
-
+class _Chain(NamedTuple):
     samples: int
     burn_in: int = 2000
     thinning: int = 10
     chain_count: int = 64
     seed: int = 0
 
-    def __post_init__(self):
+
+class ChainConfig(_Chain):
+    """Metropolis chain settings, validated on construction.  The component
+    step starts at 0.25/sqrt(m) and the scale step at 2.4/sqrt(max(d, 1));
+    burn-in tunes both to acceptance in [0.2, 0.5], and they stay frozen
+    after it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.burn_in < 0:
@@ -65,18 +69,24 @@ class ChainConfig:
             raise ValueError("chain_count must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     dims: EnsembleDims
     config: Optional[ChainConfig]
     backend: str
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Parallel arrays of spectra, traces and entropies plus provenance."""
+class SampleBatch(NamedTuple):
+    """Parallel arrays of spectra, traces and entropies plus provenance.
+    len() counts the samples, not the fields, so _make and _replace, which
+    check len() against the field count, do not apply."""
 
     spectra: np.ndarray  # (N, m)
     thetas: np.ndarray  # (N,)

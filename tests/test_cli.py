@@ -401,6 +401,27 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     assert loaded == ["loaded False"] * 2 + ["loaded True"]
 
 
+def test_cli_leaves_dataclasses_and_ring_unloaded(tmp_path):
+    # the records are NamedTuples, so no command loads dataclasses (nor the
+    # inspect, ast and dis modules behind it), and only exact arithmetic
+    # loads the constant ring; `--exact` shows that the ring guard can fail
+    code = textwrap.dedent("""
+        import sys, bureshall.cli as cli
+        dims = ["--m", "4", "--n", "6"]
+        for argv in (["cumulants", *dims], ["cumulants", *dims, "--format", "json"],
+                     ["cumulants", *dims, "--exact"], ["verify", "oracles"],
+                     ["verify", "identities", "--max-m", "1"],
+                     ["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1",
+                      "--chains", "8", "--burn-in", "100"]):
+            assert cli.main(argv) == 0
+            print("loaded", "dataclasses" in sys.modules, "bureshall.ring" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded False False"] * 2 + ["loaded False True"] * 4
+
+
 TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "trace_child.py")
 

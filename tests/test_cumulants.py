@@ -47,6 +47,7 @@ class TestDims:
         (lambda: EnsembleDims(2.0, 3), TypeError),
         (lambda: EnsembleDims(Fraction(2), 3), TypeError),
         (lambda: setattr(EnsembleDims(2, 3), "m", 4), AttributeError),
+        (lambda: EnsembleDims(2, 3)._replace(m=4), ValueError),
     ]
 
     def test_validation(self):

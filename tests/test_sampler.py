@@ -162,6 +162,7 @@ class TestChainConfig:
         (lambda: ChainConfig(samples=10, chain_count=0), ValueError),
         (lambda: ChainConfig(samples=10, seed=2 ** 64), ValueError),
         (lambda: setattr(ChainConfig(samples=10), "seed", 1), AttributeError),
+        (lambda: ChainConfig(samples=10)._replace(seed=-1), ValueError),
     ]
 
     def test_validation(self):
