@@ -213,30 +213,19 @@ def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _log_moment(k: int, s, psi):
-    """E[(ln Y)^k] for Y ~ Gamma(s) and k = 0..3: the complete Bell
-    polynomial in the cumulants psi0(s), psi1(s), psi2(s) of ln Y, with psi
-    as in _kappa."""
-    if k == 0:
-        return 1
-    p0 = psi(0, s)
-    if k == 1:
-        return p0
-    if k == 2:
-        return p0 ** 2 + psi(1, s)
-    return p0 ** 3 + 3 * p0 * psi(1, s) + psi(2, s)
-
-
 def _trace_moment(k: int, d: Fraction, es: Sequence, psi):
     """E_h[T^k] for T = theta ln theta - theta S with theta ~ Gamma(d)
     independent of S, given es = (1, E_f[S], ..., E_f[S^k]):
 
         E_h[T^k] = (d)_k sum_{j=0..k} C(k, j) (-1)^j E[(ln Y)^(k-j)] E_f[S^j]
 
-    with Y ~ Gamma(d + k), since E[theta^k g(theta)] = (d)_k E[g(Y)]; psi as
-    in _kappa."""
-    total = sum(math.comb(k, j) * (-1) ** j * _log_moment(k - j, d + k, psi) * es[j]
-                for j in range(k + 1))
+    with Y ~ Gamma(d + k), since E[theta^k g(theta)] = (d)_k E[g(Y)].  The
+    cumulants of ln Y are psi0, psi1, psi2 at d + k, with psi as in _kappa,
+    and moments_cumulants_convert turns them into its moments."""
+    s = d + k
+    logs = (1, *moments_cumulants_convert((psi(0, s), psi(1, s), psi(2, s)),
+                                          "cumulants_to_moments"))
+    total = sum(math.comb(k, j) * (-1) ** j * logs[k - j] * es[j] for j in range(k + 1))
     return math.prod(d + i for i in range(k)) * total
 
 

@@ -1,24 +1,27 @@
 """Atomic text-file writes, shared by the CLI reports and manifests, the
 one CSV formatter behind the sample, density and figure-2 CSVs, and the one
-count of the processes that may share independent jobs.
+fan-out of independent jobs over forked workers, `fork_map`.
 
-A CSV is formatted a block of rows at a time.  When it has two or more
-blocks and the process may run on two or more CPUs, forked workers format
-the blocks in parallel and the parent writes them in order; otherwise the
-blocks are formatted in-process.  Either way the bytes are the same.
+`fork_map(fn, items)` yields fn(item) in order.  The calling process maps
+the first item; when the process may run on two or more CPUs, forked
+workers map the rest meanwhile, else the caller maps every item.  Either way
+the results are the same.  A CSV is formatted a block of rows at a time
+through it, and `verify identities` checks its shares of the suite through
+it.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import closing
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 _CSV_BLOCK = 8192
 
-# (row template, columns) of the CSV being written; forked workers inherit it
-_job = None
+# the function that fork_map's workers apply; set before they fork
+_fork_fn = None
 
 
 def write_atomic(path: str, content: str | Iterable[str]) -> None:
@@ -45,45 +48,57 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
 def _fork_workers(jobs: int) -> int:
     """How many processes may share `jobs` independent jobs: the usable CPUs
     (`os.sched_getaffinity`, taken as 1 where the platform lacks it), capped
-    at `jobs`, and 1 where the platform cannot start processes by `fork`.
-    multiprocessing is imported only when the answer could exceed 1."""
+    at `jobs`, and 1 where the platform cannot start processes by `fork`."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cpus, jobs) > 1:
-        import multiprocessing  # imported here so that no other path pays for it
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return min(cpus, jobs)
-    return 1
+    processes = min(cpus, jobs)
+    return processes if processes > 1 and hasattr(os, "fork") else 1
 
 
-def _format_block(start: int) -> str:
-    """The CSV rows start .. start + _CSV_BLOCK - 1 of the current job."""
-    row, columns = _job
-    cells = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
-    return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+def _apply(item):
+    return _fork_fn(item)
+
+
+def fork_map(fn: Callable, items: Sequence) -> Iterator:
+    """Yield fn(item) for each item, in order, as the consumer asks for them.
+
+    This process applies `fn` to items[0].  When `_fork_workers(len(items))`
+    allows two or more processes, a pool of min(that, len(items) - 1) forked
+    workers applies it to items[1:] meanwhile; they inherit `fn` (set in a
+    module global before the fork), so only items and results are pickled,
+    and an exception in a worker is raised here.  Otherwise every item is
+    mapped in-process.  multiprocessing is imported only for a pool.  Close
+    the generator when the consumer stops early: that ends the pool."""
+    global _fork_fn
+    processes = _fork_workers(len(items))
+    if processes < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing  # imported here so that no other path pays for it
+
+    _fork_fn = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(min(processes, len(items) - 1)) as pool:
+            rest = pool.imap(_apply, items[1:])
+            yield fn(items[0])
+            yield from rest
+    finally:
+        _fork_fn = None
 
 
 def _write_csv(path: str, header: str, columns: Sequence) -> None:
     """Write equal-length columns as CSV rows under `header`, each value as
     its Python repr (round-trip floats).  Rows are formatted and written a
-    block of _CSV_BLOCK at a time, so the whole file never sits in memory.
-    With two or more blocks and two or more usable CPUs, a pool of forked
-    workers formats the blocks (they inherit the columns, so only the
-    formatted text crosses processes) and the blocks are written in order."""
+    block of _CSV_BLOCK at a time, so the whole file never sits in memory;
+    the blocks are formatted by `fork_map`, so forked workers, which inherit
+    the columns, send back only the formatted text."""
     import numpy as np  # imported here so that only sampling loads numpy
 
-    global _job
     columns = [np.asarray(col) for col in columns]
-    starts = range(0, len(columns[0]), _CSV_BLOCK)
-    workers = _fork_workers(len(starts))
-    _job = (",".join(["%r"] * len(columns)) + "\n", columns)
-    try:
-        if workers > 1:
-            import multiprocessing
+    row = ",".join(["%r"] * len(columns)) + "\n"
 
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                write_atomic(path, chain([header + "\n"], pool.imap(_format_block, starts)))
-        else:
-            write_atomic(path, chain([header + "\n"], map(_format_block, starts)))
-    finally:
-        _job = None
+    def block(start: int) -> str:
+        cells = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+        return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+    with closing(fork_map(block, range(0, len(columns[0]), _CSV_BLOCK))) as blocks:
+        write_atomic(path, chain([header + "\n"], blocks))

@@ -31,9 +31,10 @@ at which a denominator vanishes or a polygamma argument is nonpositive.
 Inadmissible parameters raise, never skip silently.
 
 The verification suite, `identity_checks`, is a list of independent jobs,
-one entry-point call each.  It splits them between the calling process and
-forked workers, one share per usable CPU that strides through each family
-of jobs, and returns the outcomes in the suite's order.
+one entry-point call each.  It deals them into one share per usable CPU,
+each striding through every family of jobs, maps the shares with
+`fileio.fork_map` (share 0 in the calling process, the others in forked
+workers), and returns the outcomes in the suite's order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
 
-from .fileio import _fork_workers
+from .fileio import _fork_workers, fork_map
 from .polygamma import psi_exact
 from .ring import ConstPoly, ZERO
 
@@ -75,13 +76,6 @@ def _psi(order: int, x: Fraction, what: str, k: int) -> ConstPoly:
     if x <= 0:
         raise AnomalyDomainError(f"nonpositive polygamma argument {x} in {what} at k={k}")
     return psi_exact(order, x)
-
-
-def _sum_poly(m: int, term: Callable[[int], ConstPoly]) -> ConstPoly:
-    total = ZERO
-    for k in range(1, m + 1):
-        total = total + term(k)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def omega(index: int, m: int, **params) -> ConstPoly:
             value = value * _psi(order, at(arg, k), what, k)
         return value
 
-    return _sum_poly(m, term)
+    return sum(map(term, range(1, m + 1)), ZERO)
 
 
 def degenerate_anomaly_check(m: int) -> list[tuple[str, ConstPoly]]:
@@ -800,12 +794,12 @@ _register(
 
 def _lhs_three_term(cs):
     a, b, c, m = cs.a, cs.b, cs.c, cs.m
-    return _sum_poly(
-        m,
+    return sum(map(
         lambda k: 1 / (k + a) * _p0(k + b) * _p0(k + c)
         + 1 / (k + b) * _p0(k + a) * _p0(k + c)
         + 1 / (k + c) * _p0(k + a) * _p0(k + b),
-    )
+        range(1, m + 1),
+    ), ZERO)
 
 
 def _rhs_three_term(cs):
@@ -1104,9 +1098,7 @@ def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
     cs = case(fixture_id, m, b=b)
     _check_domain(cs, _TELESCOPE)
     index, delta = _FIXTURES[fixture_id]
-    total = ZERO
-    for i in range(1, m + 1):
-        total = total + delta(i, cs.b)
+    total = sum((delta(i, cs.b) for i in range(1, m + 1)), ZERO)
     return omega(index, m, a=cs.b + m) - total
 
 
@@ -1143,23 +1135,6 @@ def _telescope(cs: IdentityCase) -> list[tuple[str, dict, ConstPoly]]:
              resummation_telescope_check(cs.identity_id, cs.m, cs.b))]
 
 
-# (jobs, owners) of the suite being checked: job i is evaluated by process
-# owners[i], 0 being the caller.  Set before the pool forks, so that its
-# workers inherit it.
-_suite = None
-
-
-def _share(owner: int) -> list[list[tuple]]:
-    """The outcomes of the jobs that process `owner` evaluates, in order: per
-    job, its (check id, params, is_zero, residual text if nonzero) tuples."""
-    jobs, owners = _suite
-    return [
-        [(check_id, params, (ok := residual.is_zero()), None if ok else residual.to_text())
-         for check_id, params, residual in evaluate(arg)]
-        for (evaluate, arg), o in zip(jobs, owners) if o == owner
-    ]
-
-
 def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
     """(check id, params, is_zero, residual text if nonzero) for every case of
     the verification suite, in order: the identity grid up to max_m, then the
@@ -1167,12 +1142,12 @@ def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
 
     A job is one call of an entry point (`identity_residual`,
     `degenerate_anomaly_check`, `resummation_telescope_check`).  With k usable
-    CPUs (`fileio._fork_workers`), process p evaluates jobs p, p + k, p + 2k,
-    ... of each of those three families: the calling process is p = 0, so it
-    reaches every entry point, and k - 1 forked workers take the other shares.
-    Only the outcomes cross processes, and an exception in a worker is raised
-    here.  With one usable CPU every job runs here."""
-    global _suite
+    CPUs (`fileio._fork_workers`), share p holds jobs p, p + k, p + 2k, ... of
+    each of those three families, and `fileio.fork_map` evaluates the shares:
+    the calling process takes share 0, so it reaches every entry point, and
+    k - 1 forked workers take the others.  Only the outcomes cross
+    processes, and an exception in a worker is raised here.  With one usable
+    CPU every job runs here."""
     families = [
         [(_identity_case, cs) for cs in default_grid(max_m=max_m)],
         [(_degeneracies, m) for m in range(1, _DEGENERACY_MAX_M + 1)],
@@ -1180,17 +1155,16 @@ def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
     ]
     processes = _fork_workers(max(map(len, families)))
     owners = [j % processes for family in families for j in range(len(family))]
-    _suite = ([job for family in families for job in family], owners)
-    try:
-        if processes == 1:
-            shares = [_share(0)]
-        else:
-            import multiprocessing
+    jobs = [job for family in families for job in family]
 
-            with multiprocessing.get_context("fork").Pool(processes - 1) as pool:
-                others = pool.map_async(_share, range(1, processes), chunksize=1)
-                shares = [_share(0), *others.get()]
-    finally:
-        _suite = None
-    pending = [iter(share) for share in shares]
+    def share(owner: int) -> list[list[tuple]]:
+        """The outcomes of the jobs in share `owner`, in order: per job, its
+        (check id, params, is_zero, residual text if nonzero) tuples."""
+        return [
+            [(check_id, params, (ok := residual.is_zero()), None if ok else residual.to_text())
+             for check_id, params, residual in evaluate(arg)]
+            for (evaluate, arg), o in zip(jobs, owners) if o == owner
+        ]
+
+    pending = [iter(outcomes) for outcomes in fork_map(share, range(processes))]
     return [outcome for o in owners for outcome in next(pending[o])]

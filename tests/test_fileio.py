@@ -1,6 +1,8 @@
 """Atomic writer tests: written files get the mode that open() would give,
-and CSV blocks formatted by forked workers give the in-process bytes."""
+CSV blocks formatted by forked workers give the in-process bytes, and a
+failed write ends the workers."""
 
+import multiprocessing
 import os
 import re
 import stat
@@ -63,4 +65,25 @@ def test_worker_error_propagates(tmp_path, cpus):
         fileio._write_csv(str(target), "v", [values])
     assert int(re.search(r"\d+", str(exc.value)).group()) in forks
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_consumer_error_ends_pool(tmp_path, cpus, monkeypatch):
+    # a write that fails after the header and one block is raised here, and
+    # closing fork_map's generator ends its workers and clears its handoff;
+    # `exc` keeps the traceback, and so the generator, alive meanwhile
+    forks = cpus(2)
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing_write(path, chunks):
+        next(chunks), next(chunks)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "write_atomic", failing_write)
+    with pytest.raises(OSError, match="disk full") as exc:
+        fileio._write_csv(str(target), "v", [np.arange(2345.0)])
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert fileio._fork_fn is None
     assert target.read_text() == "old\n"
