@@ -20,7 +20,6 @@ found before any sampling or verification starts.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -85,6 +84,7 @@ def _write_manifest(args) -> str:
     # imported here, like hashlib in _sha256, so that only the commands that
     # write a manifest load them
     import datetime
+    import json
 
     from .fileio import write_atomic
 
@@ -121,6 +121,8 @@ def _cmd_cumulants(args) -> int:
     if args.exact:
         exact = {f"kappa{i}": k(dims).to_text() for i, k in enumerate((kappa1, kappa2, kappa3), 1)}
     if args.format == "json":
+        import json  # here, like hashlib in _sha256, so that text output skips it
+
         payload = {"m": args.m, "n": args.n, **values}
         if exact:
             payload["exact"] = exact
@@ -332,6 +334,8 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from .fileio import write_atomic
 
     report_path = args.outputs[0]

@@ -1,6 +1,6 @@
 """Exact verification of the summation apparatus behind the cumulant formulas.
 
-Three families of objects live here:
+Three tables live here, each with the check that reads it:
 
 * the anomaly catalog Omega_1 .. Omega_18: finite single sums of rational
   functions times polygamma values that admit no closed form individually but
@@ -17,10 +17,13 @@ Three families of objects live here:
   row states; so the identity grid checks all 18 rows of the anomaly
   catalog too;
 
-* telescoping fixtures: re-summation functions G, each an anomaly, with
-  their one-step differences written via the shift recurrence
-  psi_k(z+1) - psi_k(z) = (-1)^k k! / z^(k+1); the check sums the
-  differences back up to G.
+* telescoping fixtures: re-summation functions G(j), each an anomaly at
+  summation length j with a = b + j, written as
+  G(j) = sum_{k=1..j} f(k) h(j+1-k) and stated as one table of rows
+  (f, h1, d), with h1 = h(1) and d(r) = h(r+1) - h(r) written by hand through the shift
+  recurrence psi_k(z+1) - psi_k(z) = (-1)^k k! / z^(k+1).  One step,
+  G(i) - G(i-1) = f(i) h1 + sum_{k<i} f(k) d(i-k), serves every row, and the
+  check sums the steps back up to G.
 
 All evaluation is exact.  Admissibility lives in the domain table alone: a
 right-hand side, left-hand side or telescope step is built only after every
@@ -975,102 +978,40 @@ def default_grid(max_m: int = 8):
 # telescoping re-summation fixtures
 # ---------------------------------------------------------------------------
 
-# Each fixture: (index, delta(i, b)).  G(j, b) is the anomaly Omega_index at
-# summation length j with a = b + j, and delta is the step G(i) - G(i-1)
-# rewritten through the one-step shift recurrence.  The check below verifies
-# sum_{i=1..m} delta(i) == G(m) exactly.
-
-def _d_psi0_ak_over_k(i, b):
-    acc = Fraction(1, i) * _p0(b + 1)
-    rat = sum((Fraction(1, k) / (b + i - k) for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi0_over_ak(i, b):
-    acc = 1 / (i + b) * _p0(Fraction(1))
-    rat = sum((1 / ((k + b) * (i - k)) for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi0_over_ak2(i, b):
-    acc = 1 / (i + b) ** 2 * _p0(Fraction(1))
-    rat = sum((1 / ((k + b) ** 2 * (i - k)) for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi0sq_over_ak(i, b):
-    # psi0^2(x+1) - psi0^2(x) = 2 psi0(x)/x + 1/x^2 with x = i - k
-    acc = 1 / (i + b) * _p0(Fraction(1)) ** 2
-    total = acc
-    for k in range(1, i):
-        x = Fraction(i - k)
-        total = total + 1 / (k + b) * (
-            2 * Fraction(1, x) * _p0(x) + Fraction(1, x * x)
-        )
-    return total
-
-
-def _d_psi1_ak_over_k(i, b):
-    acc = Fraction(1, i) * _p1(b + 1)
-    rat = sum((-Fraction(1, k) / (b + i - k) ** 2 for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi1_over_ak(i, b):
-    acc = 1 / (i + b) * _p1(Fraction(1))
-    rat = sum((-1 / ((k + b) * (i - k) ** 2) for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi0_ak_over_k2(i, b):
-    acc = Fraction(1, i * i) * _p0(b + 1)
-    rat = sum((Fraction(1, k * k) / (b + i - k) for k in range(1, i)), Fraction(0))
-    return acc + rat
-
-
-def _d_psi0_psi0ak_over_ak(i, b):
-    total = 1 / (i + b) * _p0(Fraction(1)) * _p0(i + b)
-    for k in range(1, i):
-        total = total + 1 / ((k + b) * (i - k)) * _p0(k + b)
-    return total
-
-
-def _d_psi0_psi0ak_over_k(i, b):
-    total = Fraction(1, i) * _p0(Fraction(i)) * _p0(b + 1)
-    for k in range(1, i):
-        total = total + Fraction(1, k) / (b + i - k) * _p0(Fraction(k))
-    return total
-
-
-def _d_psi0_psi0ak_over_mk(i, b):
-    total = Fraction(1, i) * _p0(Fraction(1)) * _p0(i + b)
-    for k in range(1, i):
-        total = total + Fraction(1, k) * Fraction(1, i - k) * _p0(k + b)
-    return total
-
-
-def _d_psi0_psi0shift_over_mk(i, b):
-    # psi0(k+1) psi0(k+b+1) - psi0(k) psi0(k+b) = psi0(k+b+1)/k + psi0(k)/(k+b)
-    total = Fraction(1, i) * _p0(Fraction(1)) * _p0(b + 1)
-    for k in range(1, i):
-        total = total + Fraction(1, i - k) * (
-            Fraction(1, k) * _p0(k + b + 1) + 1 / (k + b) * _p0(Fraction(k))
-        )
-    return total
-
-
+# Each fixture id: (index, f, h1, d).  G(j) is the anomaly Omega_index at
+# summation length j with a = b + j, written as sum_{k=1..j} f(k) h(j+1-k);
+# h1 = h(1), and d(r) = h(r+1) - h(r) is written by hand through the shift
+# recurrence psi_n(z+1) - psi_n(z) = (-1)^n n! / z^(n+1).  So each step is
+#     G(i) - G(i-1) = f(i) h1 + sum_{k<i} f(k) d(i-k),
+# and the check sums the steps back up to G(m) exactly.  No row is read off
+# the anomaly table, so a wrong row there of one of these eleven anomalies
+# fails the check too.
 _FIXTURES = {
-    "tele_psi0_ak_over_k": (2, _d_psi0_ak_over_k),
-    "tele_psi0_over_ak": (1, _d_psi0_over_ak),
-    "tele_psi0_over_ak2": (7, _d_psi0_over_ak2),
-    "tele_psi0sq_over_ak": (8, _d_psi0sq_over_ak),
-    "tele_psi1_ak_over_k": (18, _d_psi1_ak_over_k),
-    "tele_psi1_over_ak": (17, _d_psi1_over_ak),
-    "tele_psi0_ak_over_k2": (9, _d_psi0_ak_over_k2),
-    "tele_psi0_psi0ak_over_ak": (13, _d_psi0_psi0ak_over_ak),
-    "tele_psi0_psi0ak_over_k": (14, _d_psi0_psi0ak_over_k),
-    "tele_psi0_psi0ak_over_mk": (12, _d_psi0_psi0ak_over_mk),
-    "tele_psi0_psi0shift_over_mk": (11, _d_psi0_psi0shift_over_mk),
+    "tele_psi0_ak_over_k": (
+        2, lambda k, b: Fraction(1, k), lambda b: _p0(b + 1), lambda r, b: 1 / (b + r)),
+    "tele_psi0_over_ak": (
+        1, lambda k, b: 1 / (k + b), lambda b: _p0(1), lambda r, b: Fraction(1, r)),
+    "tele_psi0_over_ak2": (
+        7, lambda k, b: 1 / (k + b) ** 2, lambda b: _p0(1), lambda r, b: Fraction(1, r)),
+    "tele_psi0sq_over_ak": (
+        8, lambda k, b: 1 / (k + b), lambda b: _p0(1) ** 2,
+        lambda r, b: Fraction(2, r) * _p0(r) + Fraction(1, r * r)),
+    "tele_psi1_ak_over_k": (
+        18, lambda k, b: Fraction(1, k), lambda b: _p1(b + 1), lambda r, b: -1 / (b + r) ** 2),
+    "tele_psi1_over_ak": (
+        17, lambda k, b: 1 / (k + b), lambda b: _p1(1), lambda r, b: Fraction(-1, r * r)),
+    "tele_psi0_ak_over_k2": (
+        9, lambda k, b: Fraction(1, k * k), lambda b: _p0(b + 1), lambda r, b: 1 / (b + r)),
+    "tele_psi0_psi0ak_over_ak": (
+        13, lambda k, b: 1 / (k + b) * _p0(k + b), lambda b: _p0(1), lambda r, b: Fraction(1, r)),
+    "tele_psi0_psi0ak_over_k": (
+        14, lambda k, b: Fraction(1, k) * _p0(k), lambda b: _p0(b + 1), lambda r, b: 1 / (b + r)),
+    "tele_psi0_psi0ak_over_mk": (
+        12, lambda k, b: Fraction(1, k) * _p0(k + b), lambda b: _p0(1),
+        lambda r, b: Fraction(1, r)),
+    "tele_psi0_psi0shift_over_mk": (
+        11, lambda k, b: Fraction(1, k), lambda b: _p0(1) * _p0(b + 1),
+        lambda r, b: Fraction(1, r) * _p0(r + b + 1) + 1 / (r + b) * _p0(r)),
 }
 
 
@@ -1097,9 +1038,11 @@ def resummation_telescope_check(fixture_id: str, m: int, b) -> ConstPoly:
         raise KeyError(f"unknown telescope fixture {fixture_id!r}")
     cs = case(fixture_id, m, b=b)
     _check_domain(cs, _TELESCOPE)
-    index, delta = _FIXTURES[fixture_id]
-    total = sum((delta(i, cs.b) for i in range(1, m + 1)), ZERO)
-    return omega(index, m, a=cs.b + m) - total
+    index, f, h1, d = _FIXTURES[fixture_id]
+    b = cs.b
+    steps = (sum((f(k, b) * d(i - k, b) for k in range(1, i)), f(i, b) * h1(b))
+             for i in range(1, m + 1))
+    return omega(index, m, a=b + m) - sum(steps, ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -345,12 +345,12 @@ def _child_env(tmp_path) -> dict:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # no command needs scipy, only the sampling commands need numpy and only
-    # `verify identities` needs the identity catalog; the other commands skip
-    # those import costs
+    # no command needs scipy, only the sampling commands need numpy, only
+    # `verify identities` needs the identity catalog and text `cumulants`
+    # writes no JSON; the other commands skip those import costs
     code = textwrap.dedent("""
         import sys, bureshall.cli as cli
-        def loaded(names=("numpy", "scipy", "bureshall.identities")):
+        def loaded(names=("numpy", "scipy", "bureshall.identities", "json")):
             print("loaded", [name for name in names if name in sys.modules])
         loaded()
         assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
@@ -426,29 +426,40 @@ TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
                            "perfbench", "trace_child.py")
 
 
-@pytest.mark.parametrize("argv, layer_spans", [
+@pytest.mark.parametrize("argv, layer_spans, psi_callers", [
     (["cumulants", "--m", "4", "--n", "6", "--exact"],
      {"cumulants.cumulant_set", "cumulants.kappa", "polygamma.psi_exact", "ring.mul",
-      "ring.add"}),
+      "ring.add"}, "cumulants.kappa"),
     (["verify", "identities", "--max-m", "1"],
-     {"identities.residual", "identities.degeneracy", "identities.telescope"}),
-    (["verify", "oracles"], {"quadrature.normalization", "quadrature.oracle_cumulants"}),
+     {"identities.residual", "identities.degeneracy", "identities.telescope",
+      "polygamma.psi_exact"}, "identities.telescope"),
+    (["verify", "oracles"], {"quadrature.normalization", "quadrature.oracle_cumulants"}, None),
     (["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1", "--chains", "8",
       "--burn-in", "100"],
-     {"sampler.mcmc", "sampler.csv_write", "sampler.kstats"}),
+     {"sampler.mcmc", "sampler.csv_write", "sampler.kstats"}, None),
     (["simulate", "--m", "3", "--n", "3", "--samples", "400", "--seed", "1", "--backend",
       "matrix"],
-     {"sampler.matrix", "sampler.csv_write", "sampler.kstats"}),
+     {"sampler.matrix", "sampler.csv_write", "sampler.kstats"}, None),
     (["verify", "figures", "--fig", "1", "--samples", "10000", "--seed", "1"],
-     {"sampler.mcmc", "distribution.density_comparison", "distribution.write_density_csv"}),
+     {"sampler.mcmc", "distribution.density_comparison", "distribution.write_density_csv"},
+     None),
 ], ids=["exact", "identities", "oracles", "mcmc", "matrix", "figure1"])
-def test_benchmark_tracer_hooks(tmp_path, argv, layer_spans):
+def test_benchmark_tracer_hooks(tmp_path, argv, layer_spans, psi_callers):
     # the benchmark's tracer wraps the layers' entry points by name; a renamed
-    # or removed entry point fails its install step, a bypassed one its span
+    # or removed entry point fails its install step, a bypassed one its span.
+    # It counts psi_exact calls through the module globals that the layers
+    # look up at call time, and keys each by `polygamma.HalfInteger.of`; every
+    # span named psi_callers calls psi_exact, so one that bound it early would
+    # leave such a span without a counted call
     spans_path = tmp_path / "spans.json"
     run = subprocess.run([sys.executable, TRACE_CHILD, str(spans_path), *argv],
                          env=_child_env(tmp_path), cwd=tmp_path, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
-    assert layer_spans | {"cli.main"} <= names
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert layer_spans | {"cli.main"} <= {span[0] for span in spans}
+    if psi_callers:
+        callers = {i for i, span in enumerate(spans) if span[0] == psi_callers}
+        counted = {parent for name, _, _, parent, _ in spans if name == "polygamma.psi_exact"}
+        assert callers and callers <= counted
+

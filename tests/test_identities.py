@@ -12,6 +12,7 @@ import pytest
 
 from bureshall import cli, identities
 from bureshall.identities import (
+    _FIXTURES,
     _IDENTITIES,
     _OMEGA,
     AnomalyDomainError,
@@ -281,6 +282,27 @@ class TestTelescopes:
     def test_full_fixture_grid(self):
         for cs in telescope_grid():
             assert resummation_telescope_check(cs.identity_id, cs.m, cs.b).is_zero(), cs
+
+    @pytest.mark.parametrize("fixture_id", list(_FIXTURES))
+    def test_wrong_step_fails_verification(self, monkeypatch, cpus, fixture_id):
+        # a row's d off by 1e-30 fails its fixture's cases from m = 2 on, where
+        # the steps first read d, and no other case, on one usable CPU and with
+        # a forked worker alike
+        index, f, h1, d = _FIXTURES[fixture_id]
+        wrong_row = (index, f, h1, lambda r, b: d(r, b) + Fraction(1, 10 ** 30))
+        for count, pool_size in ((1, 0), (2, 1)):
+            forks = cpus(count)
+            with monkeypatch.context() as patch:
+                patch.setitem(_FIXTURES, fixture_id, wrong_row)
+                report = cli.verify_identities_report(max_m=1)
+            assert len(forks) == pool_size
+            failing = [c for c in report["cases"] if not c["residual_is_zero"]]
+            assert report["n_failures"] == len(failing) == 5 * 4
+            assert not report["all_passed"]
+            assert {(c["identity_id"], c["params"]["m"]) for c in failing} == {
+                (fixture_id, m) for m in range(2, 7)}
+            for c in failing:
+                assert not ConstPoly.from_text(c["residual_text_if_nonzero"]).is_zero()
 
     def test_fixture_count_and_validation(self):
         # 11 fixtures, each at m = 1..6 and b in (1, 2, 3, 1/2), fixture-major
