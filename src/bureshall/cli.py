@@ -320,7 +320,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
              "passed": abs(z) <= 4.0}
         )
     columns = [[r[key] for r in rows] for key in ("m", "n", "kappa3")]
-    _write_csv(csv_path, "m,n,kappa3", columns)
+    _write_csv(csv_path, "m,n,kappa3", [columns])
     passed = monotone_ok and all(c["passed"] for c in spot_checks)
     return {
         "target": "figure2",

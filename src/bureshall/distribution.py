@@ -95,4 +95,4 @@ def density_comparison(samples, dims: EnsembleDims) -> DensityComparison:
 def write_density_csv(grid: DensityGrid, path: str) -> None:
     """Write `x,gaussian,edgeworth,histogram` with round-trip floats."""
     _write_csv(path, "x,gaussian,edgeworth,histogram",
-              [grid.xs, grid.gaussian, grid.edgeworth, grid.histogram])
+               [[grid.xs, grid.gaussian, grid.edgeworth, grid.histogram]])

@@ -25,6 +25,15 @@ Two backends:
   n = m, where the unitary weight is flat: M = (I+U) Z Z* (I+U)* with Z
   complex Ginibre and U Haar unitary, spectrum = eig(M) / tr(M).
 
+Both return a ``SampleBatch``, which draws its samples as they are read: a
+block of about _ROWS kept rows at a time, in sample order.  A reader such as
+the CSV writer takes each block's spectra and traces as it comes, and no
+block is kept, so no command holds all samples x m floats; the batch keeps
+only every sample's entropy.  Blocking changes no drawn value: the kernel's
+draws still come _BLOCK steps at a time, and the matrix backend still draws
+its normals _MATRIX_BLOCK matrices at a time, both into buffers allocated
+once; the matrix backend takes its linear algebra _ROWS matrices at a time.
+
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
 the chain index is given, and the sample CSV writer.
@@ -33,7 +42,7 @@ the chain index is given, and the sample CSV writer.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,24 +92,80 @@ class Provenance(NamedTuple):
     backend: str
 
 
-class SampleBatch(NamedTuple):
-    """Parallel arrays of spectra, traces and entropies plus provenance.
-    len() counts the samples, not the fields, so _make and _replace, which
-    check len() against the field count, do not apply."""
+class Block(NamedTuple):
+    """Consecutive rows of a SampleBatch."""
 
-    spectra: np.ndarray  # (N, m)
-    thetas: np.ndarray  # (N,)
-    entropies: np.ndarray  # (N,)
-    chain_index: np.ndarray  # (N,)
-    step_index: np.ndarray  # (N,)
-    provenance: Provenance
+    chain_index: np.ndarray
+    step_index: np.ndarray
+    thetas: np.ndarray
+    entropies: np.ndarray
+    spectra: np.ndarray  # (rows, m)
+
+
+# kept rows per block of a SampleBatch, about; an MCMC block holds whole steps
+_ROWS = 2048
+
+
+class SampleBatch:
+    """The samples of one run, drawn a block at a time as they are read.
+
+    Iterating yields the `blocks` Blocks in sample order, each drawn when it
+    is asked for, and can be done once; no block is kept.  entropies fills
+    in as the blocks are drawn, and reading it draws the blocks that are
+    left.  Sample r is chain r % chains at step first_step + stride *
+    (r // chains): MCMC samples are step-major over the chains, and the
+    matrix backend is one chain of consecutive steps.  So chain_index and
+    step_index are computed when read, not kept.  len() counts the samples.
+    """
+
+    def __init__(self, draws: Iterator, samples: int, blocks: int, chains: int,
+                 first_step: int, stride: int, provenance: Provenance):
+        self.blocks = blocks
+        self.provenance = provenance
+        self._layout = chains, first_step, stride
+        self._entropies = np.empty(samples)
+        self._stream = self._fill(draws)
+        self._read = False
 
     def __len__(self):
-        return len(self.thetas)
+        return len(self._entropies)
 
-    def entropies_T(self) -> np.ndarray:
-        """Unconstrained entropies T = sum x ln x = theta ln theta - theta S."""
-        return self.thetas * np.log(self.thetas) - self.thetas * self.entropies
+    def _indices(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The chain and step indices of samples start..stop-1."""
+        chains, first_step, stride = self._layout
+        rows = np.arange(start, stop)
+        return rows % chains, first_step + stride * (rows // chains)
+
+    @property
+    def chain_index(self) -> np.ndarray:
+        return self._indices(0, len(self))[0]
+
+    @property
+    def step_index(self) -> np.ndarray:
+        return self._indices(0, len(self))[1]
+
+    def _fill(self, draws: Iterator) -> Iterator[Block]:
+        """Blocks from the backend's (spectra, thetas) pairs, with entropies."""
+        start = 0
+        for spectra, thetas in draws:
+            stop = start + len(thetas)
+            entropies = self._entropies[start:stop]
+            entropies[:] = _entropies(spectra)
+            yield Block(*self._indices(start, stop), thetas, entropies, spectra)
+            start = stop
+
+    def __iter__(self) -> Iterator[Block]:
+        if self._read:
+            raise RuntimeError("the blocks of a SampleBatch can be read once")
+        self._read = True
+        return self._stream
+
+    @property
+    def entropies(self) -> np.ndarray:
+        self._read = True
+        for _ in self._stream:
+            pass
+        return self._entropies
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +226,21 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     """Sample the unconstrained ensemble and project to the simplex.
 
     Returns config.samples spectra merged from chain_count chains in
-    step-major, chain-minor order.  Bit-identical for identical arguments.
+    step-major, chain-minor order, drawn as the batch is read, in blocks of
+    max(1, _ROWS // chain_count) kept steps.  Bit-identical for identical
+    arguments.
+    """
+    n_chains = config.chain_count
+    block_steps = max(1, _ROWS // n_chains)
+    blocks = -(-config.samples // (block_steps * n_chains))
+    return SampleBatch(_mcmc_draws(dims, config, block_steps), config.samples, blocks,
+                       chains=n_chains, first_step=config.burn_in + config.thinning - 1,
+                       stride=config.thinning, provenance=Provenance(dims, config, "mcmc"))
+
+
+def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int) -> Iterator:
+    """mcmc_chain's (spectra, thetas) blocks: block_steps kept steps each,
+    the last one fewer and trimmed to config.samples rows.
 
     Draws come a block of _BLOCK steps at a time, laid out step-major so that
     one step's draws for all chains are contiguous; each chain fills its
@@ -171,6 +250,11 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     proposal, whose row sums become the traces of the chains that accept it.
     The scale move is branch-free: a rejecting chain is multiplied by 1.0
     and shifted by 0.0, which leaves its finite state unchanged.
+
+    The last step is a kept one, so the loop ends as a block fills.  A block
+    is handed out as soon as it fills, outside the loop's np.errstate, which
+    would otherwise hold in the reader's code too.  Each is a new array,
+    since a reader may still hold the ones before.
     """
     m = dims.m
     alpha = float(dims.alpha)
@@ -194,29 +278,31 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     sigma_comp = 0.25 / math.sqrt(m)
     sigma_scale = 2.4 / math.sqrt(max(d_shape, 1.0))
 
-    lam_out = np.empty((kept_per_chain, n_chains, m))
-    theta_out = np.empty((kept_per_chain, n_chains))
+    comp_steps = np.empty((_BLOCK, n_chains, m))
+    comp_logu = np.empty((_BLOCK, n_chains))
+    scale_steps = np.empty((_BLOCK, n_chains))
+    scale_logu = np.empty((_BLOCK, n_chains))
 
-    step = 0
-    kept = 0
+    steps_left, rows_left = kept_per_chain, config.samples
+    kept = 0  # kept steps in the block being filled
+    step = t = nblock = 0  # t steps of the nblock in the draw buffers are done
     acc_comp = trials = acc_scale = 0
     with np.errstate(divide="ignore"):
         logp, theta = _log_density(x, y, alpha + 1.0, pairs)
-        while step < total_steps:
-            nblock = min(_BLOCK, total_steps - step)
-            comp_steps = np.empty((nblock, n_chains, m))
-            comp_logu = np.empty((nblock, n_chains))
-            scale_steps = np.empty((nblock, n_chains))
-            scale_logu = np.empty((nblock, n_chains))
-            for c, g in enumerate(gens):
-                comp_steps[:, c] = g.standard_normal((nblock, m))
-                comp_logu[:, c] = g.random(nblock)
-                scale_steps[:, c] = g.standard_normal(nblock)
-                scale_logu[:, c] = g.random(nblock)
-            np.log(comp_logu, out=comp_logu)
-            np.log(scale_logu, out=scale_logu)
+    while step < total_steps:
+        filled = None
+        with np.errstate(divide="ignore"):
+            while filled is None:
+                if t == nblock:
+                    nblock, t = min(_BLOCK, total_steps - step), 0
+                    for c, g in enumerate(gens):
+                        comp_steps[:nblock, c] = g.standard_normal((nblock, m))
+                        comp_logu[:nblock, c] = g.random(nblock)
+                        scale_steps[:nblock, c] = g.standard_normal(nblock)
+                        scale_logu[:nblock, c] = g.random(nblock)
+                    np.log(comp_logu[:nblock], out=comp_logu[:nblock])
+                    np.log(scale_logu[:nblock], out=scale_logu[:nblock])
 
-            for t in range(nblock):
                 # component move
                 y_prop = y + sigma_comp * comp_steps[t]
                 x_prop = np.exp(y_prop)
@@ -246,39 +332,43 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
                         sigma_scale = _retune(sigma_scale, acc_scale / trials)
                         acc_comp = acc_scale = trials = 0
                 elif (step - config.burn_in) % config.thinning == config.thinning - 1:
+                    if kept == 0:
+                        size = min(block_steps, steps_left)
+                        lam_out = np.empty((size, n_chains, m))
+                        theta_out = np.empty((size, n_chains))
                     np.divide(x, theta[:, None], out=lam_out[kept])
                     theta_out[kept] = theta
                     kept += 1
+                    if kept == size:
+                        rows = min(size * n_chains, rows_left)
+                        filled = lam_out.reshape(-1, m)[:rows], theta_out.reshape(-1)[:rows]
+                        steps_left -= size
+                        rows_left -= rows
+                        kept = 0
+                t += 1
                 step += 1
-    del comp_steps, comp_logu, scale_steps, scale_logu  # before the entropies' temporaries
-
-    lam_flat = lam_out.reshape(-1, m)[: config.samples]
-    theta_flat = theta_out.reshape(-1)[: config.samples]
-    chain_idx = np.tile(np.arange(n_chains), kept_per_chain)[: config.samples]
-    step_idx = np.repeat(
-        config.burn_in + config.thinning * (np.arange(kept_per_chain) + 1) - 1, n_chains
-    )[: config.samples]
-    return SampleBatch(
-        spectra=lam_flat,
-        thetas=theta_flat,
-        entropies=_entropies(lam_flat),
-        chain_index=chain_idx,
-        step_index=step_idx,
-        provenance=Provenance(dims, config, "mcmc"),
-    )
+        yield filled
 
 
 # ---------------------------------------------------------------------------
 # matrix-model backend (n = m only)
 # ---------------------------------------------------------------------------
 
-def _haar_unitary(gen: np.random.Generator, count: int, m: int) -> np.ndarray:
-    z = (gen.standard_normal((count, m, m)) + 1j * gen.standard_normal((count, m, m)))
+def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices (re + i im) / sqrt(2) from standard normals."""
+    z = re + 1j * im
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    return z
+
+
+def _haar_unitary(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(_ginibre(re, im))
     diag = np.einsum("...ii->...i", r)
     q *= (diag / np.abs(diag))[:, None, :]
     return q
+
+
+_MATRIX_BLOCK = 20000  # matrices per draw of the normals
 
 
 def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
@@ -287,44 +377,40 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         raise ValueError("m must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    full, last = divmod(count, _MATRIX_BLOCK)
+    blocks = full * -(-_MATRIX_BLOCK // _ROWS) + -(-last // _ROWS)
+    return SampleBatch(_matrix_draws(m, count, seed), count, blocks, chains=1, first_step=0,
+                       stride=1, provenance=Provenance(EnsembleDims(m, m), None, "matrix"))
+
+
+def _matrix_draws(m: int, count: int, seed: int) -> Iterator:
+    """sample_matrix_model_batch's (spectra, thetas) blocks, _ROWS matrices
+    each within a draw.  A draw fills the normal parts of U's and Z's
+    Ginibre matrices for _MATRIX_BLOCK matrices, in that order, into the
+    same four arrays each time."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dims = EnsembleDims(m, m)
-    lam_all = np.empty((count, m))
-    theta_all = np.empty(count)
-    block = 20000
+    normals = np.empty((4, min(_MATRIX_BLOCK, count), m, m))
+    eye = np.eye(m)
     done = 0
     while done < count:
-        nb = min(block, count - done)
-        u = _haar_unitary(gen, nb, m)
-        z = (gen.standard_normal((nb, m, m)) + 1j * gen.standard_normal((nb, m, m)))
-        z /= math.sqrt(2.0)
-        # each complex (nb, m, m) temporary is dropped as soon as it is used
-        w = (np.eye(m) + u) @ z
-        del u, z
-        mat = w @ w.conj().transpose(0, 2, 1)
-        del w
-        lam = np.linalg.eigvalsh(mat)  # ascending, real
-        del mat
-        trace = lam.sum(axis=1)
-        lam = lam / trace[:, None]
-        if lam.min() < -1e-12:
-            raise ValueError(f"eigenvalue below round-off tolerance: {lam.min()}")
-        lam = np.clip(lam, 0.0, None)
-        sums = lam.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ValueError("spectrum normalization drifted beyond 1e-12")
-        lam /= sums[:, None]
-        lam_all[done : done + nb] = lam[:, ::-1]  # descending
-        theta_all[done : done + nb] = trace
+        nb = min(_MATRIX_BLOCK, count - done)
+        for part in normals:
+            gen.standard_normal(out=part[:nb])
+        for start in range(0, nb, _ROWS):
+            u_re, u_im, z_re, z_im = normals[:, start:min(start + _ROWS, nb)]
+            w = (eye + _haar_unitary(u_re, u_im)) @ _ginibre(z_re, z_im)
+            lam = np.linalg.eigvalsh(w @ w.conj().transpose(0, 2, 1))  # ascending, real
+            trace = lam.sum(axis=1)
+            lam = lam / trace[:, None]
+            if lam.min() < -1e-12:
+                raise ValueError(f"eigenvalue below round-off tolerance: {lam.min()}")
+            lam = np.clip(lam, 0.0, None)
+            sums = lam.sum(axis=1)
+            if np.max(np.abs(sums - 1.0)) > 1e-12:
+                raise ValueError("spectrum normalization drifted beyond 1e-12")
+            lam /= sums[:, None]
+            yield lam[:, ::-1].copy(), trace  # descending
         done += nb
-    return SampleBatch(
-        spectra=lam_all,
-        thetas=theta_all,
-        entropies=_entropies(lam_all),
-        chain_index=np.zeros(count, dtype=int),
-        step_index=np.arange(count),
-        provenance=Provenance(dims, None, "matrix"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +476,9 @@ def k_statistics(values, chain_index=None) -> KStats:
 # ---------------------------------------------------------------------------
 
 def write_sample_csv(batch: SampleBatch, path: str) -> None:
-    """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats."""
-    m = batch.spectra.shape[1]
+    """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats,
+    each block of the batch as it is drawn."""
+    m = batch.provenance.dims.m
     header = "chain,step,theta,S," + ",".join(f"lambda_{i+1}" for i in range(m))
-    columns = [batch.chain_index, batch.step_index, batch.thetas, batch.entropies]
-    _write_csv(path, header, columns + list(batch.spectra.T))
-
+    blocks = ([b.chain_index, b.step_index, b.thetas, b.entropies, *b.spectra.T] for b in batch)
+    _write_csv(path, header, blocks, batch.blocks)

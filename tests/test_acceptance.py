@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from sample_helpers import collect, entropies_T
 from scipy import integrate, stats
 
 from bureshall.cumulants import (
@@ -112,7 +113,7 @@ def test_criterion_06_mcmc_validity():
         dims = EnsembleDims(m, n)
         cfg = ChainConfig(samples=n_samples, burn_in=2000, thinning=20,
                           chain_count=100, seed=101 + i)
-        batch = mcmc_chain(dims, cfg)
+        batch = collect(mcmc_chain(dims, cfg))
         ks = stats.kstest(batch.thetas, "gamma", args=(float(dims.d),))
         corr = float(np.corrcoef(batch.thetas, batch.entropies)[0, 1])
         ok &= ks.pvalue > 0.01 and abs(corr) < 4 / math.sqrt(n_samples)
@@ -164,8 +165,8 @@ def test_criterion_08_unconstrained_third_cumulant():
         cfg = ChainConfig(samples=200_000, burn_in=2000, thinning=20,
                           chain_count=100, seed=303 + i)
         exact_match &= (kappa3_unconstrained(dims) - _kappa3_T_oracle(dims)).is_zero()
-        batch = mcmc_chain(dims, cfg)
-        st = k_statistics(batch.entropies_T(), batch.chain_index)
+        batch = collect(mcmc_chain(dims, cfg))
+        st = k_statistics(entropies_T(batch.thetas, batch.entropies), batch.chain_index)
         z = (st.k3 - float(kappa3_unconstrained(dims))) / st.se3
         ok_mc &= abs(z) <= 4
         details.append(f"({m},{n}) z={z:+.2f}")
@@ -196,8 +197,8 @@ def test_criterion_09_moment_conversion():
         dims = EnsembleDims(m, n)
         cfg = ChainConfig(samples=200_000, burn_in=2000, thinning=20,
                           chain_count=100, seed=404 + i)
-        batch = mcmc_chain(dims, cfg)
-        t_cubed = batch.entropies_T() ** 3
+        batch = collect(mcmc_chain(dims, cfg))
+        t_cubed = entropies_T(batch.thetas, batch.entropies) ** 3
         st = k_statistics(t_cubed, batch.chain_index)
         d = dims.d
         poch3 = float(d * (d + 1) * (d + 2))

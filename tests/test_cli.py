@@ -422,6 +422,30 @@ def test_cli_leaves_dataclasses_and_ring_unloaded(tmp_path):
     assert loaded == ["loaded False False"] * 2 + ["loaded False True"] * 4
 
 
+def test_simulate_peak_memory_does_not_grow_with_samples(tmp_path):
+    # the spectra stream to the CSV a block at a time, so 70k more samples at
+    # (12,24) add only their entropies (0.5 MiB) and the part of the kernel's
+    # 512-step draw buffers that 157 steps of the 10k run leave untouched
+    # (2.6 MiB); holding the spectra would add 70000 * 12 floats (6.4 MiB).
+    # A small launcher starts the command, since a process's max-RSS starts
+    # from that of the process that started it
+    code = textwrap.dedent("""
+        import os, subprocess, sys
+        argv = [sys.executable, "-m", "bureshall.cli", "simulate", "--m", "12", "--n", "24",
+                "--seed", "1", "--thinning", "1", "--burn-in", "0", "--samples"]
+        for samples in sys.argv[1:]:
+            proc = subprocess.Popen(argv + [samples, "--out", f"s{samples}.csv"],
+                                    stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            print(usage.ru_maxrss / 1024)
+    """)
+    out = subprocess.run([sys.executable, "-c", code, "10000", "80000"], env=_child_env(tmp_path),
+                         capture_output=True, text=True, check=True, timeout=300)
+    small, large = map(float, out.stdout.split())
+    assert large - small < 5.0, (small, large)
+
+
 TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "trace_child.py")
 

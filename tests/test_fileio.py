@@ -1,6 +1,6 @@
 """Atomic writer tests: written files get the mode that open() would give,
-CSV blocks formatted by forked workers give the in-process bytes, and a
-failed write ends the workers."""
+CSV blocks formatted by forked workers give the in-process bytes, a failed
+write ends the workers, and the workers fork before the blocks are taken."""
 
 import multiprocessing
 import os
@@ -26,11 +26,14 @@ def test_mode_follows_umask(tmp_path, umask, mode):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-@pytest.fixture
-def cpus(cpus, monkeypatch):
-    """The shared fixture, with 500-row CSV blocks."""
-    monkeypatch.setattr(fileio, "_CSV_BLOCK", 500)
-    return cpus
+ROWS = 500
+
+
+def blocks(*columns):
+    """The columns as blocks of ROWS rows, taken lazily as a sampler hands
+    them out, and the number of blocks."""
+    starts = range(0, len(columns[0]), ROWS)
+    return ([col[start:start + ROWS] for col in columns] for start in starts), len(starts)
 
 
 def test_worker_pool_matches_in_process(tmp_path, cpus):
@@ -41,7 +44,7 @@ def test_worker_pool_matches_in_process(tmp_path, cpus):
     for count, pool_size in ((1, 0), (2, 2)):
         forks = cpus(count)
         path = tmp_path / f"cpus{count}.csv"
-        fileio._write_csv(str(path), "i,a,b", columns)
+        fileio._write_csv(str(path), "i,a,b", *blocks(*columns))
         assert len(forks) == pool_size
         written[count] = path.read_bytes()
     assert written[1] == written[2]
@@ -62,7 +65,7 @@ def test_worker_error_propagates(tmp_path, cpus):
     target.write_text("old\n")
     values = np.array([1.0] * 1200 + [_Unprintable()], dtype=object)
     with pytest.raises(RuntimeError, match=r"repr in process \d+") as exc:
-        fileio._write_csv(str(target), "v", [values])
+        fileio._write_csv(str(target), "v", *blocks(values))
     assert int(re.search(r"\d+", str(exc.value)).group()) in forks
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
@@ -82,8 +85,27 @@ def test_consumer_error_ends_pool(tmp_path, cpus, monkeypatch):
 
     monkeypatch.setattr(fileio, "write_atomic", failing_write)
     with pytest.raises(OSError, match="disk full") as exc:
-        fileio._write_csv(str(target), "v", [np.arange(2345.0)])
+        fileio._write_csv(str(target), "v", *blocks(np.arange(2345.0)))
     assert len(forks) == 2
     assert multiprocessing.active_children() == []
     assert fileio._fork_fn is None
     assert target.read_text() == "old\n"
+
+
+def test_items_are_taken_after_the_fork_and_as_needed(cpus):
+    # the pool forks before the first item is taken, so its workers inherit
+    # nothing a lazy sampler builds; after that this process takes one item
+    # per result, and holds at most one more than the two workers in flight
+    forks = cpus(2)
+    taken = []
+
+    def items():
+        for k in range(6):
+            taken.append(len(forks))
+            yield k
+
+    for k, result in enumerate(fileio.fork_map(lambda k: k * k, items(), 6)):
+        assert result == k * k
+        assert len(taken) <= k + 3
+    assert taken == [2] * 6
+    assert multiprocessing.active_children() == []

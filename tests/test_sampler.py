@@ -3,17 +3,18 @@ agreement with the closed forms, matrix-model backend, k-statistics, CSV."""
 
 import hashlib
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
+from sample_helpers import collect, entropies_T
 from scipy import stats
 
-from bureshall import fileio, sampler
+from bureshall import sampler
 from bureshall.cumulants import EnsembleDims, kappa1
 from bureshall.sampler import (
     ChainConfig,
-    SampleBatch,
     _entropies,
     _log_density,
     k_statistics,
@@ -81,10 +82,7 @@ class TestProjectionAndEntropy:
     def test_entropy_T_examples(self):
         # T = sum x ln x at x = (1), (e) and (2, 2), from theta = sum x and the
         # entropy S of x / theta; entropies_T reads nothing else
-        batch = SampleBatch(spectra=None, thetas=np.array([1.0, math.e, 4.0]),
-                            entropies=np.array([0.0, 0.0, math.log(2)]),
-                            chain_index=None, step_index=None, provenance=None)
-        t = batch.entropies_T()
+        t = entropies_T(np.array([1.0, math.e, 4.0]), np.array([0.0, 0.0, math.log(2)]))
         assert t[0] == 0.0
         assert t[1] == pytest.approx(math.e)
         assert t[2] == pytest.approx(4 * math.log(2))
@@ -175,22 +173,23 @@ class TestMcmc:
     def test_deterministic(self):
         cfg = ChainConfig(samples=1500, burn_in=300, thinning=3, chain_count=10, seed=5)
         dims = EnsembleDims(2, 3)
-        a = mcmc_chain(dims, cfg)
-        b = mcmc_chain(dims, cfg)
+        a = collect(mcmc_chain(dims, cfg))
+        b = collect(mcmc_chain(dims, cfg))
         assert np.array_equal(a.spectra, b.spectra)
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.entropies, b.entropies)
 
     def test_seed_changes_output(self):
         dims = EnsembleDims(2, 3)
-        a = mcmc_chain(dims, ChainConfig(samples=500, burn_in=100, chain_count=4, seed=1))
-        b = mcmc_chain(dims, ChainConfig(samples=500, burn_in=100, chain_count=4, seed=2))
+        a = collect(mcmc_chain(dims, ChainConfig(samples=500, burn_in=100, chain_count=4, seed=1)))
+        b = collect(mcmc_chain(dims, ChainConfig(samples=500, burn_in=100, chain_count=4, seed=2)))
         assert not np.array_equal(a.spectra, b.spectra)
 
     def test_batch_invariants(self):
         cfg = ChainConfig(samples=777, burn_in=200, thinning=2, chain_count=8, seed=3)
         batch = mcmc_chain(EnsembleDims(3, 4), cfg)
         assert len(batch) == 777
+        batch = collect(batch)
         assert batch.spectra.shape == (777, 3)
         np.testing.assert_allclose(batch.spectra.sum(axis=1), 1.0, atol=1e-12)
         recomputed = [-(row * np.log(row)).sum() for row in batch.spectra[:50]]
@@ -200,7 +199,7 @@ class TestMcmc:
 
     def test_m1_marginal_is_gamma(self):
         cfg = ChainConfig(samples=40000, burn_in=1000, thinning=10, chain_count=50, seed=7)
-        batch = mcmc_chain(EnsembleDims(1, 1), cfg)
+        batch = collect(mcmc_chain(EnsembleDims(1, 1), cfg))
         ks = stats.kstest(batch.thetas, "gamma", args=(0.5,))
         assert ks.pvalue > 0.01
         assert np.all(batch.entropies == 0.0)
@@ -213,10 +212,11 @@ class TestMcmc:
 
     def test_entropies_T_identity(self):
         cfg = ChainConfig(samples=500, burn_in=200, thinning=2, chain_count=5, seed=13)
-        batch = mcmc_chain(EnsembleDims(2, 2), cfg)
+        batch = collect(mcmc_chain(EnsembleDims(2, 2), cfg))
         x = batch.spectra * batch.thetas[:, None]
         direct = (x * np.log(x)).sum(axis=1)
-        np.testing.assert_allclose(batch.entropies_T(), direct, rtol=1e-10)
+        np.testing.assert_allclose(entropies_T(batch.thetas, batch.entropies), direct,
+                                   rtol=1e-10)
 
     def test_statistical_match_4_6(self):
         from bureshall.cumulants import kappa2, kappa3
@@ -236,7 +236,7 @@ class TestMcmc:
 
 class TestMatrixModel:
     def test_single_draw(self):
-        lam = sample_matrix_model_batch(3, 1, seed=21).spectra[0]
+        lam = collect(sample_matrix_model_batch(3, 1, seed=21)).spectra[0]
         assert lam.shape == (3,)
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(lam) <= 0)  # sorted descending
@@ -267,7 +267,7 @@ class TestTraceLawAndIndependence:
         dims = EnsembleDims(2, 2)
         n = 30000
         cfg = ChainConfig(samples=n, burn_in=2000, thinning=20, chain_count=60, seed=37)
-        batch = mcmc_chain(dims, cfg)
+        batch = collect(mcmc_chain(dims, cfg))
         ks = stats.kstest(batch.thetas, "gamma", args=(float(dims.d),))
         assert ks.pvalue > 0.01
         r = np.corrcoef(batch.thetas, batch.entropies)[0, 1]
@@ -277,9 +277,9 @@ class TestTraceLawAndIndependence:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         cfg = ChainConfig(samples=200, burn_in=100, thinning=2, chain_count=4, seed=41)
-        batch = mcmc_chain(EnsembleDims(2, 3), cfg)
+        batch = collect(mcmc_chain(EnsembleDims(2, 3), cfg))
         path = tmp_path / "samples.csv"
-        write_sample_csv(batch, str(path))
+        write_sample_csv(mcmc_chain(EnsembleDims(2, 3), cfg), str(path))
         header = path.read_text().splitlines()[0]
         assert header == "chain,step,theta,S,lambda_1,lambda_2"
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -290,25 +290,25 @@ class TestCsv:
         np.testing.assert_array_equal(data[:, 4:], batch.spectra)
 
     def test_blocks_match_per_row_repr(self, tmp_path, monkeypatch):
-        # rows are formatted a block at a time; with 64-row blocks the 200
-        # rows span four blocks, the last one partial
-        monkeypatch.setattr(fileio, "_CSV_BLOCK", 64)
+        # rows are drawn and formatted a block at a time; with 64-row blocks
+        # the 200 rows span four blocks, the last one partial
+        monkeypatch.setattr(sampler, "_ROWS", 64)
         cfg = ChainConfig(samples=200, burn_in=100, thinning=2, chain_count=4, seed=41)
-        batch = mcmc_chain(EnsembleDims(3, 4), cfg)
+        batch = collect(mcmc_chain(EnsembleDims(3, 4), cfg))
         path = tmp_path / "samples.csv"
-        write_sample_csv(batch, str(path))
+        write_sample_csv(mcmc_chain(EnsembleDims(3, 4), cfg), str(path))
         rows = ["chain,step,theta,S,lambda_1,lambda_2,lambda_3"]
-        for i in range(len(batch)):
+        for i in range(len(batch.thetas)):
             values = [batch.thetas[i], batch.entropies[i], *batch.spectra[i]]
             cells = [int(batch.chain_index[i]), int(batch.step_index[i])]
             rows.append(",".join(map(str, cells)) + "," + ",".join(repr(float(v)) for v in values))
         assert path.read_text() == "\n".join(rows) + "\n"
 
         # m = 1: every spectrum is (1.0,), so S is 0.0 in every row
-        batch = mcmc_chain(EnsembleDims(1, 2), cfg)
-        write_sample_csv(batch, str(path))
+        batch = collect(mcmc_chain(EnsembleDims(1, 2), cfg))
+        write_sample_csv(mcmc_chain(EnsembleDims(1, 2), cfg), str(path))
         rows = ["chain,step,theta,S,lambda_1"]
-        for i in range(len(batch)):
+        for i in range(len(batch.thetas)):
             rows.append(f"{batch.chain_index[i]},{batch.step_index[i]},"
                         f"{float(batch.thetas[i])!r},0.0,1.0")
         assert path.read_text() == "\n".join(rows) + "\n"
@@ -328,28 +328,26 @@ class TestCsv:
                        "1a55575b4fe3d622100523fb2a3a50ab"),
     }
 
-    @pytest.fixture(scope="class")
-    def seeded_batches(self):
-        return {
-            "mcmc_1_3": mcmc_chain(EnsembleDims(1, 3), ChainConfig(samples=1000, burn_in=300,
-                                                                   seed=3)),
-            "mcmc_2_3": mcmc_chain(EnsembleDims(2, 3), ChainConfig(
-                samples=1000, burn_in=700, thinning=3, chain_count=8, seed=5)),
-            "mcmc_4_6": mcmc_chain(EnsembleDims(4, 6), ChainConfig(samples=3000, seed=1)),
-            "mcmc_12_24": mcmc_chain(EnsembleDims(12, 24), ChainConfig(samples=2000, seed=2)),
-            "matrix_3_3": sample_matrix_model_batch(3, 3000, seed=7),
-        }
+    # each batch is read once, so each test draws its own
+    SEEDED_BATCHES = {
+        "mcmc_1_3": lambda: mcmc_chain(EnsembleDims(1, 3), ChainConfig(samples=1000, burn_in=300,
+                                                                       seed=3)),
+        "mcmc_2_3": lambda: mcmc_chain(EnsembleDims(2, 3), ChainConfig(
+            samples=1000, burn_in=700, thinning=3, chain_count=8, seed=5)),
+        "mcmc_4_6": lambda: mcmc_chain(EnsembleDims(4, 6), ChainConfig(samples=3000, seed=1)),
+        "mcmc_12_24": lambda: mcmc_chain(EnsembleDims(12, 24), ChainConfig(samples=2000, seed=2)),
+        "matrix_3_3": lambda: sample_matrix_model_batch(3, 3000, seed=7),
+    }
 
-    @staticmethod
-    def csv_digests(batches, tmp_path):
+    def csv_digests(self, tmp_path):
         digests = {}
-        for name, batch in batches.items():
+        for name, draw in self.SEEDED_BATCHES.items():
             path = tmp_path / f"{name}.csv"
-            write_sample_csv(batch, str(path))
+            write_sample_csv(draw(), str(path))
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return digests
 
-    def test_seeded_output_bytes(self, tmp_path, seeded_batches):
+    def test_seeded_output_bytes(self, tmp_path):
         """Seeded CSVs are byte-identical to the recorded digests.
 
         The digests come from numpy 2.4.6 on x86-64; another numpy or CPU may
@@ -358,14 +356,46 @@ class TestCsv:
         retuned seven times; the other MCMC sample counts leave a partial last
         row of chains.
         """
-        assert self.csv_digests(seeded_batches, tmp_path) == self.SEEDED_DIGESTS
+        assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
 
-    def test_seeded_output_bytes_from_worker_pool(self, tmp_path, monkeypatch, seeded_batches):
-        # with 500-row blocks each seeded CSV spans two to six blocks, and with
-        # two usable CPUs forked workers format them
-        monkeypatch.setattr(fileio, "_CSV_BLOCK", 500)
+    def test_seeded_output_bytes_from_worker_pool(self, tmp_path, monkeypatch):
+        # with blocks of about 500 rows each seeded CSV spans three to seven
+        # blocks, and with two usable CPUs forked workers format them while
+        # this process draws the next ones
+        monkeypatch.setattr(sampler, "_ROWS", 500)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert self.csv_digests(seeded_batches, tmp_path) == self.SEEDED_DIGESTS
+        assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sampler_error_mid_stream(self, tmp_path, monkeypatch, cpus, count):
+        # the matrix backend's round-off check fails in its second block of
+        # six, after the first was formatted: the error is raised here, the
+        # target keeps its content, no temporary file is left and no worker
+        forks = cpus(count)
+        monkeypatch.setattr(sampler, "_ROWS", 500)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def shifted_after_first_call(mat):
+            calls.append(len(mat))
+            return eigvalsh(mat) - (len(calls) > 1)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_after_first_call)
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(ValueError, match="eigenvalue below round-off tolerance"):
+            write_sample_csv(sample_matrix_model_batch(3, 3000, seed=7), str(target))
+        assert calls == [500, 500]
+        assert len(forks) == (2 if count == 2 else 0)
+        assert multiprocessing.active_children() == []
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_batch_is_read_once(self):
+        batch = sample_matrix_model_batch(2, 10, seed=1)
+        assert len(list(batch)) == 1
+        with pytest.raises(RuntimeError, match="read once"):
+            iter(batch)
 
     def test_creates_missing_directory(self, tmp_path):
         cfg = ChainConfig(samples=20, burn_in=10, thinning=1, chain_count=2, seed=3)
