@@ -78,9 +78,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args) -> str:
+def _write_manifest(args, kernel: dict | None = None) -> str:
     """Write the manifest of a simulate or verify run next to its first output:
-    the argv that `main` parsed, the seeds and the SHA-256 of every output."""
+    the argv that `main` parsed, the seeds, the SHA-256 of every output and,
+    for an MCMC run, the kernel's diagnostics."""
     # imported here, like hashlib in _sha256, so that only the commands that
     # write a manifest load them
     import datetime
@@ -103,6 +104,8 @@ def _write_manifest(args) -> str:
             for p in args.outputs
         ],
     }
+    if kernel:
+        manifest["kernel"] = kernel
     path = args.outputs[0] + ".manifest.json"
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -158,12 +161,15 @@ def _cmd_simulate(args) -> int:
         batch = mcmc_chain(dims, config)
     out = args.outputs[0]
     write_sample_csv(batch, out)
-    manifest = _write_manifest(args)
+    manifest = _write_manifest(args, batch.kernel)
 
     st = k_statistics(batch.entropies, batch.chain_index)
     cs = cumulant_set(dims)
     print(f"wrote {out} ({len(batch)} samples, backend={args.backend})")
     print(f"manifest {manifest}")
+    if batch.kernel:
+        print(f"kernel: step size {batch.kernel['step_size']:.6g}, "
+              f"acceptance after burn-in {batch.kernel['acceptance']:.4f}")
     se1, se2, se3 = ("n/a" if math.isnan(se) else f"{se:.{digits}f}"
                      for se, digits in ((st.se1, 6), (st.se2, 6), (st.se3, 7)))
     print(f"k1 = {st.k1:.6f} +- {se1}   kappa1 = {cs.kappa1_f:.6f}")

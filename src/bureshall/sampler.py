@@ -6,20 +6,20 @@ Two backends:
 
       h(x) ~ prod_{i<j} (x_i - x_j)^2 / (x_i + x_j) * prod_i x_i^alpha e^{-x_i}
 
-  with a random-walk Metropolis kernel in log coordinates and projects
-  x -> lambda = x / theta.  The factorization h(x) dx = f(lambda) g(theta)
-  dtheta dlambda (theta ~ Gamma(d)) makes the projected spectra exactly
-  Bures-Hall distributed and independent of theta.  Each Metropolis sweep is
-  a component update (independent Gaussian increments on ln x_i) followed by
-  a collective scale update (a common increment on all ln x_i); the scale
-  move sees only the Gamma(d) factor of the density and decorrelates theta
-  quickly.  Chains run vectorized; every chain owns an RNG stream spawned
-  from (seed, chain index), so batches are bit-reproducible and merging is
-  deterministic by chain index.  The step loop is bound by per-call numpy
-  overhead on small arrays, so a step does little: its draws come from
-  step-major blocks whose uniforms are already logged, it evaluates the
-  log-density once (whose row sums become the accepted traces), and its
-  scale move is branch-free.
+  and projects x -> lambda = x / theta.  The factorization h(x) dx =
+  f(lambda) g(theta) dtheta dlambda (theta ~ Gamma(d)) makes the projected
+  spectra exactly Bures-Hall distributed and independent of theta.  So each
+  Metropolis-within-Gibbs step draws theta ~ Gamma(d) exactly, then makes one
+  random-walk move on ln x that changes only the spectrum's shape; each of
+  the two leaves the target invariant (Tierney 1994, Ann. Statist. 22:1701).
+  Chains run vectorized; every chain owns an RNG stream spawned from (seed,
+  chain index), so batches are bit-reproducible and merging is deterministic
+  by chain index; the chains share only the step size that burn-in tunes, so
+  without burn-in a chain's rows do not depend on the chains beside it.  The
+  step loop is bound by per-call numpy overhead on small arrays, so a step
+  does little: its draws, and every part of the acceptance test that does
+  not depend on the state, come from step-major blocks, and it evaluates the
+  pair term once, with one log.
 
 * ``sample_matrix_model_batch`` draws the reduced density matrix directly for
   n = m, where the unitary weight is flat: M = (I+U) Z Z* (I+U)* with Z
@@ -29,10 +29,10 @@ Both return a ``SampleBatch``, which draws its samples as they are read: a
 block of about _ROWS kept rows at a time, in sample order.  A reader such as
 the CSV writer takes each block's spectra and traces as it comes, and no
 block is kept, so no command holds all samples x m floats; the batch keeps
-only every sample's entropy.  Blocking changes no drawn value: the kernel's
-draws still come _BLOCK steps at a time, and the matrix backend still draws
-its normals _MATRIX_BLOCK matrices at a time, both into buffers allocated
-once; the matrix backend takes its linear algebra _ROWS matrices at a time.
+only every sample's entropy.  Blocking changes no drawn value: the kernel
+draws _BLOCK steps at a time and the matrix backend the normals of
+_MATRIX_BLOCK matrices at a time, both into buffers allocated once, and the
+matrix backend takes its linear algebra _ROWS matrices at a time.
 
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
@@ -59,10 +59,10 @@ class _Chain(NamedTuple):
 
 
 class ChainConfig(_Chain):
-    """Metropolis chain settings, validated on construction.  The component
-    step starts at 0.25/sqrt(m) and the scale step at 2.4/sqrt(max(d, 1));
-    burn-in tunes both to acceptance in [0.2, 0.5], and they stay frozen
-    after it."""
+    """Metropolis chain settings, validated on construction.  The trace is
+    drawn exactly at every step, so the only step size is the shape move's:
+    it starts at 0.25/sqrt(m), burn-in tunes it to acceptance in [0.2, 0.5],
+    and it stays frozen after."""
 
     __slots__ = ()
 
@@ -116,12 +116,16 @@ class SampleBatch:
     (r // chains): MCMC samples are step-major over the chains, and the
     matrix backend is one chain of consecutive steps.  So chain_index and
     step_index are computed when read, not kept.  len() counts the samples.
+    kernel holds the MCMC kernel's diagnostics as the blocks are drawn (see
+    mcmc_chain); the matrix backend leaves it empty.
     """
 
     def __init__(self, draws: Iterator, samples: int, blocks: int, chains: int,
-                 first_step: int, stride: int, provenance: Provenance):
+                 first_step: int, stride: int, provenance: Provenance,
+                 kernel: Optional[dict] = None):
         self.blocks = blocks
         self.provenance = provenance
+        self.kernel = {} if kernel is None else kernel
         self._layout = chains, first_step, stride
         self._entropies = np.empty(samples)
         self._stream = self._fill(draws)
@@ -174,23 +178,23 @@ class SampleBatch:
 
 _BLOCK = 512
 _TUNE_WINDOW = 100
-_SCALE_BOUNDS = (1e-3, 5.0)
+_STEP_BOUNDS = (1e-3, 5.0)
 
 
 def _retune(sigma: float, rate: float) -> float:
     """Shrink a step whose acceptance rate fell below 0.2, widen one above 0.5."""
     if rate < 0.2:
-        return max(sigma * 0.6, _SCALE_BOUNDS[0])
+        return max(sigma * 0.6, _STEP_BOUNDS[0])
     if rate > 0.5:
-        return min(sigma * 1.5, _SCALE_BOUNDS[1])
+        return min(sigma * 1.5, _STEP_BOUNDS[1])
     return sigma
 
 
-def _log_density(x: np.ndarray, y: np.ndarray, w: float, pairs: np.ndarray):
-    """Row-wise pair term + w * sum(y) - sum(x): the unconstrained log-density
-    at x with y = ln x and w = alpha, or, with w = alpha + 1, the log-density
-    of y = ln x (the Jacobian adds sum(y)).  Returns it together with the row
-    sums of x, the traces.
+def _pair_term(x: np.ndarray, pairs: np.ndarray):
+    """Row-wise pair term sum_{i<j} [2 ln|x_i - x_j| - ln(x_i + x_j)] of the
+    unconstrained log-density, together with the row sums of x (the traces).
+    The log-density at x is the pair term + alpha * sum(ln x) - sum(x).  The
+    pair term is homogeneous: scaling a row by c adds m(m - 1)/2 * ln c.
 
     pairs is concat(i, j) over the index pairs i < j.  Coinciding x_i give
     log 0 = -inf, so call inside np.errstate(divide="ignore").
@@ -198,12 +202,11 @@ def _log_density(x: np.ndarray, y: np.ndarray, w: float, pairs: np.ndarray):
     ends = x[:, pairs]
     half = len(pairs) // 2
     a, b = ends[:, :half], ends[:, half:]
-    d = np.abs(a - b)
+    d = a - b
+    d *= d
+    d /= a + b
     np.log(d, out=d)
-    d *= 2.0
-    d -= np.log(a + b)
-    trace = x.sum(axis=1)
-    return d.sum(axis=1) + w * y.sum(axis=1) - trace, trace
+    return d.sum(axis=1), x.sum(axis=1)
 
 
 _ENTROPY_BLOCK = 8192
@@ -228,28 +231,47 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     Returns config.samples spectra merged from chain_count chains in
     step-major, chain-minor order, drawn as the batch is read, in blocks of
     max(1, _ROWS // chain_count) kept steps.  Bit-identical for identical
-    arguments.
+    arguments.  The batch's kernel dict holds the shape move's step size
+    (frozen after burn-in) and its acceptance rate after burn-in, over the
+    steps drawn so far.
     """
     n_chains = config.chain_count
     block_steps = max(1, _ROWS // n_chains)
     blocks = -(-config.samples // (block_steps * n_chains))
-    return SampleBatch(_mcmc_draws(dims, config, block_steps), config.samples, blocks,
+    kernel: dict = {}
+    return SampleBatch(_mcmc_draws(dims, config, block_steps, kernel), config.samples, blocks,
                        chains=n_chains, first_step=config.burn_in + config.thinning - 1,
-                       stride=config.thinning, provenance=Provenance(dims, config, "mcmc"))
+                       stride=config.thinning, provenance=Provenance(dims, config, "mcmc"),
+                       kernel=kernel)
 
 
-def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int) -> Iterator:
+def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
+                kernel: dict) -> Iterator:
     """mcmc_chain's (spectra, thetas) blocks: block_steps kept steps each,
     the last one fewer and trimmed to config.samples rows.
 
-    Draws come a block of _BLOCK steps at a time, laid out step-major so that
-    one step's draws for all chains are contiguous; each chain fills its
-    slice in a fixed order (component normals, component uniforms, scale
-    normals, scale uniforms), and the uniforms' logs are taken once per
-    block.  A step evaluates the log-density once, at the component
-    proposal, whose row sums become the traces of the chains that accept it.
-    The scale move is branch-free: a rejecting chain is multiplied by 1.0
-    and shifted by 0.0, which leaves its finite state unchanged.
+    A chain's state is a point v > 0 on the ray of its spectrum, lambda =
+    v / s with s = sum(v), kept as u = ln v with s and the pair term q at v.
+    A step draws the trace theta ~ Gamma(d) exactly, which leaves the target
+    invariant since theta is independent of lambda, and so sets
+    x = theta v / s.  It then makes one random-walk move x' = x e^delta,
+    symmetric in ln x, under the log-density of ln x.  Its increment
+    delta = sigma * (normal - mean(normal)) sums to 0: the next step draws
+    the trace afresh anyway, so the move changes only the shape, and sum(u)
+    stays fixed.  With z = v e^delta, the homogeneous pair term
+    changes by pair(z) - q and the trace term by theta (sum(z) / s - 1), so
+    the move is accepted when
+
+        pair(z) - q - theta sum(z) / s + [theta - ln U] > 0,
+
+    and then v = z.  The increments and the bracket, the bias, are laid down
+    with the draws, a block of _BLOCK steps at a time, step-major so that one
+    step's draws for all chains are contiguous; each chain fills its slice
+    in a fixed order (normals, uniforms, traces).  Burn-in retunes sigma
+    every _TUNE_WINDOW steps, rescaling the rest of the block's increments
+    in place; it stays frozen after.  A kept step reports lambda =
+    exp(u) / sum(exp(u)) and the trace of the state: sum(x') if the chain
+    accepted, else theta.
 
     The last step is a kept one, so the loop ends as a block fills.  A block
     is handed out as soon as it fills, outside the loop's np.errstate, which
@@ -257,87 +279,79 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int) -> It
     since a reader may still hold the ones before.
     """
     m = dims.m
-    alpha = float(dims.alpha)
     d_shape = float(dims.d)
     n_chains = config.chain_count
     kept_per_chain = -(-config.samples // n_chains)
     total_steps = config.burn_in + config.thinning * kept_per_chain
 
     children = np.random.SeedSequence(config.seed).spawn(n_chains)
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in children]
+    gens = [np.random.Generator(np.random.PCG64(child)) for child in children]
 
     # the pairs i < j as concat(i, j); empty at m = 1, where the pair term is 0
     pairs = np.concatenate(np.triu_indices(m, 1))
     x = np.empty((n_chains, m))
     for c, g in enumerate(gens):
-        x[c] = g.gamma(alpha + 1.0, 1.0, size=m)
+        x[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
         while np.unique(x[c]).size < m:  # measure-zero, but be safe
-            x[c] = g.gamma(alpha + 1.0, 1.0, size=m)
-    y = np.log(x)
+            x[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
+    with np.errstate(divide="ignore"):
+        q, s = _pair_term(x, pairs)
+    u = np.log(x)
 
-    sigma_comp = 0.25 / math.sqrt(m)
-    sigma_scale = 2.4 / math.sqrt(max(d_shape, 1.0))
-
-    comp_steps = np.empty((_BLOCK, n_chains, m))
-    comp_logu = np.empty((_BLOCK, n_chains))
-    scale_steps = np.empty((_BLOCK, n_chains))
-    scale_logu = np.empty((_BLOCK, n_chains))
+    sigma = 0.25 / math.sqrt(m)
+    deltas = np.empty((_BLOCK, n_chains, m))
+    bias = np.empty((_BLOCK, n_chains))
+    thetas = np.empty((_BLOCK, n_chains))
 
     steps_left, rows_left = kept_per_chain, config.samples
     kept = 0  # kept steps in the block being filled
     step = t = nblock = 0  # t steps of the nblock in the draw buffers are done
-    acc_comp = trials = acc_scale = 0
-    with np.errstate(divide="ignore"):
-        logp, theta = _log_density(x, y, alpha + 1.0, pairs)
+    accepted = 0  # in the tuning window, then after burn-in
     while step < total_steps:
         filled = None
         with np.errstate(divide="ignore"):
             while filled is None:
                 if t == nblock:
                     nblock, t = min(_BLOCK, total_steps - step), 0
+                    block = slice(0, nblock)
                     for c, g in enumerate(gens):
-                        comp_steps[:nblock, c] = g.standard_normal((nblock, m))
-                        comp_logu[:nblock, c] = g.random(nblock)
-                        scale_steps[:nblock, c] = g.standard_normal(nblock)
-                        scale_logu[:nblock, c] = g.random(nblock)
-                    np.log(comp_logu[:nblock], out=comp_logu[:nblock])
-                    np.log(scale_logu[:nblock], out=scale_logu[:nblock])
+                        deltas[block, c] = g.standard_normal((nblock, m))
+                        bias[block, c] = g.random(nblock)
+                        thetas[block, c] = g.standard_gamma(d_shape, nblock)
+                    deltas[block] -= deltas[block].mean(axis=2, keepdims=True)
+                    deltas[block] *= sigma
+                    np.log(bias[block], out=bias[block])
+                    np.subtract(thetas[block], bias[block], out=bias[block])
 
-                # component move
-                y_prop = y + sigma_comp * comp_steps[t]
-                x_prop = np.exp(y_prop)
-                logp_prop, theta_prop = _log_density(x_prop, y_prop, alpha + 1.0, pairs)
-                accept = comp_logu[t] < logp_prop - logp
-                np.copyto(y, y_prop, where=accept[:, None])
-                np.copyto(x, x_prop, where=accept[:, None])
-                np.copyto(logp, logp_prop, where=accept)
-                np.copyto(theta, theta_prop, where=accept)
-
-                # collective scale move; only the Gamma(d) trace factor changes
-                s = sigma_scale * scale_steps[t]
-                delta = d_shape * s - theta * np.expm1(s)
-                accept_s = scale_logu[t] < delta
-                factor = np.where(accept_s, np.exp(s), 1.0)
-                x *= factor[:, None]
-                theta *= factor
-                y += np.where(accept_s, s, 0.0)[:, None]
-                logp += np.where(accept_s, delta, 0.0)
+                y = u + deltas[t]
+                z = np.exp(y)
+                pair, trace = _pair_term(z, pairs)
+                x_trace = thetas[t] / s
+                x_trace *= trace
+                gain = pair - x_trace
+                gain += bias[t]
+                accept = gain > q
+                np.copyto(u, y, where=accept[:, None])
+                np.copyto(q, pair, where=accept)
+                np.copyto(s, trace, where=accept)
+                accepted += np.count_nonzero(accept)
 
                 if step < config.burn_in:
-                    acc_comp += np.count_nonzero(accept)
-                    acc_scale += np.count_nonzero(accept_s)
-                    trials += n_chains
-                    if trials >= _TUNE_WINDOW * n_chains:
-                        sigma_comp = _retune(sigma_comp, acc_comp / trials)
-                        sigma_scale = _retune(sigma_scale, acc_scale / trials)
-                        acc_comp = acc_scale = trials = 0
+                    if (step + 1) % _TUNE_WINDOW == 0:
+                        tuned = _retune(sigma, accepted / (_TUNE_WINDOW * n_chains))
+                        deltas[t + 1:nblock] *= tuned / sigma
+                        sigma = tuned
+                        accepted = 0
+                    if step + 1 == config.burn_in:
+                        accepted = 0
                 elif (step - config.burn_in) % config.thinning == config.thinning - 1:
                     if kept == 0:
                         size = min(block_steps, steps_left)
                         lam_out = np.empty((size, n_chains, m))
                         theta_out = np.empty((size, n_chains))
-                    np.divide(x, theta[:, None], out=lam_out[kept])
-                    theta_out[kept] = theta
+                    lam = np.exp(u, out=lam_out[kept])
+                    lam /= lam.sum(axis=1, keepdims=True)  # exactly 1 at m = 1
+                    theta_out[kept] = np.where(accept, x_trace, thetas[t])
                     kept += 1
                     if kept == size:
                         rows = min(size * n_chains, rows_left)
@@ -347,6 +361,8 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int) -> It
                         kept = 0
                 t += 1
                 step += 1
+        after_burn_in = step - config.burn_in
+        kernel.update(step_size=sigma, acceptance=float(accepted / (after_burn_in * n_chains)))
         yield filled
 
 
@@ -368,7 +384,7 @@ def _haar_unitary(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q
 
 
-_MATRIX_BLOCK = 20000  # matrices per draw of the normals
+_MATRIX_BLOCK = 2048  # matrices per draw of the normals, whatever _ROWS is
 
 
 def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:

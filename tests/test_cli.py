@@ -94,6 +94,14 @@ MANIFEST_SCHEMA = {
                 "required": ["path", "sha256", "bytes"],
             },
         },
+        "kernel": {
+            "type": "object",
+            "required": ["step_size", "acceptance"],
+            "properties": {
+                "step_size": {"type": "number", "exclusiveMinimum": 0},
+                "acceptance": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+        },
     },
 }
 
@@ -160,10 +168,15 @@ class TestSimulateCommand:
         assert manifest["outputs"][0]["sha256"] == digest
         out = capsys.readouterr().out
         assert "kappa1" in out and "k1" in out
+        # the kernel's frozen step and its acceptance after burn-in, as printed
+        kernel = manifest["kernel"]
+        assert (f"kernel: step size {kernel['step_size']:.6g}, "
+                f"acceptance after burn-in {kernel['acceptance']:.4f}") in out
 
-        # deterministic rerun: identical CSV digest
+        # deterministic rerun: identical CSV digest and kernel diagnostics
         assert main(args) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+        assert json.loads(manifest_path.read_text())["kernel"] == kernel
 
     def test_matrix_backend_requires_square(self, outdir):
         with pytest.raises(SystemExit) as exc:
@@ -175,6 +188,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--m", "2", "--n", "2", "--backend", "matrix",
                      "--samples", "5000", "--seed", "4", "--out", "mat.csv"]) == 0
         assert (outdir / "mat.csv").exists()
+        # no Metropolis kernel, so no kernel diagnostics
+        manifest = json.loads((outdir / "mat.csv.manifest.json").read_text())
+        jsonschema.validate(manifest, MANIFEST_SCHEMA)
+        assert "kernel" not in manifest
+        assert "kernel:" not in capsys.readouterr().out
 
     def test_pure_spectrum_entropy_is_positive_zero(self, outdir, capsys):
         # at m = 1 every spectrum is pure, so S is exactly 0 and reads 0.0
@@ -426,7 +444,7 @@ def test_simulate_peak_memory_does_not_grow_with_samples(tmp_path):
     # the spectra stream to the CSV a block at a time, so 70k more samples at
     # (12,24) add only their entropies (0.5 MiB) and the part of the kernel's
     # 512-step draw buffers that 157 steps of the 10k run leave untouched
-    # (2.6 MiB); holding the spectra would add 70000 * 12 floats (6.4 MiB).
+    # (2.4 MiB); holding the spectra would add 70000 * 12 floats (6.4 MiB).
     # A small launcher starts the command, since a process's max-RSS starts
     # from that of the process that started it
     code = textwrap.dedent("""

@@ -16,7 +16,7 @@ from bureshall.cumulants import EnsembleDims, kappa1
 from bureshall.sampler import (
     ChainConfig,
     _entropies,
-    _log_density,
+    _pair_term,
     k_statistics,
     mcmc_chain,
     sample_matrix_model_batch,
@@ -27,11 +27,12 @@ K1_22 = 0.2196276944532239  # 2 ln 2 - 7/6
 
 
 def log_density(x, dims: EnsembleDims) -> float:
-    """The unconstrained log-density at one point x (w = alpha)."""
+    """The unconstrained log-density at one point x, from the kernel's pair
+    term and trace: pair + alpha * sum(ln x) - trace."""
     x = np.array([x], dtype=float)
     pairs = np.concatenate(np.triu_indices(dims.m, 1))
-    logp, _ = _log_density(x, np.log(x), float(dims.alpha), pairs)
-    return float(logp[0])
+    pair, trace = _pair_term(x, pairs)
+    return float(pair[0] + float(dims.alpha) * np.log(x).sum() - trace[0])
 
 
 class TestLogDensity:
@@ -49,6 +50,19 @@ class TestLogDensity:
         a = log_density([1.0, 2.0], dims)
         b = log_density([2.0, 1.0], dims)
         assert a == pytest.approx(b, abs=0)
+
+    def test_pair_term_is_homogeneous(self):
+        # the kernel compares pair terms at points of each spectrum's ray, not
+        # at x itself: scaling a row by c adds m(m - 1)/2 * ln c, and
+        # coinciding x_i give -inf
+        x = np.array([[0.3, 1.7, 2.2, 5.0], [1.0, 1.0, 2.0, 3.0]])
+        pairs = np.concatenate(np.triu_indices(4, 1))
+        with np.errstate(divide="ignore"):
+            pair, trace = _pair_term(x, pairs)
+            scaled, _ = _pair_term(2.5 * x, pairs)
+        assert pair[0] + 6 * math.log(2.5) == pytest.approx(scaled[0], abs=1e-13)
+        assert pair[1] == scaled[1] == -math.inf
+        assert list(trace) == [9.2, 7.0]
 
 
 class TestProjectionAndEntropy:
@@ -218,6 +232,22 @@ class TestMcmc:
         np.testing.assert_allclose(entropies_T(batch.thetas, batch.entropies), direct,
                                    rtol=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_chains_are_independent(self, m):
+        # with no burn-in there is no shared tuning, so a chain's rows are the
+        # same whether it runs alone or beside 6 or 63 others; 300 kept steps
+        # at thinning 2 cross a 512-step draw block
+        dims = EnsembleDims(m, 2 * m)
+        runs = {}
+        for chains in (64, 7, 1):
+            cfg = ChainConfig(samples=300 * chains, burn_in=0, thinning=2, chain_count=chains,
+                              seed=23)
+            batch = collect(mcmc_chain(dims, cfg))
+            runs[chains] = batch.spectra.reshape(300, chains, m), batch.thetas.reshape(300, chains)
+        for chains in (7, 1):
+            for wide, narrow in zip(runs[64], runs[chains]):
+                assert np.array_equal(wide[:, :chains], narrow)
+
     def test_statistical_match_4_6(self):
         from bureshall.cumulants import kappa2, kappa3
 
@@ -316,16 +346,16 @@ class TestCsv:
     # SHA-256 of each seeded CSV: a change to the kernel, its draw order or
     # its arithmetic that moves one output value by one ulp changes these
     SEEDED_DIGESTS = {
-        "mcmc_1_3": ("b194e25601542b35336797a97daeb2d4"
-                     "225beecc11d4041cc6add96d13415e0b"),
-        "mcmc_2_3": ("29143f94ba2c6066ffa1b1ef4f057ed3"
-                     "1e60e5b453231162190cef24600861a3"),
-        "mcmc_4_6": ("0f6d4ad8e89316587fbe3a681a8aa632"
-                     "59ef6c3adffbe1e74cb97b1ea6351b55"),
-        "mcmc_12_24": ("3fc75145ef94ba6bc92f387d824a57dc"
-                       "f9d9c0954d1769782cf947cc0651d628"),
-        "matrix_3_3": ("4ea180629abf8c90fb33de1fc245d42f"
-                       "1a55575b4fe3d622100523fb2a3a50ab"),
+        "mcmc_1_3": ("0679bb92e0b1a4366a913a8e55e31e73"
+                     "bc4fda6682b58829f951fb76924efeb9"),
+        "mcmc_2_3": ("e229f10d1ce1d03f75a455c3a66ca5b6"
+                     "d115354c68f3af8ef471f864b1e5016d"),
+        "mcmc_4_6": ("20295ea8b914f3941ff0f724202078e2"
+                     "81324aa62f509764dfa57d58ccd421e3"),
+        "mcmc_12_24": ("3a89971c474021e023ca6a5d9bb56b4e"
+                       "19a87efa0c1dc116a8f782bc527cc64a"),
+        "matrix_3_3": ("3c165da748e0b0eb98c6760dd2599901"
+                       "be7a502b6d54c70d06fe0ab1372dc007"),
     }
 
     # each batch is read once, so each test draws its own
