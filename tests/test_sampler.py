@@ -248,6 +248,16 @@ class TestMcmc:
             for wide, narrow in zip(runs[64], runs[chains]):
                 assert np.array_equal(wide[:, :chains], narrow)
 
+    def test_reader_keeps_numpy_error_state(self, monkeypatch):
+        # the kernel ignores log 0 inside its step loop; a reader that takes
+        # the 300 rows in five 64-row blocks sees its own error state
+        monkeypatch.setattr(sampler, "_ROWS", 64)
+        before = np.geterr()
+        cfg = ChainConfig(samples=300, burn_in=150, thinning=2, chain_count=8, seed=3)
+        seen = [np.geterr() for _ in mcmc_chain(EnsembleDims(3, 4), cfg)]
+        assert seen == [before] * 5
+        assert np.geterr() == before
+
     def test_statistical_match_4_6(self):
         from bureshall.cumulants import kappa2, kappa3
 
@@ -356,6 +366,12 @@ class TestCsv:
                        "19a87efa0c1dc116a8f782bc527cc64a"),
         "matrix_3_3": ("3c165da748e0b0eb98c6760dd2599901"
                        "be7a502b6d54c70d06fe0ab1372dc007"),
+        "mcmc_3_5_cold": ("f76f986c837954e0804b45f078d00f49"
+                          "43ce0d2bb52246e110023b8388534b09"),
+        "mcmc_2_4_250": ("e2facc4644a97028eeb73b309a378309"
+                         "b58d893818842a283da139fe5c14275b"),
+        "mcmc_2_2_wide": ("02cba93c9893cec085a96c083ae37eb2"
+                          "5dd4282a02bd3fa61df3d199b69ee8b2"),
     }
 
     # each batch is read once, so each test draws its own
@@ -367,6 +383,12 @@ class TestCsv:
         "mcmc_4_6": lambda: mcmc_chain(EnsembleDims(4, 6), ChainConfig(samples=3000, seed=1)),
         "mcmc_12_24": lambda: mcmc_chain(EnsembleDims(12, 24), ChainConfig(samples=2000, seed=2)),
         "matrix_3_3": lambda: sample_matrix_model_batch(3, 3000, seed=7),
+        "mcmc_3_5_cold": lambda: mcmc_chain(EnsembleDims(3, 5), ChainConfig(
+            samples=700, burn_in=0, thinning=1, chain_count=6, seed=9)),
+        "mcmc_2_4_250": lambda: mcmc_chain(EnsembleDims(2, 4), ChainConfig(
+            samples=900, burn_in=250, thinning=2, chain_count=7, seed=4)),
+        "mcmc_2_2_wide": lambda: mcmc_chain(EnsembleDims(2, 2), ChainConfig(
+            samples=4250, burn_in=130, thinning=2, chain_count=2100, seed=6)),
     }
 
     def csv_digests(self, tmp_path):
@@ -384,7 +406,9 @@ class TestCsv:
         round exp, log or the row sums differently.  (2,3) runs 8 chains with
         700 burn-in steps, so burn-in crosses a 512-step draw block and is
         retuned seven times; the other MCMC sample counts leave a partial last
-        row of chains.
+        row of chains.  The last three cover the schedule's edges: no burn-in
+        at thinning 1, a burn-in that ends in a partial tuning window, and
+        more chains than a block has rows, so that a block is one step.
         """
         assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
 
