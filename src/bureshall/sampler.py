@@ -16,23 +16,25 @@ Two backends:
   chain index), so batches are bit-reproducible and merging is deterministic
   by chain index; the chains share only the step size that burn-in tunes, so
   without burn-in a chain's rows do not depend on the chains beside it.  The
-  step loop is bound by per-call numpy overhead on small arrays, so a step
-  does little: its draws, and every part of the acceptance test that does
-  not depend on the state, come from step-major blocks, and it evaluates the
-  pair term once, with one log.
+  chains run in two phases: burn-in, in windows of _TUNE_WINDOW steps with
+  the step size retuned between them, then one run per output block with
+  the step size frozen.  The step loop is bound by per-call numpy overhead
+  on small arrays, so a step does little: its draws, and every part of the
+  acceptance test that does not depend on the state, come from step-major
+  blocks, and it evaluates the pair term once, with one log.
 
 * ``sample_matrix_model_batch`` draws the reduced density matrix directly for
   n = m, where the unitary weight is flat: M = (I+U) Z Z* (I+U)* with Z
   complex Ginibre and U Haar unitary, spectrum = eig(M) / tr(M).
 
-Both return a ``SampleBatch``, which draws its samples as they are read: a
-block of about _ROWS kept rows at a time, in sample order.  A reader such as
-the CSV writer takes each block's spectra and traces as it comes, and no
-block is kept, so no command holds all samples x m floats; the batch keeps
-only every sample's entropy.  Blocking changes no drawn value: the kernel
-draws _BLOCK steps at a time and the matrix backend the normals of
-_MATRIX_BLOCK matrices at a time, both into buffers allocated once, and the
-matrix backend takes its linear algebra _ROWS matrices at a time.
+Both return a ``SampleBatch``, which draws its samples as they are read, a
+block at a time, in sample order: about _ROWS kept rows of whole steps from
+the kernel, and one draw of _MATRIX_BLOCK matrices from the matrix backend.
+A reader such as the CSV writer takes each block's spectra and traces as it
+comes, and no block is kept, so no command holds all samples x m floats; the
+batch keeps only every sample's entropy.  The kernel's block size changes no
+drawn value: it draws _BLOCK steps at a time into buffers allocated once,
+and the matrix backend fills the same four normal arrays at every draw.
 
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
@@ -100,10 +102,6 @@ class Block(NamedTuple):
     thetas: np.ndarray
     entropies: np.ndarray
     spectra: np.ndarray  # (rows, m)
-
-
-# kept rows per block of a SampleBatch, about; an MCMC block holds whole steps
-_ROWS = 2048
 
 
 class SampleBatch:
@@ -176,6 +174,7 @@ class SampleBatch:
 # Metropolis backend
 # ---------------------------------------------------------------------------
 
+_ROWS = 2048  # kept rows per block, about: a block holds whole steps
 _BLOCK = 512
 _TUNE_WINDOW = 100
 _STEP_BOUNDS = (1e-3, 5.0)
@@ -209,20 +208,11 @@ def _pair_term(x: np.ndarray, pairs: np.ndarray):
     return d.sum(axis=1), x.sum(axis=1)
 
 
-_ENTROPY_BLOCK = 8192
-
-
 def _entropies(lam: np.ndarray) -> np.ndarray:
-    """Row-wise von Neumann entropies with 0 ln 0 = 0, a block of rows at a
-    time so that the temporaries stay small."""
-    out = np.empty(len(lam))
+    """Row-wise von Neumann entropies with 0 ln 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(lam), _ENTROPY_BLOCK):
-            block = lam[start:start + _ENTROPY_BLOCK]
-            # + 0.0 turns the -0.0 of a pure spectrum into 0.0
-            out[start:start + _ENTROPY_BLOCK] = (
-                -np.where(block > 0, block * np.log(block), 0.0).sum(axis=1) + 0.0)
-    return out
+        # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+        return -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1) + 0.0
 
 
 def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
@@ -267,22 +257,22 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
     and then v = z.  The increments and the bracket, the bias, are laid down
     with the draws, a block of _BLOCK steps at a time, step-major so that one
     step's draws for all chains are contiguous; each chain fills its slice
-    in a fixed order (normals, uniforms, traces).  Burn-in retunes sigma
-    every _TUNE_WINDOW steps, rescaling the rest of the block's increments
-    in place; it stays frozen after.  A kept step reports lambda =
-    exp(u) / sum(exp(u)) and the trace of the state: sum(x') if the chain
-    accepted, else theta.
+    in a fixed order (normals, uniforms, traces).
 
-    The last step is a kept one, so the loop ends as a block fills.  A block
-    is handed out as soon as it fills, outside the loop's np.errstate, which
-    would otherwise hold in the reader's code too.  Each is a new array,
-    since a reader may still hold the ones before.
+    The chains run in two phases.  Burn-in runs _TUNE_WINDOW steps at a
+    time; after each window it retunes sigma and rescales the increments
+    left in the draw block, and its last, partial window runs untuned.
+    sigma then stays frozen, and each output block is block_steps *
+    thinning steps, of which every thinning-th reports lambda =
+    exp(u) / sum(exp(u)) and the trace of the state: sum(x') if the chain
+    accepted, else theta.  Each block is a new array, since a reader may
+    still hold the ones before.
     """
     m = dims.m
     d_shape = float(dims.d)
-    n_chains = config.chain_count
+    n_chains, thinning = config.chain_count, config.thinning
     kept_per_chain = -(-config.samples // n_chains)
-    total_steps = config.burn_in + config.thinning * kept_per_chain
+    undrawn = config.burn_in + thinning * kept_per_chain  # steps not yet in the draw buffers
 
     children = np.random.SeedSequence(config.seed).spawn(n_chains)
     gens = [np.random.Generator(np.random.PCG64(child)) for child in children]
@@ -302,17 +292,18 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
     deltas = np.empty((_BLOCK, n_chains, m))
     bias = np.empty((_BLOCK, n_chains))
     thetas = np.empty((_BLOCK, n_chains))
-
-    steps_left, rows_left = kept_per_chain, config.samples
-    kept = 0  # kept steps in the block being filled
-    step = t = nblock = 0  # t steps of the nblock in the draw buffers are done
+    t = nblock = 0  # t steps of the nblock in the draw buffers are done
     accepted = 0  # in the tuning window, then after burn-in
-    while step < total_steps:
-        filled = None
+
+    def run(steps: int, lam_out=None, theta_out=None) -> None:
+        """Advance every chain by steps steps, keeping every thinning-th
+        state in lam_out and theta_out when they are given."""
+        nonlocal t, nblock, undrawn, accepted
         with np.errstate(divide="ignore"):
-            while filled is None:
+            for i in range(steps):
                 if t == nblock:
-                    nblock, t = min(_BLOCK, total_steps - step), 0
+                    nblock, t = min(_BLOCK, undrawn), 0
+                    undrawn -= nblock
                     block = slice(0, nblock)
                     for c, g in enumerate(gens):
                         deltas[block, c] = g.standard_normal((nblock, m))
@@ -336,34 +327,29 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
                 np.copyto(s, trace, where=accept)
                 accepted += np.count_nonzero(accept)
 
-                if step < config.burn_in:
-                    if (step + 1) % _TUNE_WINDOW == 0:
-                        tuned = _retune(sigma, accepted / (_TUNE_WINDOW * n_chains))
-                        deltas[t + 1:nblock] *= tuned / sigma
-                        sigma = tuned
-                        accepted = 0
-                    if step + 1 == config.burn_in:
-                        accepted = 0
-                elif (step - config.burn_in) % config.thinning == config.thinning - 1:
-                    if kept == 0:
-                        size = min(block_steps, steps_left)
-                        lam_out = np.empty((size, n_chains, m))
-                        theta_out = np.empty((size, n_chains))
-                    lam = np.exp(u, out=lam_out[kept])
+                if lam_out is not None and i % thinning == thinning - 1:
+                    lam = np.exp(u, out=lam_out[i // thinning])
                     lam /= lam.sum(axis=1, keepdims=True)  # exactly 1 at m = 1
-                    theta_out[kept] = np.where(accept, x_trace, thetas[t])
-                    kept += 1
-                    if kept == size:
-                        rows = min(size * n_chains, rows_left)
-                        filled = lam_out.reshape(-1, m)[:rows], theta_out.reshape(-1)[:rows]
-                        steps_left -= size
-                        rows_left -= rows
-                        kept = 0
+                    theta_out[i // thinning] = np.where(accept, x_trace, thetas[t])
                 t += 1
-                step += 1
-        after_burn_in = step - config.burn_in
+
+    for _ in range(config.burn_in // _TUNE_WINDOW):
+        run(_TUNE_WINDOW)
+        tuned = _retune(sigma, accepted / (_TUNE_WINDOW * n_chains))
+        deltas[t:nblock] *= tuned / sigma
+        sigma, accepted = tuned, 0
+    run(config.burn_in % _TUNE_WINDOW)
+    accepted = 0
+
+    for first in range(0, kept_per_chain, block_steps):
+        size = min(block_steps, kept_per_chain - first)
+        lam_out = np.empty((size, n_chains, m))
+        theta_out = np.empty((size, n_chains))
+        run(size * thinning, lam_out, theta_out)
+        after_burn_in = (first + size) * thinning
         kernel.update(step_size=sigma, acceptance=float(accepted / (after_burn_in * n_chains)))
-        yield filled
+        rows = min(size * n_chains, config.samples - first * n_chains)
+        yield lam_out.reshape(-1, m)[:rows], theta_out.reshape(-1)[:rows]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +370,7 @@ def _haar_unitary(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q
 
 
-_MATRIX_BLOCK = 2048  # matrices per draw of the normals, whatever _ROWS is
+_MATRIX_BLOCK = 2048  # matrices per block of the matrix backend
 
 
 def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
@@ -393,40 +379,36 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         raise ValueError("m must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    full, last = divmod(count, _MATRIX_BLOCK)
-    blocks = full * -(-_MATRIX_BLOCK // _ROWS) + -(-last // _ROWS)
-    return SampleBatch(_matrix_draws(m, count, seed), count, blocks, chains=1, first_step=0,
-                       stride=1, provenance=Provenance(EnsembleDims(m, m), None, "matrix"))
+    return SampleBatch(_matrix_draws(m, count, seed), count, -(-count // _MATRIX_BLOCK), chains=1,
+                       first_step=0, stride=1,
+                       provenance=Provenance(EnsembleDims(m, m), None, "matrix"))
 
 
 def _matrix_draws(m: int, count: int, seed: int) -> Iterator:
-    """sample_matrix_model_batch's (spectra, thetas) blocks, _ROWS matrices
-    each within a draw.  A draw fills the normal parts of U's and Z's
-    Ginibre matrices for _MATRIX_BLOCK matrices, in that order, into the
-    same four arrays each time."""
+    """sample_matrix_model_batch's (spectra, thetas) blocks, _MATRIX_BLOCK
+    matrices each, the last one fewer.  A block fills the normal parts of
+    U's and Z's Ginibre matrices, in that order, into the same four arrays
+    each time."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     normals = np.empty((4, min(_MATRIX_BLOCK, count), m, m))
     eye = np.eye(m)
-    done = 0
-    while done < count:
+    for done in range(0, count, _MATRIX_BLOCK):
         nb = min(_MATRIX_BLOCK, count - done)
         for part in normals:
             gen.standard_normal(out=part[:nb])
-        for start in range(0, nb, _ROWS):
-            u_re, u_im, z_re, z_im = normals[:, start:min(start + _ROWS, nb)]
-            w = (eye + _haar_unitary(u_re, u_im)) @ _ginibre(z_re, z_im)
-            lam = np.linalg.eigvalsh(w @ w.conj().transpose(0, 2, 1))  # ascending, real
-            trace = lam.sum(axis=1)
-            lam = lam / trace[:, None]
-            if lam.min() < -1e-12:
-                raise ValueError(f"eigenvalue below round-off tolerance: {lam.min()}")
-            lam = np.clip(lam, 0.0, None)
-            sums = lam.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-12:
-                raise ValueError("spectrum normalization drifted beyond 1e-12")
-            lam /= sums[:, None]
-            yield lam[:, ::-1].copy(), trace  # descending
-        done += nb
+        u_re, u_im, z_re, z_im = normals[:, :nb]
+        w = (eye + _haar_unitary(u_re, u_im)) @ _ginibre(z_re, z_im)
+        lam = np.linalg.eigvalsh(w @ w.conj().transpose(0, 2, 1))  # ascending, real
+        trace = lam.sum(axis=1)
+        lam = lam / trace[:, None]
+        if lam.min() < -1e-12:
+            raise ValueError(f"eigenvalue below round-off tolerance: {lam.min()}")
+        lam = np.clip(lam, 0.0, None)
+        sums = lam.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > 1e-12:
+            raise ValueError("spectrum normalization drifted beyond 1e-12")
+        lam /= sums[:, None]
+        yield lam[:, ::-1].copy(), trace  # descending
 
 
 # ---------------------------------------------------------------------------

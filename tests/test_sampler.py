@@ -73,23 +73,12 @@ class TestProjectionAndEntropy:
         assert _entropies(np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
 
     def test_entropy_bounds_on_random_projections(self):
+        # rows 3, 17 and 49 are pure spectra, whose -0.0 turns into 0.0
         rng = np.random.default_rng(0)
         x = rng.gamma(0.7, size=(50, 3))
+        x[[3, 17, 49], 1:] = 0.0
         s = _entropies(x / x.sum(axis=1, keepdims=True))
         assert np.all((0.0 <= s) & (s <= math.log(3) + 1e-12))
-
-    def test_blocks_match_whole_array(self, monkeypatch):
-        # entropies are taken 16 rows at a time here; 50 rows end in a
-        # partial block, and the pure spectra's -0.0 still turns into 0.0
-        monkeypatch.setattr(sampler, "_ENTROPY_BLOCK", 16)
-        rng = np.random.default_rng(4)
-        x = rng.gamma(0.7, size=(50, 3))
-        x[[3, 17, 49], 1:] = 0.0
-        lam = x / x.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whole = -np.where(lam > 0, lam * np.log(lam), 0.0).sum(axis=1) + 0.0
-        s = _entropies(lam)
-        assert s.tobytes() == whole.tobytes()
         assert list(s[[3, 17, 49]]) == [0.0] * 3
         assert not np.signbit(s).any()
 
@@ -413,9 +402,9 @@ class TestCsv:
         assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
 
     def test_seeded_output_bytes_from_worker_pool(self, tmp_path, monkeypatch):
-        # with blocks of about 500 rows each seeded CSV spans three to seven
-        # blocks, and with two usable CPUs forked workers format them while
-        # this process draws the next ones
+        # with MCMC blocks of about 500 rows each seeded CSV spans two to
+        # seven blocks, and with two usable CPUs forked workers format them
+        # while this process draws the next ones
         monkeypatch.setattr(sampler, "_ROWS", 500)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
@@ -426,7 +415,7 @@ class TestCsv:
         # six, after the first was formatted: the error is raised here, the
         # target keeps its content, no temporary file is left and no worker
         forks = cpus(count)
-        monkeypatch.setattr(sampler, "_ROWS", 500)
+        monkeypatch.setattr(sampler, "_MATRIX_BLOCK", 500)
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
