@@ -140,7 +140,7 @@ class SampleBatch:
 
     @property
     def chain_index(self) -> np.ndarray:
-        return self._indices(0, len(self))[0]
+        return np.arange(len(self)) % self._layout[0]
 
     @property
     def step_index(self) -> np.ndarray:

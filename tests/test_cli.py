@@ -63,9 +63,12 @@ IDENTITIES_REPORT_SCHEMA = {
 
 ORACLES_REPORT_SCHEMA = {
     "type": "object",
-    "required": ["target", "n_cases", "n_failures", "all_passed", "cases"],
+    "required": ["target", "n_cases", "n_failures", "all_passed", "passes", "evaluations",
+                 "cases"],
     "properties": {
         "target": {"const": "oracles"},
+        "passes": {"type": "integer", "minimum": 1},
+        "evaluations": {"type": "integer", "minimum": 1},
         "cases": {
             "type": "array",
             "items": {
@@ -245,6 +248,32 @@ class TestVerifyCommands:
         assert all(c["abs_diff"] <= c["error_estimate"] for c in report["cases"])
         kinds = {c["kind"] for c in report["cases"]}
         assert kinds == {"normalization", "kappa1", "kappa2", "kappa3"}
+        # one pass per (m, n) yields its mass and all three cumulants
+        assert report["n_cases"] == 4 * report["passes"] == 28
+        assert report["evaluations"] == sum(
+            c["evaluations"] for c in report["cases"] if c["kind"] == "normalization")
+        assert report["evaluations"] <= 40_000
+
+    def test_oracles_catch_kappa3_outside_error_estimate(self, outdir, monkeypatch, capsys):
+        # a closed-form kappa3 at (3,4) moved by 1e-10, well inside the 1e-6
+        # tolerance but past the quadrature's own error estimate, fails
+        offset = 1e-10
+        assert main(["verify", "oracles"]) == 0
+        report = json.loads((outdir / "oracles_report.json").read_text())
+        case, = (c for c in report["cases"] if (c["m"], c["n"], c["kind"]) == (3, 4, "kappa3"))
+        assert case["abs_diff"] + case["error_estimate"] < offset < case["tolerance"]
+
+        closed_forms = cli.cumulant_set
+
+        def moved(dims):
+            cs = closed_forms(dims)
+            return cs._replace(kappa3_f=cs.kappa3_f + offset) if dims == (3, 4) else cs
+
+        monkeypatch.setattr(cli, "cumulant_set", moved)
+        assert main(["verify", "oracles"]) == 1
+        report = json.loads((outdir / "oracles_report.json").read_text())
+        assert [(c["m"], c["n"], c["kind"]) for c in report["cases"] if not c["passed"]] == [
+            (3, 4, "kappa3")]
 
     def test_figure1_small_run(self, outdir, capsys):
         assert main(["verify", "figures", "--fig", "1", "--samples", "20000",
@@ -385,7 +414,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 def test_cli_import_leaves_mpmath_unloaded(tmp_path):
     # the numeric cumulants come from psi_numeric in the stdlib decimal
-    # module, so only `verify oracles`, through its quadrature, loads mpmath
+    # module and the quadrature is stdlib, so no command loads mpmath
     code = textwrap.dedent("""
         import sys, bureshall.cli as cli
         dims = ["--m", "4", "--n", "6"]
@@ -398,7 +427,7 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False"] * 4 + ["loaded True"]
+    assert loaded == ["loaded False"] * 5
 
 
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):

@@ -4,14 +4,18 @@ import math
 
 import pytest
 
+from bureshall.cli import _ORACLE_GRID
 from bureshall.cumulants import EnsembleDims, kappa1, kappa2, kappa3
 from bureshall.quadrature import (
     QuadratureResult,
     _quad,
+    moment_oracle,
     normalization_check,
     normalization_constant,
     oracle_cumulants,
 )
+
+ORACLE_DIMS = [EnsembleDims(m, n) for m, (ns, _) in _ORACLE_GRID.items() for n in ns]
 
 
 class TestNormalization:
@@ -35,6 +39,23 @@ class TestNormalization:
         assert normalization_constant(EnsembleDims(2, 2)) == pytest.approx(
             math.pi / 2, rel=1e-14
         )
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_constant_matches_gamma_functions(self, m):
+        # the exact constant against its Gamma-function formula at 30 digits
+        import mpmath
+
+        for n in range(m, 13):
+            dims = EnsembleDims(m, n)
+            with mpmath.workdps(30):
+                a = mpmath.mpf(int(2 * dims.alpha)) / 2
+                ref = mpmath.mpf(2) ** (-m * (m + 2 * a)) * mpmath.pi ** (mpmath.mpf(m) / 2)
+                ref /= mpmath.gamma(m * (m + 2 * a + 1) / 2)
+                for i in range(1, m + 1):
+                    ref *= mpmath.gamma(i + 1) * mpmath.gamma(i + 2 * a + 1) / mpmath.gamma(
+                        i + a + 0.5)
+                ref = float(ref)
+            assert abs(normalization_constant(dims) - ref) <= 4 * math.ulp(ref), n
 
 
 class TestOracleCumulants:
@@ -68,6 +89,20 @@ class TestOracleCumulants:
             assert r.converged
 
 
+class TestFusedPass:
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_matches_single_power_passes(self, dims):
+        # the mass and the three moments from one pass agree with a pass per
+        # power of the same integrator, within both error estimates
+        fused = moment_oracle(dims)
+        for k in range(4):
+            single, = moment_oracle(dims, (k,))
+            assert abs(fused[k].value - single.value) <= min(
+                fused[k].error_estimate, single.error_estimate), k
+            assert fused[k].converged and single.converged
+            assert single.evaluations <= fused[k].evaluations
+
+
 class TestStability:
     def test_singular_endpoint_case(self):
         # n = m means alpha = -1/2: integrable endpoint singularities
@@ -78,9 +113,9 @@ class TestStability:
         # an interior inverse-square-root singularity defeats tanh-sinh: its
         # error estimate stays near 1e-3
         def f(x):
-            return 1.0 / math.sqrt(abs(x - 0.7))
+            return [1.0 / math.sqrt(abs(x - 0.7))]
 
-        _, error, converged = _quad(f, 0.0, math.pi / 2, 1e-10)
+        _, (error,), (converged,) = _quad(f, 0.0, math.pi / 2, 1e-10)
         assert error > 1e-10
         assert not converged
-        assert _quad(f, 0.0, math.pi / 2, 2 * error)[2]
+        assert _quad(f, 0.0, math.pi / 2, 2 * error)[2] == [True]
