@@ -34,7 +34,9 @@ to z >= _SHIFT_TO with the same recurrence and sums the asymptotic series
                             + sum_{j>=1} B_2j (2j+k-1)!/(2j)! / z^(2j+k) ]
 
 with (k-1)!/z^k read as -ln z for k = 0, in the stdlib decimal module at
-_DIGITS digits, so that the numeric tier loads no mpmath.
+_DIGITS digits, so that the numeric tier loads no mpmath.  Its values at 1
+and 1/2 also supply the ring's four constants, at which ``ConstPoly.evalf``
+evaluates (see ``ring``).
 """
 
 from __future__ import annotations

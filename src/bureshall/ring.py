@@ -17,7 +17,11 @@ integer sums, and a quantity is zero iff it has no terms.  `fractions.Fraction`
 appears only at the boundary: the constructor and `const` take Fractions,
 and `terms`, `evalf` and the text form give them back.  zeta(2) is kept
 opaque (never rewritten as pi^2/6) so that identity residuals cancel symbol
-by symbol; pi enters only when a polynomial is evaluated numerically.
+by symbol.  `evalf` evaluates exactly, at Fractions of the four constants
+that `polygamma.psi_numeric` yields to about 57 digits:
+
+    g = -psi_0(1)    l2 = (psi_0(1) - psi_0(1/2)) / 2
+    z2 = psi_1(1)    z3 = -psi_2(1) / 2
 
 Equality of polynomials is structural.  Treating `is_zero` as a proof of a
 numeric identity additionally assumes the four constants are algebraically
@@ -27,15 +31,15 @@ structurally, so nothing rests on that assumption in practice.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
-if TYPE_CHECKING:
-    import mpmath
+from .polygamma import psi_numeric
 
 #: symbol order used for exponent tuples
 SYMBOLS = ("g", "l2", "z2", "z3")
@@ -54,6 +58,14 @@ def _scalar(value) -> tuple[int, int]:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction coefficient, got {type(value).__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _constants() -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(g, l2, z2, z3) from psi_numeric, once per process."""
+    psi0_one = psi_numeric(0, 1)
+    return (-psi0_one, (psi0_one - psi_numeric(0, Fraction(1, 2))) / 2,
+            psi_numeric(1, 1), -psi_numeric(2, 1) / 2)
 
 
 @contextmanager
@@ -125,9 +137,6 @@ class ConstPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self._num), default=0)
-
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "ConstPoly":
@@ -198,32 +207,15 @@ class ConstPoly:
 
     # -- numeric evaluation ---------------------------------------------------
 
-    def evalf(self, precision: int = 30) -> mpmath.mpf:
-        """Evaluate at `precision` decimal digits; requires precision >= 15."""
-        # imported here, the only use of mpmath in the exact layer, so that
-        # importing the ring does not load it
-        import mpmath
-
-        if precision < 15:
-            raise ValueError("precision must be at least 15 decimal digits")
-        with mpmath.workdps(precision):
-            vals = (
-                mpmath.euler,
-                mpmath.ln(2),
-                mpmath.pi ** 2 / 6,
-                mpmath.zeta(3),
-            )
-            total = mpmath.mpf(0)
-            for mono, coef in self.terms.items():
-                term = mpmath.mpf(coef.numerator) / coef.denominator
-                for v, e in zip(vals, mono):
-                    if e:
-                        term *= v ** e
-                total += term
-            return total
+    def evalf(self) -> Fraction:
+        """The value at the constants of `_constants`, as an exact Fraction."""
+        vals = _constants()
+        total = sum(c * math.prod(v ** e for v, e in zip(vals, mono) if e)
+                    for mono, c in self._num.items())
+        return Fraction(total, self._den)
 
     def __float__(self) -> float:
-        return float(self.evalf(30))
+        return float(self.evalf())
 
     # -- canonical text form --------------------------------------------------
 

@@ -413,21 +413,30 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_mpmath_unloaded(tmp_path):
-    # the numeric cumulants come from psi_numeric in the stdlib decimal
-    # module and the quadrature is stdlib, so no command loads mpmath
+    # the numeric cumulants and the ring's constants come from psi_numeric in
+    # the stdlib decimal module and the quadrature is stdlib, so neither a
+    # command nor a polynomial's value needs mpmath: the child blocks it, and
+    # any import of it would raise
     code = textwrap.dedent("""
-        import sys, bureshall.cli as cli
+        import sys
+        sys.modules["mpmath"] = None
+        import bureshall.cli as cli
+        from bureshall import EnsembleDims, kappa3
+        from bureshall.ring import LN2
         dims = ["--m", "4", "--n", "6"]
         for argv in (["cumulants", *dims], ["cumulants", *dims, "--format", "json"],
                      ["cumulants", *dims, "--exact"], ["verify", "identities", "--max-m", "1"],
-                     ["verify", "oracles"]):
+                     ["verify", "oracles"],
+                     ["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1",
+                      "--chains", "8", "--burn-in", "100"]):
             assert cli.main(argv) == 0
-            print("loaded", "mpmath" in sys.modules)
+            print("ran", argv[0])
+        print("value", float(kappa3(EnsembleDims(4, 6))) < 0, 0.69 < (2 * LN2).evalf() / 2 < 0.7)
     """)
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
-    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False"] * 5
+    ran = [line for line in out.stdout.splitlines() if line.startswith(("ran", "value"))]
+    assert ran == ["ran cumulants"] * 3 + ["ran verify"] * 2 + ["ran simulate", "value True True"]
 
 
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):

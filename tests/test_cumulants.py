@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ring_helpers import mp_value
 
 from bureshall import cumulants
 from bureshall.cumulants import (
@@ -142,9 +143,9 @@ class TestBoundsAndSigns:
     def test_cumulant_set_consistency(self):
         dims = EnsembleDims(3, 5)
         cs = cumulant_set(dims)
-        assert cs.kappa1_f == pytest.approx(float(kappa1(dims).evalf(_DPS)), abs=1e-12)
-        assert cs.kappa2_f == pytest.approx(float(kappa2(dims).evalf(_DPS)), abs=1e-12)
-        assert cs.kappa3_f == pytest.approx(float(kappa3(dims).evalf(_DPS)), abs=1e-12)
+        assert cs.kappa1_f == pytest.approx(float(mp_value(kappa1(dims), _DPS)), abs=1e-12)
+        assert cs.kappa2_f == pytest.approx(float(mp_value(kappa2(dims), _DPS)), abs=1e-12)
+        assert cs.kappa3_f == pytest.approx(float(mp_value(kappa3(dims), _DPS)), abs=1e-12)
         assert cs.sd == pytest.approx(math.sqrt(cs.kappa2_f), rel=1e-15)
         assert cs.skewness == pytest.approx(cs.kappa3_f / cs.kappa2_f ** 1.5, rel=1e-14)
         assert cs.skew_coefficient == pytest.approx(cs.skewness / 6, rel=1e-15)
@@ -153,7 +154,7 @@ class TestBoundsAndSigns:
 def _exact_set_floats(dims: EnsembleDims) -> tuple:
     """cumulant_set's six floats, taken from the exact ring at _DPS digits."""
     with mpmath.workdps(_DPS):
-        v1, v2, v3 = (k(dims).evalf(_DPS) for k in (kappa1, kappa2, kappa3))
+        v1, v2, v3 = (mp_value(k(dims), _DPS) for k in (kappa1, kappa2, kappa3))
         if dims.m < 2:
             return float(v1), float(v2), float(v3), None, None, None
         scale = v2 ** mpmath.mpf("1.5")
@@ -172,6 +173,15 @@ class TestNumericPath:
             assert got == _exact_set_floats(dims), (m, n)
             if m == 1:
                 assert got == (0.0, 0.0, 0.0, None, None, None)
+
+    def test_float_of_exact_polynomial(self):
+        # float(poly) rounds evalf's exact value once, so it equals the
+        # 60-digit reference rounded, for the unconstrained cubic too
+        for m, n in [(2, 2), (3, 5), (4, 6), (8, 17), (12, 24), (29, 60)]:
+            dims = EnsembleDims(m, n)
+            for k in (kappa1, kappa2, kappa3, kappa3_unconstrained):
+                poly = k(dims)
+                assert float(poly) == float(mp_value(poly, 60)), (m, n, k.__name__)
 
     def test_six_psi_calls_per_set(self, monkeypatch):
         # psi0, psi1, psi2 at d + 1 and at n + 1/2, each once, although

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from ring_helpers import mp_value
 from scipy import integrate
 
 from bureshall.cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set, kappa3
@@ -85,8 +86,8 @@ class TestDensityComparison:
         from bureshall.cumulants import kappa1, kappa2
 
         dims = EnsembleDims(4, 6)
-        mu = float(kappa1(dims).evalf(40))
-        sd = math.sqrt(float(kappa2(dims).evalf(40)))
+        mu = float(mp_value(kappa1(dims), 40))
+        sd = math.sqrt(float(mp_value(kappa2(dims), 40)))
         rng = np.random.default_rng(123)
         samples = mu + sd * rng.standard_normal(200_000)
         comp = density_comparison(samples, dims)
