@@ -17,7 +17,6 @@ from .cumulants import (
     kappa3_unconstrained,
     moments_cumulants_convert,
     skewness,
-    third_moment_conversion,
     unconstrained_moments,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "kappa3_unconstrained",
     "skewness",
     "moments_cumulants_convert",
-    "third_moment_conversion",
     "unconstrained_moments",
 ]
 

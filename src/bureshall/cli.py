@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error.  Every
 randomized command takes an explicit seed, and every file-producing run
 writes a manifest listing the SHA-256 of each emitted file.  Output paths
 without a directory component land in $BURESHALL_OUT_DIR (default: cwd).  An
-output path that names a directory or cannot be written is a usage error,
-found before any sampling or verification starts.
+output path that names a directory or cannot be written, or two outputs that
+are one file, is a usage error, found before any sampling or verification
+starts.
 """
 
 from __future__ import annotations
@@ -151,13 +152,9 @@ def _cmd_simulate(args) -> int:
     if args.backend == "matrix":
         batch = sample_matrix_model_batch(args.m, args.samples, args.seed)
     else:
-        config = ChainConfig(
-            samples=args.samples,
-            burn_in=args.burn_in,
-            thinning=args.thinning,
-            chain_count=args.chains,
-            seed=args.seed,
-        )
+        given = {"burn_in": args.burn_in, "thinning": args.thinning, "chain_count": args.chains}
+        config = ChainConfig(samples=args.samples, seed=args.seed,
+                             **{key: value for key, value in given.items() if value is not None})
         batch = mcmc_chain(dims, config)
     out = args.outputs[0]
     write_sample_csv(batch, out)
@@ -412,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=_SEED, required=True)
     p_sim.add_argument("--backend", choices=("mcmc", "matrix"), default="mcmc")
     p_sim.add_argument("--out", default="samples.csv")
-    p_sim.add_argument("--burn-in", type=_int_in(0), default=2000)
-    p_sim.add_argument("--thinning", type=_int_in(1), default=10)
-    p_sim.add_argument("--chains", type=_int_in(1), default=64)
+    # MCMC only; the defaults are ChainConfig's
+    p_sim.add_argument("--burn-in", type=_int_in(0))
+    p_sim.add_argument("--thinning", type=_int_in(1))
+    p_sim.add_argument("--chains", type=_int_in(1))
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification target")
@@ -449,14 +447,19 @@ def main(argv=None) -> int:
             args.dims = EnsembleDims(args.m, args.n)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.command == "simulate" and args.backend == "matrix" and args.m != args.n:
-        parser.error("the matrix backend requires n = m")
+    if args.command == "simulate" and args.backend == "matrix":
+        if args.m != args.n:
+            parser.error("the matrix backend requires n = m")
+        if (args.burn_in, args.thinning, args.chains) != (None, None, None):
+            parser.error("--burn-in, --thinning and --chains apply to the mcmc backend only")
     if getattr(args, "fig", None) == 2 and _fig2_seeds(args.seed)[-1] >= 2 ** 64:
         parser.error(f"figure 2 uses seeds --seed .. --seed+{len(_FIG2_SPOTS) - 1}, "
                      "which must stay below 2^64")
     if args.command != "cumulants":
         # fail before sampling rather than after it
         args.outputs = _output_paths(args)
+        if len(set(map(os.path.realpath, args.outputs))) < len(args.outputs):
+            parser.error(f"outputs {' and '.join(args.outputs)} are one file")
         for problem in filter(None, map(_unwritable, args.outputs)):
             parser.error(problem)
     return args.func(args)

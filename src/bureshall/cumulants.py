@@ -17,15 +17,15 @@ EnsembleDims gives the half-integers alpha, d and n + 1/2 as Fractions.  Each
 closed form is stated once, in _kappa, and evaluated with either polygamma:
 kappa1..kappa3 use psi_exact and return exact elements of the constant ring,
 whose cost grows like lcm(1..d)^3 through the polygamma partial sums;
-cumulant_set and third_moment_conversion use psi_numeric, whose values are
-Fractions of 60-digit decimals: the closed forms combine them exactly and
-round once, in under a millisecond at any (m, n) and without mpmath.
+cumulant_set alone uses psi_numeric, whose values are Fractions of 60-digit
+decimals: the closed forms combine them exactly and round once, in under a
+millisecond at any (m, n) and without mpmath.
 
 The trace factorization T = theta ln theta - theta S, with theta ~ Gamma(d)
-independent of S, is likewise stated once, in _trace_moment: it gives the
-exact moments of T from kappa1..kappa3 (unconstrained_moments), against which
-the closed form kappa3_T is checked at every (m, n), and, solved for E_f[S^3],
-the third-moment conversion.
+independent of S, is stated once, in _trace_moment, and evaluated exactly
+only: it gives the exact moments of T from kappa1..kappa3
+(unconstrained_moments), against which the closed form kappa3_T is checked
+at every (m, n).
 """
 
 from __future__ import annotations
@@ -157,15 +157,10 @@ class CumulantSet(NamedTuple):
     skew_coefficient: Optional[float]
 
 
-def _numeric_psi():
-    """psi_numeric behind a cache for one evaluation, which calls it with
-    each argument once: kappa2 and kappa3 share psi1(n + 1/2).  A cache per
-    evaluation holds nothing after it."""
-    return lru_cache(maxsize=None)(psi_numeric)
-
-
 def cumulant_set(dims: EnsembleDims) -> CumulantSet:
-    psi = _numeric_psi()
+    # psi_numeric is cached for this evaluation only, which calls it with each
+    # argument once: kappa2 and kappa3 share psi1(n + 1/2)
+    psi = lru_cache(maxsize=None)(psi_numeric)
     v1, v2, v3 = (_kappa(order, dims, psi) for order in (1, 2, 3))
     sd = skew = coef = None
     if dims.m >= 2:
@@ -213,17 +208,16 @@ def moments_cumulants_convert(values: Sequence, direction: str) -> tuple:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _trace_moment(k: int, d: Fraction, es: Sequence, psi):
+def _trace_moment(k: int, d: Fraction, es: Sequence) -> ConstPoly:
     """E_h[T^k] for T = theta ln theta - theta S with theta ~ Gamma(d)
     independent of S, given es = (1, E_f[S], ..., E_f[S^k]):
 
         E_h[T^k] = (d)_k sum_{j=0..k} C(k, j) (-1)^j E[(ln Y)^(k-j)] E_f[S^j]
 
     with Y ~ Gamma(d + k), since E[theta^k g(theta)] = (d)_k E[g(Y)].  The
-    cumulants of ln Y are psi0, psi1, psi2 at d + k, with psi as in _kappa,
-    and moments_cumulants_convert turns them into its moments."""
-    s = d + k
-    logs = (1, *moments_cumulants_convert((psi(0, s), psi(1, s), psi(2, s)),
+    cumulants of ln Y are psi0, psi1, psi2 at d + k, and
+    moments_cumulants_convert turns them into its moments."""
+    logs = (1, *moments_cumulants_convert(tuple(psi_exact(j, d + k) for j in (0, 1, 2)),
                                           "cumulants_to_moments"))
     total = sum(math.comb(k, j) * (-1) ** j * logs[k - j] * es[j] for j in range(k + 1))
     return math.prod(d + i for i in range(k)) * total
@@ -234,20 +228,4 @@ def unconstrained_moments(dims: EnsembleDims) -> tuple[ConstPoly, ConstPoly, Con
     kappa1..kappa3 through the trace factorization."""
     es = (1,) + moments_cumulants_convert(
         (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments")
-    return tuple(_trace_moment(k, dims.d, es, psi_exact) for k in (1, 2, 3))
-
-
-def third_moment_conversion(e_h_t3: float, dims: EnsembleDims) -> float:
-    """Map E_h[T^3] over the unconstrained ensemble to E_f[S^3].
-
-    The trace factorization at k = 3 holds E_f[S^3] with the coefficient
-    -(d)_3, so E_f[S^3] = (F - E_h[T^3]) / (d)_3, where F is the
-    factorization with E_f[S^3] := 0.  E_f[S] = kappa1 and
-    E_f[S^2] = kappa2 + kappa1^2 come from the closed forms, all evaluated
-    with psi_numeric and combined exactly before the one rounding to float.
-    """
-    d = dims.d
-    psi = _numeric_psi()
-    v1, v2 = (_kappa(order, dims, psi) for order in (1, 2))
-    rest = _trace_moment(3, d, (1, v1, v2 + v1 ** 2, 0), psi)
-    return float((rest - Fraction(e_h_t3)) / (d * (d + 1) * (d + 2)))
+    return tuple(_trace_moment(k, dims.d, es) for k in (1, 2, 3))

