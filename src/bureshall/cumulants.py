@@ -17,9 +17,9 @@ EnsembleDims gives the half-integers alpha, d and n + 1/2 as Fractions.  Each
 closed form is stated once, in _kappa, and evaluated with either polygamma:
 kappa1..kappa3 use psi_exact and return exact elements of the constant ring,
 whose cost grows like lcm(1..d)^3 through the polygamma partial sums;
-cumulant_set alone uses psi_numeric, whose values are Fractions of 60-digit
-decimals: the closed forms combine them exactly and round once, in under a
-millisecond at any (m, n) and without mpmath.
+cumulant_set alone uses psi_numeric, whose values are Fractions of decimals
+of 60 digits, and more where the closed forms cancel more of them at larger
+n: the closed forms combine them exactly and round once, without mpmath.
 
 The trace factorization T = theta ln theta - theta S, with theta ~ Gamma(d)
 independent of S, is stated once, in _trace_moment, and evaluated exactly

@@ -8,14 +8,15 @@ Three tables live here, each with the check that reads it:
   polygamma factors and evaluated by `omega(index, m, **params)`, which
   takes exactly the parameters a, b, c that its row reads;
 
-* a declarative catalog of summation identities relating those anomalies (and
-  in a few cases collapsing them to closed forms).  Each identity stores its
-  domain (admissibility rules and parameter grid) plus builders for its two
-  sides; the residual LHS - RHS is an element of the constant ring and must
-  be the zero polynomial.  Every finite sum on either side is an anomaly
-  evaluated by `omega`, except the three-term cycle's left side, which no
-  row states; so the identity grid checks all 18 rows of the anomaly
-  catalog too;
+* a catalog of summation identities relating those anomalies (and in a few
+  cases collapsing them to closed forms).  Each identity is one right-hand
+  side, decorated with its id, its domain (admissibility rules and parameter
+  grid) and its left-hand side; both sides take m and the identity's
+  parameters by name.  The residual LHS - RHS is an element of the constant
+  ring and must be the zero polynomial.  Every finite sum on either side is
+  an anomaly evaluated by `omega`, except the three-term cycle's left side,
+  which no row states; so the identity grid checks all 18 rows of the
+  anomaly catalog too;
 
 * telescoping fixtures: re-summation functions G(j), each an anomaly at
   summation length j with a = b + j, written as
@@ -245,10 +246,9 @@ _ALPHA_POS = _Domain(
 
 
 class IdentityDef(NamedTuple):
-    identity_id: str
     domain: _Domain
-    lhs: Callable[[IdentityCase], ConstPoly]
-    rhs: Callable[[IdentityCase], ConstPoly]
+    lhs: Callable[..., ConstPoly]
+    rhs: Callable[..., ConstPoly]
 
 
 def _p0(x):
@@ -266,85 +266,65 @@ def _p2(x):
 _IDENTITIES: dict[str, IdentityDef] = {}
 
 
-def _register(identity_id, domain, lhs, rhs):
-    _IDENTITIES[identity_id] = IdentityDef(identity_id, domain, lhs, rhs)
+def _identity(identity_id: str, domain: _Domain, lhs: Callable[..., ConstPoly]):
+    """Register the decorated right-hand side, with `lhs`, as the identity
+    lhs = rhs over `domain`, under `identity_id`.  Both sides take m and
+    exactly the parameters (a, b, c, alpha) the identity reads, by keyword,
+    as the Fractions `case()` makes of them; `identity_residual` passes a
+    case's m and every parameter it sets, so a case that sets a parameter
+    its identity does not read raises TypeError."""
+    def register(rhs: Callable[..., ConstPoly]) -> Callable[..., ConstPoly]:
+        _IDENTITIES[identity_id] = IdentityDef(domain, lhs, rhs)
+        return rhs
+    return register
 
 
 # -- closed forms in m alone -------------------------------------------------
 
-def _rhs_psi0_over_mk(cs):
-    m1 = Fraction(cs.m + 1)
+@_identity("psi0_mk_over_k", _M_ONLY, lambda m: omega(2, m, a=m))
+@_identity("psi0_over_mk", _M_ONLY, lambda m: omega(1, m, a=m))
+def _rhs_psi0_over_mk(m):
+    m1 = Fraction(m + 1)
     return _p0(m1) ** 2 - _p0(Fraction(1)) * _p0(m1) + _p1(m1) - _p1(Fraction(1))
 
 
-_register(
-    "psi0_over_mk", _M_ONLY,
-    lambda cs: omega(1, cs.m, a=cs.m),
-    _rhs_psi0_over_mk,
-)
-
-_register(
-    "psi0_mk_over_k", _M_ONLY,
-    lambda cs: omega(2, cs.m, a=cs.m),
-    _rhs_psi0_over_mk,
-)
-
-
-def _rhs_psi0_over_k2(cs):
-    m1 = Fraction(cs.m + 1)
+@_identity("psi0_over_k2", _M_ONLY, lambda m: omega(3, m, b=0, c=0))
+def _rhs_psi0_over_k2(m):
+    m1 = Fraction(m + 1)
     one = Fraction(1)
     return (
-        omega(5, cs.m, b=0, c=0)
+        omega(5, m, b=0, c=0)
         - _p0(m1) * _p1(m1) - Fraction(1, 2) * _p2(m1)
         + _p0(one) * _p1(one) + Fraction(1, 2) * _p2(one)
     )
 
 
-_register(
-    "psi0_over_k2", _M_ONLY,
-    lambda cs: omega(3, cs.m, b=0, c=0),
-    _rhs_psi0_over_k2,
-)
-
-
-def _rhs_psi0_mk_over_k2(cs):
-    m1 = Fraction(cs.m + 1)
+@_identity("psi0_mk_over_k2", _M_ONLY, lambda m: omega(9, m, a=m))
+def _rhs_psi0_mk_over_k2(m):
+    m1 = Fraction(m + 1)
     one = Fraction(1)
     return (
-        omega(5, cs.m, b=0, c=0)
+        omega(5, m, b=0, c=0)
         + _p0(one) * _p1(m1) + _p0(m1) * (_p1(one) - 2 * _p1(m1))
         - _p2(m1) + _p2(one)
     )
 
 
-_register(
-    "psi0_mk_over_k2", _M_ONLY,
-    lambda cs: omega(9, cs.m, a=cs.m),
-    _rhs_psi0_mk_over_k2,
-)
-
-
-def _rhs_psi0sq_mk_over_k(cs):
-    m1 = Fraction(cs.m + 1)
+@_identity("psi0sq_mk_over_k", _M_ONLY, lambda m: omega(10, m, a=m))
+def _rhs_psi0sq_mk_over_k(m):
+    m1 = Fraction(m + 1)
     one = Fraction(1)
     return (
-        omega(5, cs.m, b=0, c=0)
+        omega(5, m, b=0, c=0)
         + _p0(m1) ** 3 - _p0(one) * _p0(m1) ** 2 - 2 * _p1(one) * _p0(m1)
         + _p1(m1) * _p0(m1) + _p0(one) * _p1(m1)
     )
 
 
-_register(
-    "psi0sq_mk_over_k", _M_ONLY,
-    lambda cs: omega(10, cs.m, a=cs.m),
-    _rhs_psi0sq_mk_over_k,
-)
-
-
 # -- shifted-index identities with parameter b (or b, c) ----------------------
 
-def _rhs_psi0_kb_over_kb2(cs):
-    b, m = cs.b, cs.m
+@_identity("psi0_kb_over_kb2", _B_NONNEG, lambda m, b: omega(3, m, b=b, c=b))
+def _rhs_psi0_kb_over_kb2(m, b):
     bm1, b1 = b + m + 1, b + 1
     return (
         omega(5, m, b=b, c=b)
@@ -353,15 +333,8 @@ def _rhs_psi0_kb_over_kb2(cs):
     )
 
 
-_register(
-    "psi0_kb_over_kb2", _B_NONNEG,
-    lambda cs: omega(3, cs.m, b=cs.b, c=cs.b),
-    _rhs_psi0_kb_over_kb2,
-)
-
-
-def _rhs_psi0_kb_over_k2(cs):
-    b, m = cs.b, cs.m
+@_identity("psi0_kb_over_k2", _B_POS, lambda m, b: omega(3, m, b=b, c=0))
+def _rhs_psi0_kb_over_k2(m, b):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         omega(5, m, b=0, c=b)
@@ -372,15 +345,8 @@ def _rhs_psi0_kb_over_k2(cs):
     )
 
 
-_register(
-    "psi0_kb_over_k2", _B_POS,
-    lambda cs: omega(3, cs.m, b=cs.b, c=0),
-    _rhs_psi0_kb_over_k2,
-)
-
-
-def _rhs_psi0_over_kb2(cs):
-    b, m = cs.b, cs.m
+@_identity("psi0_over_kb2", _B_POS, lambda m, b: omega(3, m, b=0, c=b))
+def _rhs_psi0_over_kb2(m, b):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         omega(5, m, b=b, c=0)
@@ -391,15 +357,8 @@ def _rhs_psi0_over_kb2(cs):
     )
 
 
-_register(
-    "psi0_over_kb2", _B_POS,
-    lambda cs: omega(3, cs.m, b=0, c=cs.b),
-    _rhs_psi0_over_kb2,
-)
-
-
-def _rhs_psi0_kb_over_kc_swap(cs):
-    b, c, m = cs.b, cs.c, cs.m
+@_identity("psi0_kb_over_kc_swap", _BC_DISTINCT_NONNEG, lambda m, b, c: omega(6, m, b=b, c=c))
+def _rhs_psi0_kb_over_kc_swap(m, b, c):
     return (
         -omega(6, m, b=c, c=b)
         + _p0(m + c + 1) * _p0(m + b + 1) - _p0(b + 1) * _p0(c + 1)
@@ -408,15 +367,8 @@ def _rhs_psi0_kb_over_kc_swap(cs):
     )
 
 
-_register(
-    "psi0_kb_over_kc_swap", _BC_DISTINCT_NONNEG,
-    lambda cs: omega(6, cs.m, b=cs.b, c=cs.c),
-    _rhs_psi0_kb_over_kc_swap,
-)
-
-
-def _rhs_psi0_kb_over_kc2(cs):
-    b, c, m = cs.b, cs.c, cs.m
+@_identity("psi0_kb_over_kc2", _BC_DISTINCT_NONNEG, lambda m, b, c: omega(3, m, b=b, c=c))
+def _rhs_psi0_kb_over_kc2(m, b, c):
     cm1, c1, bm1, b1 = c + m + 1, c + 1, b + m + 1, b + 1
     return (
         omega(5, m, b=c, c=b)
@@ -426,15 +378,8 @@ def _rhs_psi0_kb_over_kc2(cs):
     )
 
 
-_register(
-    "psi0_kb_over_kc2", _BC_DISTINCT_NONNEG,
-    lambda cs: omega(3, cs.m, b=cs.b, c=cs.c),
-    _rhs_psi0_kb_over_kc2,
-)
-
-
-def _rhs_psi0_psi0kb_over_k(cs):
-    b, m = cs.b, cs.m
+@_identity("psi0_psi0kb_over_k", _B_POS, lambda m, b: omega(16, m, b=b))
+def _rhs_psi0_psi0kb_over_k(m, b):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         -Fraction(1, 2) * (omega(5, m, b=0, c=b) + omega(4, m, b=0, c=b))
@@ -450,15 +395,8 @@ def _rhs_psi0_psi0kb_over_k(cs):
     )
 
 
-_register(
-    "psi0_psi0kb_over_k", _B_POS,
-    lambda cs: omega(16, cs.m, b=cs.b),
-    _rhs_psi0_psi0kb_over_k,
-)
-
-
-def _rhs_psi0_psi0kb_over_kb(cs):
-    b, m = cs.b, cs.m
+@_identity("psi0_psi0kb_over_kb", _B_POS, lambda m, b: omega(15, m, b=b))
+def _rhs_psi0_psi0kb_over_kb(m, b):
     bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
     return (
         -Fraction(1, 2) * (omega(4, m, b=b, c=0) + omega(5, m, b=b, c=0))
@@ -473,17 +411,10 @@ def _rhs_psi0_psi0kb_over_kb(cs):
     )
 
 
-_register(
-    "psi0_psi0kb_over_kb", _B_POS,
-    lambda cs: omega(15, cs.m, b=cs.b),
-    _rhs_psi0_psi0kb_over_kb,
-)
-
-
 # -- identities with the reversed index a + 1 - k ------------------------------
 
-def _rhs_psi0_ak_over_k(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_ak_over_k", _A_GT_M, lambda m, a: omega(2, m, a=a))
+def _rhs_psi0_ak_over_k(m, a):
     am, a1, m1, one = a - m, a + 1, Fraction(m + 1), Fraction(1)
     return (
         -omega(6, m, b=am, c=0)
@@ -495,15 +426,8 @@ def _rhs_psi0_ak_over_k(cs):
     )
 
 
-_register(
-    "psi0_ak_over_k", _A_GT_M,
-    lambda cs: omega(2, cs.m, a=cs.a),
-    _rhs_psi0_ak_over_k,
-)
-
-
-def _rhs_psi0_over_ak(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_over_ak", _A_GT_M, lambda m, a: omega(1, m, a=a))
+def _rhs_psi0_over_ak(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         -omega(6, m, b=am, c=0)
@@ -516,15 +440,8 @@ def _rhs_psi0_over_ak(cs):
     )
 
 
-_register(
-    "psi0_over_ak", _A_GT_M,
-    lambda cs: omega(1, cs.m, a=cs.a),
-    _rhs_psi0_over_ak,
-)
-
-
-def _rhs_psi0_over_ak2(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_over_ak2", _A_GT_M, lambda m, a: omega(7, m, a=a))
+def _rhs_psi0_over_ak2(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         omega(5, m, b=am, c=0)
@@ -538,15 +455,8 @@ def _rhs_psi0_over_ak2(cs):
     )
 
 
-_register(
-    "psi0_over_ak2", _A_GT_M,
-    lambda cs: omega(7, cs.m, a=cs.a),
-    _rhs_psi0_over_ak2,
-)
-
-
-def _rhs_psi0sq_over_ak(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0sq_over_ak", _A_GT_M, lambda m, a: omega(8, m, a=a))
+def _rhs_psi0sq_over_ak(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         omega(4, m, b=am, c=0) + omega(4, m, b=0, c=am) + omega(5, m, b=am, c=am)
@@ -571,15 +481,8 @@ def _rhs_psi0sq_over_ak(cs):
     )
 
 
-_register(
-    "psi0sq_over_ak", _A_GT_M,
-    lambda cs: omega(8, cs.m, a=cs.a),
-    _rhs_psi0sq_over_ak,
-)
-
-
-def _rhs_psi1_ak_over_k(cs):
-    a, m = cs.a, cs.m
+@_identity("psi1_ak_over_k", _A_GT_M, lambda m, a: omega(18, m, a=a))
+def _rhs_psi1_ak_over_k(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         -omega(5, m, b=am, c=0)
@@ -593,15 +496,8 @@ def _rhs_psi1_ak_over_k(cs):
     )
 
 
-_register(
-    "psi1_ak_over_k", _A_GT_M,
-    lambda cs: omega(18, cs.m, a=cs.a),
-    _rhs_psi1_ak_over_k,
-)
-
-
-def _rhs_psi1_over_ak(cs):
-    a, m = cs.a, cs.m
+@_identity("psi1_over_ak", _A_GT_M, lambda m, a: omega(17, m, a=a))
+def _rhs_psi1_over_ak(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         -omega(5, m, b=am, c=0) + omega(5, m, b=0, c=am) - omega(5, m, b=am, c=am)
@@ -618,15 +514,8 @@ def _rhs_psi1_over_ak(cs):
     )
 
 
-_register(
-    "psi1_over_ak", _A_GT_M,
-    lambda cs: omega(17, cs.m, a=cs.a),
-    _rhs_psi1_over_ak,
-)
-
-
-def _rhs_psi0_ak_over_k2(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_ak_over_k2", _A_GT_M, lambda m, a: omega(9, m, a=a))
+def _rhs_psi0_ak_over_k2(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         omega(5, m, b=am, c=0) - omega(5, m, b=0, c=am) + omega(5, m, b=am, c=am)
@@ -641,15 +530,8 @@ def _rhs_psi0_ak_over_k2(cs):
     )
 
 
-_register(
-    "psi0_ak_over_k2", _A_GT_M,
-    lambda cs: omega(9, cs.m, a=cs.a),
-    _rhs_psi0_ak_over_k2,
-)
-
-
-def _rhs_psi0_psi0ak_over_ak(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_psi0ak_over_ak", _A_GT_M, lambda m, a: omega(13, m, a=a))
+def _rhs_psi0_psi0ak_over_ak(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         Fraction(1, 2) * (omega(10, m, a=a) - omega(5, m, b=am, c=0))
@@ -666,15 +548,8 @@ def _rhs_psi0_psi0ak_over_ak(cs):
     )
 
 
-_register(
-    "psi0_psi0ak_over_ak", _A_GT_M,
-    lambda cs: omega(13, cs.m, a=cs.a),
-    _rhs_psi0_psi0ak_over_ak,
-)
-
-
-def _rhs_psi0_psi0ak_over_k(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_psi0ak_over_k", _A_GT_M, lambda m, a: omega(14, m, a=a))
+def _rhs_psi0_psi0ak_over_k(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         Fraction(1, 2) * (
@@ -705,15 +580,8 @@ def _rhs_psi0_psi0ak_over_k(cs):
     )
 
 
-_register(
-    "psi0_psi0ak_over_k", _A_GT_M,
-    lambda cs: omega(14, cs.m, a=cs.a),
-    _rhs_psi0_psi0ak_over_k,
-)
-
-
-def _rhs_psi0_psi0ak_over_mk(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_psi0ak_over_mk", _A_GT_M, lambda m, a: omega(12, m, a=a))
+def _rhs_psi0_psi0ak_over_mk(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         Fraction(1, 2) * (
@@ -751,15 +619,8 @@ def _rhs_psi0_psi0ak_over_mk(cs):
     )
 
 
-_register(
-    "psi0_psi0ak_over_mk", _A_GT_M,
-    lambda cs: omega(12, cs.m, a=cs.a),
-    _rhs_psi0_psi0ak_over_mk,
-)
-
-
-def _rhs_psi0_psi0shift_over_mk(cs):
-    a, m = cs.a, cs.m
+@_identity("psi0_psi0shift_over_mk", _A_GT_M, lambda m, a: omega(11, m, a=a))
+def _rhs_psi0_psi0shift_over_mk(m, a):
     am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
     return (
         Fraction(1, 2) * (
@@ -786,17 +647,9 @@ def _rhs_psi0_psi0shift_over_mk(cs):
     )
 
 
-_register(
-    "psi0_psi0shift_over_mk", _A_GT_M,
-    lambda cs: omega(11, cs.m, a=cs.a),
-    _rhs_psi0_psi0shift_over_mk,
-)
-
-
 # -- three-term cyclic relation ------------------------------------------------
 
-def _lhs_three_term(cs):
-    a, b, c, m = cs.a, cs.b, cs.c, cs.m
+def _lhs_three_term(m, a, b, c):
     return sum(map(
         lambda k: 1 / (k + a) * _p0(k + b) * _p0(k + c)
         + 1 / (k + b) * _p0(k + a) * _p0(k + c)
@@ -805,8 +658,8 @@ def _lhs_three_term(cs):
     ), ZERO)
 
 
-def _rhs_three_term(cs):
-    a, b, c, m = cs.a, cs.b, cs.c, cs.m
+@_identity("three_term_cycle", _ABC_DISTINCT_POS_INT, _lhs_three_term)
+def _rhs_three_term(m, a, b, c):
     return (
         (1 / (b - a) + _p0(a)) * omega(6, m, b=c, c=b)
         + (1 / (c - a) + _p0(a)) * omega(6, m, b=b, c=c)
@@ -837,24 +690,17 @@ def _rhs_three_term(cs):
     )
 
 
-_register(
-    "three_term_cycle", _ABC_DISTINCT_POS_INT,
-    _lhs_three_term, _rhs_three_term,
-)
-
-
 # -- closed-form block-difference and trigamma identities ----------------------
 
-def _lhs_block_diff(cs):
-    a, b, m = cs.a, cs.b, cs.m
+def _lhs_block_diff(m, a, b):
     return (
         omega(6, m, b=a + b + m, c=a) + omega(6, m, b=a + b + m, c=b)
         - omega(6, m, b=a + b, c=a) - omega(6, m, b=a + b, c=b)
     )
 
 
-def _rhs_block_diff(cs):
-    a, b, m = cs.a, cs.b, cs.m
+@_identity("psi0_block_difference_pair", _AB_POS, _lhs_block_diff)
+def _rhs_block_diff(m, a, b):
     return (
         m / (a * (a + m)) * (_p0(b + m + 1) - _p0(b + 1))
         + m / (b * (b + m)) * (_p0(a + m + 1) - _p0(a + 1))
@@ -868,20 +714,17 @@ def _rhs_block_diff(cs):
     )
 
 
-_register("psi0_block_difference_pair", _AB_POS,
-          _lhs_block_diff, _rhs_block_diff)
-
-
-def _lhs_trigamma_closed_1(cs):
-    t, m = 2 * cs.alpha, cs.m
+def _lhs_trigamma_closed_1(m, alpha):
+    t = 2 * alpha
     return (
         omega(5, m, b=t + m, c=0) - omega(5, m, b=t, c=0)
         - omega(5, m, b=t, c=t + m) + omega(5, m, b=t + m, c=t)
     )
 
 
-def _rhs_trigamma_closed_1(cs):
-    t, mf = 2 * cs.alpha, Fraction(cs.m)
+@_identity("trigamma_alpha_closed_1", _ALPHA_POS, _lhs_trigamma_closed_1)
+def _rhs_trigamma_closed_1(m, alpha):
+    t, mf = 2 * alpha, Fraction(m)
     t1, tm1, t2m1 = t + 1, t + mf + 1, t + 2 * mf + 1
     m1, one = mf + 1, Fraction(1)
     return (
@@ -908,20 +751,17 @@ def _rhs_trigamma_closed_1(cs):
     )
 
 
-_register("trigamma_alpha_closed_1", _ALPHA_POS,
-          _lhs_trigamma_closed_1, _rhs_trigamma_closed_1)
-
-
-def _lhs_trigamma_closed_2(cs):
-    t, m = 2 * cs.alpha, cs.m
+def _lhs_trigamma_closed_2(m, alpha):
+    t = 2 * alpha
     return (
         omega(5, m, b=0, c=t) - omega(5, m, b=t, c=t)
         - omega(5, m, b=0, c=t + m) + omega(5, m, b=t, c=t + m)
     )
 
 
-def _rhs_trigamma_closed_2(cs):
-    t, mf = 2 * cs.alpha, Fraction(cs.m)
+@_identity("trigamma_alpha_closed_2", _ALPHA_POS, _lhs_trigamma_closed_2)
+def _rhs_trigamma_closed_2(m, alpha):
+    t, mf = 2 * alpha, Fraction(m)
     t1, tm1, t2m1 = t + 1, t + mf + 1, t + 2 * mf + 1
     m1, one = mf + 1, Fraction(1)
     return (
@@ -935,10 +775,6 @@ def _rhs_trigamma_closed_2(cs):
         + _p1(t1) * _p0(m1)
         + _p1(t1) * (_p0(t1) - _p0(tm1))
     )
-
-
-_register("trigamma_alpha_closed_2", _ALPHA_POS,
-          _lhs_trigamma_closed_2, _rhs_trigamma_closed_2)
 
 
 # ---------------------------------------------------------------------------
@@ -960,16 +796,18 @@ def identity_residual(cs: IdentityCase) -> ConstPoly:
     if spec is None:
         raise KeyError(f"unknown identity {cs.identity_id!r}")
     _check_domain(cs, spec.domain)
-    return spec.lhs(cs) - spec.rhs(cs)
+    params = {name: value for name, value in cs._asdict().items()
+              if name != "identity_id" and value is not None}
+    return spec.lhs(**params) - spec.rhs(**params)
 
 
 def default_grid(max_m: int = 8):
     """Admissible parameter grid used by the verification suite: for each
     m = 1..max_m, every identity at each parameter set of its domain's grid."""
     return [
-        case(ident.identity_id, m, **params)
+        case(identity_id, m, **params)
         for m in range(1, max_m + 1)
-        for ident in _IDENTITIES.values()
+        for identity_id, ident in _IDENTITIES.items()
         for params in ident.domain.grid(m)
     ]
 

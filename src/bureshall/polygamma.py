@@ -26,7 +26,7 @@ constant ring, are built on the first ``psi_exact`` call, so that a process
 that never evaluates exactly does not load ``ring``.
 
 ``psi_numeric`` takes the same arguments and costs well under a millisecond
-at any size, where the exact sums grow like lcm(1..x)^(k+1).  It shifts x up
+below x = 10^20, where the exact sums grow like lcm(1..x)^(k+1).  It shifts x up
 to z >= _SHIFT_TO with the same recurrence and sums the asymptotic series
 (DLMF 5.11.2, 5.15.8)
 
@@ -34,7 +34,8 @@ to z >= _SHIFT_TO with the same recurrence and sums the asymptotic series
                             + sum_{j>=1} B_2j (2j+k-1)!/(2j)! / z^(2j+k) ]
 
 with (k-1)!/z^k read as -ln z for k = 0, in the stdlib decimal module at
-_DIGITS digits, so that the numeric tier loads no mpmath.  Its values at 1
+_DIGITS digits, or more for larger x, so that the numeric tier loads no
+mpmath.  Its values at 1
 and 1/2 also supply the ring's four constants, at which ``ConstPoly.evalf``
 evaluates (see ``ring``).
 """
@@ -121,7 +122,8 @@ def _psi_exact(order: int, twice: int) -> ConstPoly:
     return _start()[order, start] + (-1) ** order * math.factorial(order) * 2 ** power * partial
 
 
-#: decimal digits of psi_numeric's arithmetic, 20 above cumulants._DPS
+#: decimal digits of psi_numeric's arithmetic, 20 above cumulants._DPS, while
+#: twice its argument has at most 20 digits
 _DIGITS = 60
 _CONTEXT = Context(prec=_DIGITS)
 #: psi_numeric shifts its argument up to at least this before the series
@@ -156,12 +158,15 @@ def _series() -> tuple[tuple[Decimal, ...], ...]:
 
 def psi_numeric(order: int, arg) -> Fraction:
     """psi_order at a positive integer or half-integer argument, as the
-    Fraction of a _DIGITS-digit Decimal with a relative error of about 10^-57
-    at most; arguments are parsed and rejected as by psi_exact."""
+    Fraction of a Decimal with a relative error of about 10^-57 at most;
+    arguments are parsed and rejected as by psi_exact.  The Decimal has
+    _DIGITS digits, plus one for each digit of twice the argument past 20:
+    the cumulants' closed forms cancel about that many leading digits."""
     twice = _parse(order, arg)
     power = order + 1
     shift = max(0, (2 * _SHIFT_TO - twice + 1) // 2)
-    with localcontext(_CONTEXT):
+    digits = Decimal(twice).adjusted() + 1
+    with localcontext(Context(prec=_DIGITS + max(0, digits - 20))):
         x = Decimal(twice) / 2
         z = x + shift
         y = 1 / (z * z)

@@ -203,6 +203,9 @@ class ConstPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes as that value
+        if self._num.keys() <= {_ZERO_MONO}:
+            return hash(Fraction(self._num.get(_ZERO_MONO, 0), self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     # -- numeric evaluation ---------------------------------------------------

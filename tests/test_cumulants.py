@@ -204,6 +204,13 @@ class TestNumericPath:
             assert math.isfinite(value)
         assert cs.kappa2_f > 0
 
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_skewness_limit_law_at_n_1e60(self, m):
+        # at fixed m, skewness tends to -sqrt(8 / (m^2 - 1)) as n grows; the
+        # closed forms cancel about 60 digits of each polygamma value here
+        s = skewness(EnsembleDims(m, 10 ** 60))
+        assert abs(s + math.sqrt(8 / (m * m - 1))) <= 1e-13
+
     def test_skewness_halves_up_to_n_2_20(self):
         s = [skewness(EnsembleDims(2 ** (k - 1), 2 ** k)) for k in range(12, 21)]
         for big, small in zip(s, s[1:]):

@@ -198,8 +198,8 @@ class TestIdentityExamples:
         # at m = 1 the simplest identity's left side is psi0(1) = -gamma,
         # so the right side must equal it too
         cat = _IDENTITIES["psi0_over_mk"]
-        assert cat.lhs(case("psi0_over_mk", 1)) == -GAMMA
-        assert cat.rhs(case("psi0_over_mk", 1)) == -GAMMA
+        assert cat.lhs(m=1) == -GAMMA
+        assert cat.rhs(m=1) == -GAMMA
 
 
 class TestIdentityGrid:
@@ -227,9 +227,8 @@ class TestIdentityGrid:
 
     def test_residual_degree_bounded(self):
         cat = _IDENTITIES
-        cs = case("psi0_psi0ak_over_k", 3, a=5)
-        assert total_degree(cat["psi0_psi0ak_over_k"].lhs(cs)) <= 2
-        assert total_degree(cat["psi0_psi0ak_over_k"].rhs(cs)) <= 3
+        assert total_degree(cat["psi0_psi0ak_over_k"].lhs(m=3, a=Fraction(5))) <= 2
+        assert total_degree(cat["psi0_psi0ak_over_k"].rhs(m=3, a=Fraction(5))) <= 3
 
 
 class TestAdmissibility:
@@ -270,6 +269,14 @@ class TestAdmissibility:
     def test_unknown_identity(self):
         with pytest.raises(KeyError):
             identity_residual(case("no_such_identity", 1))
+
+    def test_parameter_the_identity_does_not_read(self):
+        # both sides take their parameters by name, so a case that sets one
+        # its identity does not read is an error, not silently ignored
+        with pytest.raises(TypeError, match="'a'"):
+            identity_residual(case("psi0_over_mk", 2, a=5))
+        with pytest.raises(TypeError, match="'alpha'"):
+            identity_residual(case("psi0_kb_over_k2", 2, b=1, alpha=Fraction(1, 2)))
 
 
 class TestTelescopes:

@@ -95,9 +95,11 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=150, deadline=None)
 @given(polys(), polys())
 def test_canonical_form(a, b):
-    # equal values built by different routes compare equal and hash equal
+    # equal values built by different routes compare equal and hash equal,
+    # a constant and its Fraction value included
+    constant = a.terms.get((0, 0, 0, 0), Fraction(0))
     for x, y in (((a + b) - b, a), (ConstPoly(a.terms), a), ((a * 3) * Fraction(1, 3), a),
-                 (a - a, ConstPoly())):
+                 (a - a, ConstPoly()), (ConstPoly.const(constant), constant), (a - a, 0)):
         assert x == y
         assert hash(x) == hash(y)
     assert (a - a).is_zero()
