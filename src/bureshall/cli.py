@@ -53,19 +53,21 @@ def _output_paths(args) -> list[str]:
 
 
 def _unwritable(path: str) -> str | None:
-    """Why `write_atomic` could not create `path`, or None if it can.  Creates
-    the missing directories, as the write would."""
+    """Why `write_atomic` could not create `path`, or None if it can.  Probes
+    the nearest existing ancestor of its directory and creates nothing: the
+    write creates the missing directories."""
     import tempfile  # imported here, like fileio, so that `cumulants` skips it
 
     if path.endswith(os.sep) or os.path.isdir(path):
         return f"output {path} names a directory"
     directory = os.path.dirname(os.path.abspath(path))
+    ancestor = directory
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
     try:
-        os.makedirs(directory, exist_ok=True)
-        tempfile.TemporaryFile(dir=directory).close()
+        tempfile.TemporaryFile(dir=ancestor).close()
     except OSError as exc:
-        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
-        return f"cannot write output {path} in {directory}: {reason}"
+        return f"cannot write output {path} in {directory}: {exc.strerror}"
     return None
 
 

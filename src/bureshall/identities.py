@@ -284,40 +284,37 @@ def _identity(identity_id: str, domain: _Domain, lhs: Callable[..., ConstPoly]):
 @_identity("psi0_mk_over_k", _M_ONLY, lambda m: omega(2, m, a=m))
 @_identity("psi0_over_mk", _M_ONLY, lambda m: omega(1, m, a=m))
 def _rhs_psi0_over_mk(m):
-    m1 = Fraction(m + 1)
-    return _p0(m1) ** 2 - _p0(Fraction(1)) * _p0(m1) + _p1(m1) - _p1(Fraction(1))
+    m1 = m + 1
+    return _p0(m1) ** 2 - _p0(1) * _p0(m1) + _p1(m1) - _p1(1)
 
 
 @_identity("psi0_over_k2", _M_ONLY, lambda m: omega(3, m, b=0, c=0))
 def _rhs_psi0_over_k2(m):
-    m1 = Fraction(m + 1)
-    one = Fraction(1)
+    m1 = m + 1
     return (
         omega(5, m, b=0, c=0)
         - _p0(m1) * _p1(m1) - Fraction(1, 2) * _p2(m1)
-        + _p0(one) * _p1(one) + Fraction(1, 2) * _p2(one)
+        + _p0(1) * _p1(1) + Fraction(1, 2) * _p2(1)
     )
 
 
 @_identity("psi0_mk_over_k2", _M_ONLY, lambda m: omega(9, m, a=m))
 def _rhs_psi0_mk_over_k2(m):
-    m1 = Fraction(m + 1)
-    one = Fraction(1)
+    m1 = m + 1
     return (
         omega(5, m, b=0, c=0)
-        + _p0(one) * _p1(m1) + _p0(m1) * (_p1(one) - 2 * _p1(m1))
-        - _p2(m1) + _p2(one)
+        + _p0(1) * _p1(m1) + _p0(m1) * (_p1(1) - 2 * _p1(m1))
+        - _p2(m1) + _p2(1)
     )
 
 
 @_identity("psi0sq_mk_over_k", _M_ONLY, lambda m: omega(10, m, a=m))
 def _rhs_psi0sq_mk_over_k(m):
-    m1 = Fraction(m + 1)
-    one = Fraction(1)
+    m1 = m + 1
     return (
         omega(5, m, b=0, c=0)
-        + _p0(m1) ** 3 - _p0(one) * _p0(m1) ** 2 - 2 * _p1(one) * _p0(m1)
-        + _p1(m1) * _p0(m1) + _p0(one) * _p1(m1)
+        + _p0(m1) ** 3 - _p0(1) * _p0(m1) ** 2 - 2 * _p1(1) * _p0(m1)
+        + _p1(m1) * _p0(m1) + _p0(1) * _p1(m1)
     )
 
 
@@ -335,25 +332,25 @@ def _rhs_psi0_kb_over_kb2(m, b):
 
 @_identity("psi0_kb_over_k2", _B_POS, lambda m, b: omega(3, m, b=b, c=0))
 def _rhs_psi0_kb_over_k2(m, b):
-    bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
+    bm1, b1, m1 = b + m + 1, b + 1, m + 1
     return (
         omega(5, m, b=0, c=b)
-        - 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        - 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(1))
         - _p1(m1) * _p0(bm1)
-        - 1 / b * (_p1(one) - _p1(m1))
-        + _p1(one) * _p0(b1)
+        - 1 / b * (_p1(1) - _p1(m1))
+        + _p1(1) * _p0(b1)
     )
 
 
 @_identity("psi0_over_kb2", _B_POS, lambda m, b: omega(3, m, b=0, c=b))
 def _rhs_psi0_over_kb2(m, b):
-    bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
+    bm1, b1, m1 = b + m + 1, b + 1, m + 1
     return (
         omega(5, m, b=b, c=0)
-        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(1))
         - _p0(m1) * _p1(bm1)
         - 1 / b * (_p1(bm1) - _p1(b1))
-        + _p0(one) * _p1(b1)
+        + _p0(1) * _p1(b1)
     )
 
 
@@ -380,24 +377,24 @@ def _rhs_psi0_kb_over_kc2(m, b, c):
 
 @_identity("psi0_psi0kb_over_k", _B_POS, lambda m, b: omega(16, m, b=b))
 def _rhs_psi0_psi0kb_over_k(m, b):
-    bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
+    bm1, b1, m1 = b + m + 1, b + 1, m + 1
     return (
         -Fraction(1, 2) * (omega(5, m, b=0, c=b) + omega(4, m, b=0, c=b))
         - 1 / b * omega(6, m, b=b, c=0)
-        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(one))
+        + 1 / (b * b) * (_p0(bm1) - _p0(b1) - _p0(m1) + _p0(1))
         + Fraction(1, 2) / b * (
-            2 * _p0(m1) * _p0(bm1) - 2 * _p0(one) * _p0(b1)
-            - _p0(m1) ** 2 - _p1(m1) + _p0(one) ** 2 + _p1(one)
+            2 * _p0(m1) * _p0(bm1) - 2 * _p0(1) * _p0(b1)
+            - _p0(m1) ** 2 - _p1(m1) + _p0(1) ** 2 + _p1(1)
         )
         + Fraction(1, 2) * (
-            (_p0(m1) ** 2 + _p1(m1)) * _p0(bm1) - (_p0(one) ** 2 + _p1(one)) * _p0(b1)
+            (_p0(m1) ** 2 + _p1(m1)) * _p0(bm1) - (_p0(1) ** 2 + _p1(1)) * _p0(b1)
         )
     )
 
 
 @_identity("psi0_psi0kb_over_kb", _B_POS, lambda m, b: omega(15, m, b=b))
 def _rhs_psi0_psi0kb_over_kb(m, b):
-    bm1, b1, m1, one = b + m + 1, b + 1, Fraction(m + 1), Fraction(1)
+    bm1, b1, m1 = b + m + 1, b + 1, m + 1
     return (
         -Fraction(1, 2) * (omega(4, m, b=b, c=0) + omega(5, m, b=b, c=0))
         - 1 / b * omega(6, m, b=b, c=0)
@@ -406,7 +403,7 @@ def _rhs_psi0_psi0kb_over_kb(m, b):
         )
         + Fraction(1, 2) * (
             _p0(m1) * (_p0(bm1) ** 2 + _p1(bm1))
-            - _p0(one) * _p0(b1) ** 2 - _p0(one) * _p1(b1)
+            - _p0(1) * _p0(b1) ** 2 - _p0(1) * _p1(b1)
         )
     )
 
@@ -415,12 +412,12 @@ def _rhs_psi0_psi0kb_over_kb(m, b):
 
 @_identity("psi0_ak_over_k", _A_GT_M, lambda m, a: omega(2, m, a=a))
 def _rhs_psi0_ak_over_k(m, a):
-    am, a1, m1, one = a - m, a + 1, Fraction(m + 1), Fraction(1)
+    am, a1, m1 = a - m, a + 1, m + 1
     return (
         -omega(6, m, b=am, c=0)
         + Fraction(1, 2) * (
-            -2 * _p0(a1) * (_p0(am) - _p0(m1) + _p0(one))
-            + (_p0(am) + 2 * _p0(m1) - 2 * _p0(one)) * _p0(am)
+            -2 * _p0(a1) * (_p0(am) - _p0(m1) + _p0(1))
+            + (_p0(am) + 2 * _p0(m1) - 2 * _p0(1)) * _p0(am)
             - _p1(am) + _p0(a1) ** 2 + _p1(a1)
         )
     )
@@ -428,13 +425,13 @@ def _rhs_psi0_ak_over_k(m, a):
 
 @_identity("psi0_over_ak", _A_GT_M, lambda m, a: omega(1, m, a=a))
 def _rhs_psi0_over_ak(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         -omega(6, m, b=am, c=0)
         + Fraction(1, 2) * (
             (_p0(a1) - _p0(am)) ** 2
             + 2 * _p0(m1) * (-_p0(am1) + _p0(am) + _p0(a1))
-            - 2 * _p0(one) * _p0(am)
+            - 2 * _p0(1) * _p0(am)
             - _p1(am) + _p1(a1)
         )
     )
@@ -442,40 +439,40 @@ def _rhs_psi0_over_ak(m, a):
 
 @_identity("psi0_over_ak2", _A_GT_M, lambda m, a: omega(7, m, a=a))
 def _rhs_psi0_over_ak2(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         omega(5, m, b=am, c=0)
-        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
+        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(1))
         - _p1(a1) * _p0(m1)
         + _p0(a1) * (_p1(am1) - _p1(a1))
         + 1 / am * (_p1(am1) - _p1(a1))
         + _p0(am1) * (_p1(a1) - _p1(am1))
-        + _p0(one) * _p1(am1)
+        + _p0(1) * _p1(am1)
         + Fraction(1, 2) * _p2(am1) - Fraction(1, 2) * _p2(a1)
     )
 
 
 @_identity("psi0sq_over_ak", _A_GT_M, lambda m, a: omega(8, m, a=a))
 def _rhs_psi0sq_over_ak(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         omega(4, m, b=am, c=0) + omega(4, m, b=0, c=am) + omega(5, m, b=am, c=am)
         + (2 / am - 2 * _p0(a1)) * omega(6, m, b=am, c=0)
-        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
         + 1 / am * (
-            2 * _p0(a1) * (-_p0(am1) - _p0(m1) + _p0(one))
+            2 * _p0(a1) * (-_p0(am1) - _p0(m1) + _p0(1))
             + _p0(am1) ** 2 + _p0(a1) ** 2
         )
         + Fraction(1, 6) * (
             -6 * _p0(a1) ** 2 * (_p0(am1) - _p0(m1))
-            - 6 * _p0(a1) * (-_p0(am1) ** 2 + 2 * _p0(one) * _p0(am1) + _p1(am1))
+            - 6 * _p0(a1) * (-_p0(am1) ** 2 + 2 * _p0(1) * _p0(am1) + _p1(am1))
             - 2 * _p0(am1) ** 3
-            + 6 * _p0(one) * _p0(am1) ** 2
-            - 6 * _p0(one) * _p1(am1)
+            + 6 * _p0(1) * _p0(am1) ** 2
+            - 6 * _p0(1) * _p1(am1)
             + 6 * _p0(am1) * _p1(am1)
             + _p2(am1)
             + 2 * _p0(a1) ** 3
-            + 6 * _p0(one) * _p1(a1)
+            + 6 * _p0(1) * _p1(a1)
             - _p2(a1)
         )
     )
@@ -483,14 +480,14 @@ def _rhs_psi0sq_over_ak(m, a):
 
 @_identity("psi1_ak_over_k", _A_GT_M, lambda m, a: omega(18, m, a=a))
 def _rhs_psi1_ak_over_k(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         -omega(5, m, b=am, c=0)
-        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
-        + _p1(a1) * (-_p0(am1) + _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
+        + _p1(a1) * (-_p0(am1) + _p0(a1) + _p0(m1) - _p0(1))
         + 1 / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 2) * (
-            2 * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one)) * _p1(am1)
+            2 * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1)) * _p1(am1)
             - _p2(am1) + _p2(a1)
         )
     )
@@ -498,51 +495,51 @@ def _rhs_psi1_ak_over_k(m, a):
 
 @_identity("psi1_over_ak", _A_GT_M, lambda m, a: omega(17, m, a=a))
 def _rhs_psi1_over_ak(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         -omega(5, m, b=am, c=0) + omega(5, m, b=0, c=am) - omega(5, m, b=am, c=am)
         - _p1(m1) * _p0(am1)
-        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
         + 1 / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 2) * (
-            -2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(one))
+            -2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(1))
             + 2 * _p1(m1) * _p0(am1)
             - _p2(am1) + _p2(a1)
         )
-        + _p0(a1) * (_p1(a1) - _p1(one))
-        + _p1(one) * _p0(a1)
+        + _p0(a1) * (_p1(a1) - _p1(1))
+        + _p1(1) * _p0(a1)
     )
 
 
 @_identity("psi0_ak_over_k2", _A_GT_M, lambda m, a: omega(9, m, a=a))
 def _rhs_psi0_ak_over_k2(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         omega(5, m, b=am, c=0) - omega(5, m, b=0, c=am) + omega(5, m, b=am, c=am)
-        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(one))
+        + 1 / (am * am) * (-_p0(am1) + _p0(a1) - _p0(m1) + _p0(1))
         + 1 / am * (_p1(am1) - _p1(a1))
         + Fraction(1, 2) * (
-            2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(one))
+            2 * _p1(a1) * (_p0(am1) - _p0(m1) + _p0(1))
             - 2 * _p1(m1) * _p0(am1)
             + _p2(am1) - _p2(a1)
         )
-        + _p0(a1) * (_p1(one) - _p1(a1))
+        + _p0(a1) * (_p1(1) - _p1(a1))
     )
 
 
 @_identity("psi0_psi0ak_over_ak", _A_GT_M, lambda m, a: omega(13, m, a=a))
 def _rhs_psi0_psi0ak_over_ak(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         Fraction(1, 2) * (omega(10, m, a=a) - omega(5, m, b=am, c=0))
-        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
         + Fraction(1, 2) / am * (_p1(a1) - _p1(am1))
         + Fraction(1, 4) * (
             2 * _p0(m1) * (_p1(a1) - _p0(am1) ** 2)
             + 2 * (_p0(a1) - _p0(am1)) * (_p1(a1) - _p1(am1))
-            - 2 * _p0(one) * _p1(am1)
+            - 2 * _p0(1) * _p1(am1)
             - _p2(am1)
-            + 2 * _p0(one) * _p0(a1) ** 2
+            + 2 * _p0(1) * _p0(a1) ** 2
             + _p2(a1)
         )
     )
@@ -550,28 +547,28 @@ def _rhs_psi0_psi0ak_over_ak(m, a):
 
 @_identity("psi0_psi0ak_over_k", _A_GT_M, lambda m, a: omega(14, m, a=a))
 def _rhs_psi0_psi0ak_over_k(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         Fraction(1, 2) * (
             omega(4, m, b=am, c=0) + omega(4, m, b=0, c=am)
             - omega(5, m, b=am, c=0) + omega(5, m, b=0, c=am)
         )
         + (1 / am - _p0(a1)) * omega(6, m, b=am, c=0)
-        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + 1 / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
         - Fraction(1, 2) / am * (
-            2 * _p0(a1) * (_p0(am1) + _p0(m1) - _p0(one))
+            2 * _p0(a1) * (_p0(am1) + _p0(m1) - _p0(1))
             - _p0(am1) ** 2 + _p1(am1) - _p0(a1) ** 2 - _p1(a1)
         )
         + Fraction(1, 6) * (
             3 * _p0(a1) ** 2 * (_p0(m1) - _p0(am1))
             - 3 * _p0(a1) * (
-                2 * _p0(one) * _p0(am1) - _p0(am1) ** 2 + _p1(am1) - _p1(a1)
-                + _p0(one) ** 2 + _p1(one)
+                2 * _p0(1) * _p0(am1) - _p0(am1) ** 2 + _p1(am1) - _p1(a1)
+                + _p0(1) ** 2 + _p1(1)
             )
             - _p0(am1) ** 3
-            + 3 * _p0(one) * _p0(am1) ** 2
+            + 3 * _p0(1) * _p0(am1) ** 2
             + 3 * _p1(a1) * _p0(m1)
-            - 3 * _p0(one) * _p1(am1)
+            - 3 * _p0(1) * _p1(am1)
             + 3 * _p0(am1) * (_p1(am1) - _p1(a1) + _p0(m1) ** 2 + _p1(m1))
             - _p2(am1)
             + _p0(a1) ** 3
@@ -582,7 +579,7 @@ def _rhs_psi0_psi0ak_over_k(m, a):
 
 @_identity("psi0_psi0ak_over_mk", _A_GT_M, lambda m, a: omega(12, m, a=a))
 def _rhs_psi0_psi0ak_over_mk(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         Fraction(1, 2) * (
             omega(10, m, a=a) - omega(4, m, b=0, c=am)
@@ -590,22 +587,22 @@ def _rhs_psi0_psi0ak_over_mk(m, a):
         )
         - (1 / am - _p0(a1)) * omega(6, m, b=am, c=0)
         + Fraction(1, 2) / (am * am)
-        * (3 * (_p0(a1) - _p0(am1) - _p0(m1) + _p0(one)))
+        * (3 * (_p0(a1) - _p0(am1) - _p0(m1) + _p0(1)))
         - Fraction(1, 2) / am * (
             _p0(a1) ** 2
-            + 2 * (_p0(one) - 2 * _p0(m1)) * _p0(a1)
+            + 2 * (_p0(1) - 2 * _p0(m1)) * _p0(a1)
             - _p0(am1) ** 2
-            + 2 * _p0(one) * _p0(am1)
-            + 2 * (_p0(m1) - _p0(one)) * _p0(m1)
-            + 2 * _p1(m1) - 2 * _p1(one)
+            + 2 * _p0(1) * _p0(am1)
+            + 2 * (_p0(m1) - _p0(1)) * _p0(m1)
+            + 2 * _p1(m1) - 2 * _p1(1)
         )
         + Fraction(1, 12) * (
             6 * _p0(am1) * (
-                (-_p0(a1) + _p0(m1) - 2 * _p0(one)) * (_p0(m1) - _p0(a1))
-                + _p1(m1) - 2 * _p1(one)
+                (-_p0(a1) + _p0(m1) - 2 * _p0(1)) * (_p0(m1) - _p0(a1))
+                + _p1(m1) - 2 * _p1(1)
             )
             - 4 * _p0(a1) ** 3
-            + 6 * _p0(one) * _p0(a1) ** 2
+            + 6 * _p0(1) * _p0(a1) ** 2
             + 6 * _p0(m1) ** 2 * _p0(a1)
             + 6 * _p1(am1) * _p0(a1)
             - 6 * _p0(m1) * (_p0(a1) ** 2 + _p1(am1))
@@ -613,7 +610,7 @@ def _rhs_psi0_psi0ak_over_mk(m, a):
             - 6 * _p0(a1) * _p1(a1)
             - _p2(a1)
             - 2 * _p0(am1) ** 3
-            + 6 * _p0(one) * _p1(am1)
+            + 6 * _p0(1) * _p1(am1)
             + _p2(am1)
         )
     )
@@ -621,23 +618,23 @@ def _rhs_psi0_psi0ak_over_mk(m, a):
 
 @_identity("psi0_psi0shift_over_mk", _A_GT_M, lambda m, a: omega(11, m, a=a))
 def _rhs_psi0_psi0shift_over_mk(m, a):
-    am, am1, a1, m1, one = a - m, a - m + 1, a + 1, Fraction(m + 1), Fraction(1)
+    am, am1, a1, m1 = a - m, a - m + 1, a + 1, m + 1
     return (
         Fraction(1, 2) * (
             omega(10, m, a=a) + omega(4, m, b=am, c=0)
             + omega(4, m, b=0, c=am) + omega(5, m, b=0, c=am)
         )
         + 1 / am * omega(6, m, b=am, c=0)
-        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(one))
+        + Fraction(1, 2) / (am * am) * (_p0(am1) - _p0(a1) + _p0(m1) - _p0(1))
         + Fraction(1, 2) / am * (_p0(am1) ** 2 - _p0(a1) ** 2)
         + Fraction(1, 12) * (
-            6 * _p0(a1) ** 2 * (_p0(am1) + _p0(one))
+            6 * _p0(a1) ** 2 * (_p0(am1) + _p0(1))
             + 6 * _p0(a1) * (
-                -2 * _p0(m1) * (_p0(am1) + _p0(one))
-                + _p1(am1) - _p1(a1) + _p0(m1) ** 2 + _p1(m1) - 2 * _p1(one)
+                -2 * _p0(m1) * (_p0(am1) + _p0(1))
+                + _p1(am1) - _p1(a1) + _p0(m1) ** 2 + _p1(m1) - 2 * _p1(1)
             )
             - 2 * _p0(am1) ** 3
-            + 6 * _p0(one) * _p0(am1) ** 2
+            + 6 * _p0(1) * _p0(am1) ** 2
             + 6 * _p0(m1) * (_p1(a1) - _p1(am1))
             + 6 * (_p0(m1) ** 2 + _p1(m1)) * _p0(am1)
             + _p2(am1)
@@ -673,20 +670,20 @@ def _rhs_three_term(m, a, b, c):
         - _p0(a) * _p0(b + m) * _p0(c + m)
         + _p0(a) * _p0(b) * _p0(c)
         - _p0(b) * _p0(a + m) * _p0(c + m)
-        + Fraction((a + m) * (a - b - c - m), (a - b) * (a - c) * (b + m) * (c + m)) * _p0(a + m)
+        + (a + m) * (a - b - c - m) / ((a - b) * (a - c) * (b + m) * (c + m)) * _p0(a + m)
         + 1 / (b - a) * _p0(a + m) * _p0(c + m)
-        + Fraction((b + m) * (a - b + c + m), (a - b) * (a + m) * (b - c) * (c + m)) * _p0(b + m)
+        + (b + m) * (a - b + c + m) / ((a - b) * (a + m) * (b - c) * (c + m)) * _p0(b + m)
         + 1 / (a - b) * _p0(b + m) * _p0(c + m)
-        + Fraction((c + m) * (a + b - c + m), (a - c) * (a + m) * (c - b) * (b + m)) * _p0(c + m)
+        + (c + m) * (a + b - c + m) / ((a - c) * (a + m) * (c - b) * (b + m)) * _p0(c + m)
         + 1 / (c + m) * _p0(a + m) * _p0(b + m)
         + (1 / (a - c) + 1 / (b - c) + 1 / c) * _p0(a) * _p0(b)
         + (1 / (b - a) + 1 / (a - c) - 1 / (a + m) + 1 / a) * _p0(b) * _p0(c + m)
         + 1 / (c - b) * _p0(a) * _p0(c)
         + (1 / (a - b) + 1 / (b - c) - 1 / (b + m) + 1 / b) * _p0(a) * _p0(c + m)
         + 1 / (c - a) * _p0(b) * _p0(c)
-        + Fraction(a * (-a + b + c), b * c * (a - b) * (a - c)) * _p0(a)
-        - Fraction(b * (a - b + c), a * c * (a - b) * (b - c)) * _p0(b)
-        + Fraction(c * (a + b - c), a * b * (a - c) * (b - c)) * _p0(c)
+        + a * (-a + b + c) / (b * c * (a - b) * (a - c)) * _p0(a)
+        - b * (a - b + c) / (a * c * (a - b) * (b - c)) * _p0(b)
+        + c * (a + b - c) / (a * b * (a - c) * (b - c)) * _p0(c)
     )
 
 
@@ -726,9 +723,9 @@ def _lhs_trigamma_closed_1(m, alpha):
 def _rhs_trigamma_closed_1(m, alpha):
     t, mf = 2 * alpha, Fraction(m)
     t1, tm1, t2m1 = t + 1, t + mf + 1, t + 2 * mf + 1
-    m1, one = mf + 1, Fraction(1)
+    m1 = mf + 1
     return (
-        _p0(one) * _p1(t1)
+        _p0(1) * _p1(t1)
         + 1 / t * _p1(t1)
         - _p0(t1) * _p1(t1)
         + Fraction(1, 2) * _p2(t1)
@@ -740,8 +737,8 @@ def _rhs_trigamma_closed_1(m, alpha):
             + (2 * t ** 4 + mf ** 4 + 2 * t * mf ** 3 + 4 * t * t * mf * mf + 4 * t ** 3 * mf)
             * _p0(tm1)
         )
-        + (1 / (t * t) - 1 / (t + mf) ** 2) * (_p0(one) - _p0(m1))
-        - _p0(one) * _p1(tm1)
+        + (1 / (t * t) - 1 / (t + mf) ** 2) * (_p0(1) - _p0(m1))
+        - _p0(1) * _p1(tm1)
         - _p1(t1) * _p0(m1)
         - Fraction(1, 2) * _p2(tm1)
         + _p0(m1) * _p1(tm1)
@@ -763,12 +760,12 @@ def _lhs_trigamma_closed_2(m, alpha):
 def _rhs_trigamma_closed_2(m, alpha):
     t, mf = 2 * alpha, Fraction(m)
     t1, tm1, t2m1 = t + 1, t + mf + 1, t + 2 * mf + 1
-    m1, one = mf + 1, Fraction(1)
+    m1 = mf + 1
     return (
-        -_p0(one) * _p1(t1)
+        -_p0(1) * _p1(t1)
         - _p1(m1) * (_p0(t1) - 2 * _p0(tm1))
         - _p1(m1) * _p0(t2m1)
-        + _p0(one) * _p1(tm1)
+        + _p0(1) * _p1(tm1)
         - _p0(m1) * _p1(tm1)
         - _p0(tm1) * _p1(tm1)
         + _p0(t2m1) * _p1(tm1)

@@ -63,11 +63,11 @@ class HalfInteger(NamedTuple):
     twice: int
 
     @classmethod
-    def of(cls, value: Union[HalfInteger, int, Fraction]) -> HalfInteger:
+    def of(cls, value: Union[int, Fraction]) -> HalfInteger:
         return cls(_twice(value))
 
 
-def _twice(value: Union[HalfInteger, int, Fraction]) -> int:
+def _twice(value: Union[int, Fraction]) -> int:
     """Twice an integer or half-integer value."""
     if isinstance(value, int):
         return 2 * value
@@ -77,8 +77,6 @@ def _twice(value: Union[HalfInteger, int, Fraction]) -> int:
         if value.denominator == 2:
             return value.numerator
         raise ValueError(f"{value} is not an integer or half-integer")
-    if isinstance(value, HalfInteger):
-        return value.twice
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 

@@ -64,7 +64,7 @@ class ChainConfig(_Chain):
     """Metropolis chain settings, validated on construction.  The trace is
     drawn exactly at every step, so the only step size is the shape move's:
     it starts at 0.25/sqrt(m), burn-in tunes it to acceptance in [0.2, 0.5],
-    and it stays frozen after."""
+    and it stays frozen after.  It has no lower bound (see _retune)."""
 
     __slots__ = ()
 
@@ -91,7 +91,6 @@ class ChainConfig(_Chain):
 class Provenance(NamedTuple):
     dims: EnsembleDims
     config: Optional[ChainConfig]
-    backend: str
 
 
 class Block(NamedTuple):
@@ -177,15 +176,19 @@ class SampleBatch:
 _ROWS = 2048  # kept rows per block, about: a block holds whole steps
 _BLOCK = 512
 _TUNE_WINDOW = 100
-_STEP_BOUNDS = (1e-3, 5.0)
+_STEP_MAX = 5.0
 
 
 def _retune(sigma: float, rate: float) -> float:
-    """Shrink a step whose acceptance rate fell below 0.2, widen one above 0.5."""
+    """Shrink a step whose acceptance rate fell below 0.2, widen one above 0.5
+    up to _STEP_MAX, which binds only at m = 1, where the move is empty.  No
+    lower bound: the target narrows like 1/sqrt(n), and the step must follow;
+    a step below the float spacing of ln x proposes the state itself, which
+    is accepted, so the next window widens it again."""
     if rate < 0.2:
-        return max(sigma * 0.6, _STEP_BOUNDS[0])
+        return sigma * 0.6
     if rate > 0.5:
-        return min(sigma * 1.5, _STEP_BOUNDS[1])
+        return min(sigma * 1.5, _STEP_MAX)
     return sigma
 
 
@@ -231,7 +234,7 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     kernel: dict = {}
     return SampleBatch(_mcmc_draws(dims, config, block_steps, kernel), config.samples, blocks,
                        chains=n_chains, first_step=config.burn_in + config.thinning - 1,
-                       stride=config.thinning, provenance=Provenance(dims, config, "mcmc"),
+                       stride=config.thinning, provenance=Provenance(dims, config),
                        kernel=kernel)
 
 
@@ -282,8 +285,8 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
     x = np.empty((n_chains, m))
     for c, g in enumerate(gens):
         x[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
-        while np.unique(x[c]).size < m:  # measure-zero, but be safe
-            x[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
+    # draws that round to equal floats give q = -inf, and the chain accepts
+    # its first proposal whose coordinates differ
     with np.errstate(divide="ignore"):
         q, s = _pair_term(x, pairs)
     u = np.log(x)
@@ -381,7 +384,7 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         raise ValueError("count must be >= 1")
     return SampleBatch(_matrix_draws(m, count, seed), count, -(-count // _MATRIX_BLOCK), chains=1,
                        first_step=0, stride=1,
-                       provenance=Provenance(EnsembleDims(m, m), None, "matrix"))
+                       provenance=Provenance(EnsembleDims(m, m), None))
 
 
 def _matrix_draws(m: int, count: int, seed: int) -> Iterator:

@@ -368,6 +368,9 @@ def _never_run(args):
                  id="verify-existing-dir"),
     pytest.param("afile", ["verify", "figures", "--fig", "1", "--seed", "1"],
                  id="verify-out-dir-env-is-file"),
+    # the report's directories are not made when the figure's CSV is rejected
+    pytest.param("afile", ["verify", "figures", "--fig", "1", "--seed", "1",
+                           "--out", "newdir/sub/r.json"], id="verify-report-dir-not-made"),
     # the report would overwrite the figure's CSV
     pytest.param("work", ["verify", "figures", "--fig", "1", "--seed", "1",
                           "--out", "figure1_density.csv"], id="verify-report-is-figure-csv"),

@@ -5,14 +5,17 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from sample_helpers import collect, entropies_T
 from scipy import stats
 
+import bureshall
 from bureshall import sampler
-from bureshall.cumulants import EnsembleDims, kappa1
+from bureshall.cumulants import EnsembleDims, cumulant_set, kappa1
 from bureshall.sampler import (
     ChainConfig,
     _entropies,
@@ -197,7 +200,6 @@ class TestMcmc:
         np.testing.assert_allclose(batch.spectra.sum(axis=1), 1.0, atol=1e-12)
         recomputed = [-(row * np.log(row)).sum() for row in batch.spectra[:50]]
         np.testing.assert_allclose(batch.entropies[:50], recomputed, atol=1e-12)
-        assert batch.provenance.backend == "mcmc"
         assert batch.provenance.dims == EnsembleDims(3, 4)
 
     def test_m1_marginal_is_gamma(self):
@@ -261,6 +263,33 @@ class TestMcmc:
             (st.k3, st.se3, float(kappa3(dims))),
         ):
             assert abs(value - ref) <= 4 * se
+
+    @pytest.mark.parametrize("m, n", [(3, 10 ** 10), (8, 10 ** 8)])
+    def test_step_fits_a_narrow_target(self, m, n):
+        # the target narrows like 1/sqrt(n), and the tuned step must follow
+        # it: a step held at 1e-3 accepted 0.0005 and 0.0007 here, and the
+        # chains barely moved, so the batch-means SEs understated the error
+        dims = EnsembleDims(m, n)
+        batch = mcmc_chain(dims, ChainConfig(samples=20_000, seed=5))
+        st = k_statistics(batch.entropies, batch.chain_index)
+        assert 0.2 <= batch.kernel["acceptance"] <= 0.5
+        ref = cumulant_set(dims)
+        for value, se, kappa in ((st.k1, st.se1, ref.kappa1_f), (st.k2, st.se2, ref.kappa2_f),
+                                 (st.k3, st.se3, ref.kappa3_f)):
+            assert abs(value - kappa) <= 4 * se
+
+    def test_start_with_equal_coordinates(self, tmp_path):
+        # at n = 10^35 a chain's Gamma(alpha + 1) start draws round to equal
+        # floats; such a start has log-density -inf, and the first proposal
+        # with distinct coordinates is accepted
+        src = os.path.dirname(os.path.dirname(bureshall.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-m", "bureshall.cli", "simulate", "--m", "3", "--n", str(10 ** 35),
+             "--samples", "3", "--seed", "1"],
+            env=dict(os.environ, PYTHONPATH=path, BURESHALL_OUT_DIR=str(tmp_path)),
+            cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
 
 
 class TestMatrixModel:
