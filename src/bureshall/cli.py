@@ -147,7 +147,7 @@ def _cmd_cumulants(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # imported here (and in the figure targets) so that only sampling loads numpy
-    from .sampler import (_MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
+    from .sampler import (_ACCEPT_MIN, _MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
                           sample_matrix_model_batch, write_sample_csv)
 
     dims = args.dims
@@ -169,6 +169,11 @@ def _cmd_simulate(args) -> int:
     if batch.kernel:
         print(f"kernel: step size {batch.kernel['step_size']:.6g}, "
               f"acceptance after burn-in {batch.kernel['acceptance']:.4f}")
+        if batch.kernel["acceptance"] < _ACCEPT_MIN / 2:
+            # burn-in ended before the step size could follow the target
+            print(f"warning: acceptance after burn-in {batch.kernel['acceptance']:.4f} is below "
+                  f"{_ACCEPT_MIN / 2}, so the chains may not have mixed; a longer --burn-in "
+                  "lets the step size settle", file=sys.stderr)
     se1, se2, se3 = ("n/a" if math.isnan(se) else f"{se:.{digits}f}"
                      for se, digits in ((st.se1, 6), (st.se2, 6), (st.se3, 7)))
     print(f"k1 = {st.k1:.6f} +- {se1}   kappa1 = {cs.kappa1_f:.6f}")

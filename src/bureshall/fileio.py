@@ -2,27 +2,36 @@
 one CSV formatter behind the sample, density and figure-2 CSVs, and the one
 fan-out of independent jobs over forked workers, `fork_map`.
 
-`fork_map(fn, items)` yields fn(item) in order, taking the items as it
-goes.  The calling process maps the first item; when the process may run on
-two or more CPUs, workers forked before the first item is taken map the rest
-meanwhile, else the caller maps every item.  Either way the results are the
-same.  `verify identities` checks its shares of the suite through it, and a
-sample CSV formats its blocks through it as the sampler draws them: a worker
-formats block k while the caller draws block k + 1, and the workers inherit
-only the small heap the caller had before sampling.
+`fork_map(fn, items)` returns [fn(item) for item in items].  The calling
+process maps the first item; when the process may run on two or more CPUs,
+forked workers map the rest meanwhile, else the caller maps every item.
+Either way the results are the same.  `verify identities` checks its shares
+of the suite through it.
+
+A CSV of two or more blocks, on two or more usable CPUs, is formatted and
+written by one writer process, forked before the first block is drawn, so it
+inherits only the small heap the caller had before sampling.  The caller
+draws each block and pickles its columns into a pipe; no text comes back.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import deque
-from contextlib import closing
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 # the function that fork_map's workers apply; set before they fork
 _fork_fn = None
+
+
+def _temp_path(path: str) -> str:
+    """The temporary file that a write of `path` goes through: in the same
+    directory, which is created if missing, and named for this process and
+    thread."""
+    target = os.path.abspath(path)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    return f"{target}.{os.getpid()}-{threading.get_ident()}.tmp"
 
 
 def write_atomic(path: str, content: str | Iterable[str]) -> None:
@@ -30,9 +39,7 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
     file in the same directory and an atomic rename; the directory is created
     if missing.  The temporary file is named for this process and thread and
     created exclusively, with the mode that open() gives under the umask."""
-    target = os.path.abspath(path)
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    tmp = f"{target}.{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp = _temp_path(path)
     try:
         with open(tmp, "x") as fh:
             fh.writelines([content] if isinstance(content, str) else content)
@@ -56,43 +63,28 @@ def _apply(item):
     return _fork_fn(item)
 
 
-def fork_map(fn: Callable, items: Iterable, jobs: Optional[int] = None) -> Iterator:
-    """Yield fn(item) for each item, in order, as the consumer asks for them.
+def fork_map(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], in order.
 
-    `jobs` is the number of items, len(items) by default.  This process
-    applies `fn` to the first item.  When `_fork_workers(jobs)` allows two
-    or more processes, a pool of w = min(that, jobs - 1) workers is forked
-    before the first item is taken, and applies `fn` to the rest meanwhile.
-    The items are taken lazily, in this thread: w of them before this
-    process maps the first, then one more each time a result is yielded, so
-    at most w + 1 are in flight.  Workers inherit `fn` (set in a module
-    global before the fork), so only items and results are pickled, an item
-    in a pool thread after it is handed over: `items` must not change an
-    item it has yielded.  An exception in a worker is raised here.
+    This process applies `fn` to the first item.  When `_fork_workers`
+    allows two or more processes, a pool of len(items) - 1 of them, capped
+    at the usable CPUs less one, applies `fn` to the rest meanwhile.  Workers
+    inherit `fn` (set in a module global before the fork), so only items and
+    results are pickled.  An exception in a worker is raised here.
     Otherwise every item is mapped in-process.  multiprocessing is imported
-    only for a pool.  Close the generator when the consumer stops early:
-    that ends the pool."""
+    only for a pool."""
     global _fork_fn
-    jobs = len(items) if jobs is None else jobs
-    processes = _fork_workers(jobs)
+    processes = _fork_workers(len(items))
     if processes < 2:
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     import multiprocessing  # imported here so that no other path pays for it
 
     _fork_fn = fn
-    workers = min(processes, jobs - 1)
     try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            items = iter(items)
-            first = next(items)
-            pending = deque(pool.apply_async(_apply, (item,)) for item in islice(items, workers))
-            yield fn(first)
-            for item in items:
-                pending.append(pool.apply_async(_apply, (item,)))
-                yield pending.popleft().get()
-            for result in pending:
-                yield result.get()
+        with multiprocessing.get_context("fork").Pool(processes - 1) as pool:
+            rest = pool.map_async(_apply, items[1:])
+            first = fn(items[0])
+            return [first, *rest.get()]
     finally:
         _fork_fn = None
 
@@ -100,9 +92,9 @@ def fork_map(fn: Callable, items: Iterable, jobs: Optional[int] = None) -> Itera
 def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None:
     """Write CSV rows under `header`, each value as its Python repr
     (round-trip floats).  Each of the `count` blocks is a list of
-    equal-length columns, formatted with one row template through
-    `fork_map`, so the whole file never sits in memory, and forked workers
-    send back only the formatted text."""
+    equal-length columns, formatted with one row template, so the whole file
+    never sits in memory.  With two or more blocks and usable CPUs, one
+    forked writer process formats and writes them (see _forked_write)."""
     import numpy as np  # imported here so that only sampling loads numpy
 
     def block(columns: list) -> str:
@@ -110,5 +102,71 @@ def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None
         row = ",".join(["%r"] * len(cells)) + "\n"
         return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
-    with closing(fork_map(block, blocks, count)) as formatted:
-        write_atomic(path, chain([header + "\n"], formatted))
+    if _fork_workers(count) < 2:
+        write_atomic(path, chain([header + "\n"], map(block, blocks)))
+    else:
+        _forked_write(path, header, blocks, block)
+
+
+def _forked_write(path: str, header: str, blocks: Iterable, block: Callable) -> None:
+    """write_atomic(path, header and block(columns) for each of `blocks`),
+    formatted and written by one writer process, forked before the first
+    block is taken.  This process pickles each block's columns into a pipe,
+    then an end marker (None), and renames the temporary file once the
+    writer has exited with status 0.  The writer ends with os._exit, so it
+    never returns into the caller's frames.  If it fails, or reads the end
+    of the pipe with no end marker (this process failed or was killed), it
+    unlinks the file, sends its exception back through a second pipe, which
+    is raised here, and exits with status 1.  Every path reaps the writer."""
+    import pickle
+
+    tmp = _temp_path(path)
+    data_r, data_w = os.pipe()
+    report_r, report_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(data_w)
+            os.close(report_r)
+            # leaving the with closes the pipe, so a caller blocked on a
+            # full pipe gets EPIPE before the report is written
+            with open(data_r, "rb") as source, open(tmp, "x") as out:
+                out.write(header + "\n")
+                while (columns := pickle.load(source)) is not None:
+                    out.write(block(columns))
+            status = 0
+        except BaseException as exc:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            # an exception that cannot be pickled, or a caller that is gone,
+            # ends the report early: the caller then reports the exit status
+            with open(report_w, "wb") as fh:
+                fh.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+
+    os.close(data_r)
+    os.close(report_w)
+    try:
+        try:
+            with open(data_w, "wb") as sink:
+                for columns in blocks:
+                    pickle.dump(columns, sink, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(None, sink)
+        except BrokenPipeError:
+            pass  # the writer stopped reading; its exception is raised below
+        finally:
+            # read the report to its end, which the writer's exit marks,
+            # before reaping it, so that a long report cannot block the writer
+            with open(report_r, "rb") as fh:
+                report = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise (pickle.loads(report) if report else
+                   RuntimeError(f"CSV writer process {pid} exited with status {status}"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):  # the writer was killed before it could unlink it
+            os.unlink(tmp)
+        raise

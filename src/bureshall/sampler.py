@@ -32,9 +32,12 @@ block at a time, in sample order: about _ROWS kept rows of whole steps from
 the kernel, and one draw of _MATRIX_BLOCK matrices from the matrix backend.
 A reader such as the CSV writer takes each block's spectra and traces as it
 comes, and no block is kept, so no command holds all samples x m floats; the
-batch keeps only every sample's entropy.  The kernel's block size changes no
-drawn value: it draws _BLOCK steps at a time into buffers allocated once,
-and the matrix backend fills the same four normal arrays at every draw.
+batch keeps only every sample's entropy.  On two or more usable CPUs the CSV
+writer hands each block's columns to a writer process, forked before the
+first block is drawn, which formats and writes them while the kernel draws
+the next block.  The kernel's block size changes no drawn value: it draws
+_BLOCK steps at a time into buffers allocated once, and the matrix backend
+fills the same four normal arrays at every draw.
 
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
@@ -177,15 +180,16 @@ _ROWS = 2048  # kept rows per block, about: a block holds whole steps
 _BLOCK = 512
 _TUNE_WINDOW = 100
 _STEP_MAX = 5.0
+_ACCEPT_MIN = 0.2  # the tuner's floor; simulate warns below half of it
 
 
 def _retune(sigma: float, rate: float) -> float:
-    """Shrink a step whose acceptance rate fell below 0.2, widen one above 0.5
-    up to _STEP_MAX, which binds only at m = 1, where the move is empty.  No
-    lower bound: the target narrows like 1/sqrt(n), and the step must follow;
-    a step below the float spacing of ln x proposes the state itself, which
-    is accepted, so the next window widens it again."""
-    if rate < 0.2:
+    """Shrink a step whose acceptance rate fell below _ACCEPT_MIN, widen one
+    above 0.5 up to _STEP_MAX, which binds only at m = 1, where the move is
+    empty.  No lower bound: the target narrows like 1/sqrt(n), and the step
+    must follow; a step below the float spacing of ln x proposes the state
+    itself, which is accepted, so the next window widens it again."""
+    if rate < _ACCEPT_MIN:
         return sigma * 0.6
     if rate > 0.5:
         return min(sigma * 1.5, _STEP_MAX)
@@ -478,7 +482,9 @@ def k_statistics(values, chain_index=None) -> KStats:
 
 def write_sample_csv(batch: SampleBatch, path: str) -> None:
     """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats,
-    each block of the batch as it is drawn."""
+    each block of the batch as it is drawn (through fileio._write_csv, in a
+    forked writer process when the batch has two or more blocks and two or
+    more CPUs are usable)."""
     m = batch.provenance.dims.m
     header = "chain,step,theta,S," + ",".join(f"lambda_{i+1}" for i in range(m))
     blocks = ([b.chain_index, b.step_index, b.thetas, b.entropies, *b.spectra.T] for b in batch)

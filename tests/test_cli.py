@@ -1,6 +1,7 @@
 """CLI tests: exit-code contract, output formats, manifests, determinism,
 and JSON-schema validity of machine-readable reports."""
 
+import glob
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import jsonschema
 import pytest
@@ -206,6 +208,18 @@ class TestSimulateCommand:
         header, *rows = text.splitlines()
         column = header.split(",").index("S")
         assert [row.split(",")[column] for row in rows] == ["0.0"] * 3
+
+    @pytest.mark.parametrize("m, n, warns", [(3, 10 ** 13, True), (4, 6, False), (1, 3, False)],
+                             ids=["stalled", "mixed", "m1"])
+    def test_stalled_chain_warns(self, outdir, capsys, m, n, warns):
+        # at (3, 10^13) the default burn-in ends before the step size shrinks
+        # to the target's width, and acceptance after burn-in reads 0.015;
+        # at (4,6) it reads 0.37 and at m = 1, where the move is empty, 1.0
+        assert main(["simulate", "--m", str(m), "--n", str(n), "--samples", "2000",
+                     "--seed", "5", "--out", "chain.csv"]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out
+        assert err.count("--burn-in") == warns
 
     @pytest.mark.parametrize("samples", [50, 90])
     def test_standard_errors_need_ninety_samples(self, outdir, capsys, samples):
@@ -453,13 +467,16 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
-    # only a CSV of two or more blocks and `verify identities` import
-    # multiprocessing, for their worker pools, and only with two or more usable
-    # CPUs; the child sees two, so its last line shows that the guard can fail
+    # only `verify identities` imports multiprocessing, for its worker pool,
+    # and only with two or more usable CPUs; the child sees two, so a sample
+    # CSV of three blocks goes through a writer forked by os.fork, and the
+    # last line shows that the guard can fail
     code = textwrap.dedent("""
         import os, sys, bureshall.cli as cli
         os.sched_getaffinity = lambda pid: {0, 1}
         for argv in (["cumulants", "--m", "4", "--n", "6"], ["verify", "oracles"],
+                     ["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
+                      "--chains", "8", "--burn-in", "100"],
                      ["verify", "identities", "--max-m", "1"]):
             assert cli.main(argv) == 0
             print("loaded", "multiprocessing" in sys.modules)
@@ -467,7 +484,51 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False"] * 2 + ["loaded True"]
+    assert loaded == ["loaded False"] * 3 + ["loaded True"]
+
+
+def _running(pgid: int) -> list[int]:
+    """The processes of process group `pgid` that have not exited, from /proc."""
+    pids = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            pids.append(int(stat.split("/")[2]))
+    return pids
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                    reason="needs os.fork and the /proc process table")
+def test_killed_simulate_leaves_no_temporary_file(tmp_path):
+    # a SIGKILLed command runs no cleanup of its own; its forked CSV writer
+    # reads the end of the pipe with no end marker, unlinks the temporary
+    # file and exits.  The child sees two usable CPUs, so it forks the writer
+    code = textwrap.dedent("""
+        import os, sys, bureshall.cli as cli
+        os.sched_getaffinity = lambda pid: {0, 1}
+        sys.exit(cli.main(["simulate", "--m", "4", "--n", "6", "--samples", "2000000",
+                           "--seed", "1", "--out", "out.csv"]))
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=_child_env(tmp_path),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        # kill it once the writer has written a few blocks
+        while not [p for p in tmp_path.glob("out.csv.*.tmp") if p.stat().st_size > 100_000]:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 10
+    while list(tmp_path.glob("out.csv*")) or _running(proc.pid):
+        assert time.monotonic() < deadline, (list(tmp_path.iterdir()), _running(proc.pid))
+        time.sleep(0.05)
 
 
 def test_cli_leaves_dataclasses_and_ring_unloaded(tmp_path):
@@ -527,7 +588,7 @@ TRACE_CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
      {"identities.residual", "identities.degeneracy", "identities.telescope",
       "polygamma.psi_exact"}, "identities.telescope"),
     (["verify", "oracles"], {"quadrature.normalization", "quadrature.oracle_cumulants"}, None),
-    (["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1", "--chains", "8",
+    (["simulate", "--m", "3", "--n", "4", "--samples", "3000", "--seed", "1", "--chains", "8",
       "--burn-in", "100"],
      {"sampler.mcmc", "sampler.csv_write", "sampler.kstats"}, None),
     (["simulate", "--m", "3", "--n", "3", "--samples", "400", "--seed", "1", "--backend",
@@ -543,7 +604,8 @@ def test_benchmark_tracer_hooks(tmp_path, argv, layer_spans, psi_callers):
     # It counts psi_exact calls through the module globals that the layers
     # look up at call time, and keys each by `polygamma.HalfInteger.of`; every
     # span named psi_callers calls psi_exact, so one that bound it early would
-    # leave such a span without a counted call
+    # leave such a span without a counted call.  The MCMC CSV spans two
+    # blocks, so with two or more usable CPUs a forked writer writes it
     spans_path = tmp_path / "spans.json"
     run = subprocess.run([sys.executable, TRACE_CHILD, str(spans_path), *argv],
                          env=_child_env(tmp_path), cwd=tmp_path, capture_output=True,

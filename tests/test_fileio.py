@@ -1,10 +1,11 @@
 """Atomic writer tests: written files get the mode that open() would give,
-CSV blocks formatted by forked workers give the in-process bytes, a failed
-write ends the workers, and the workers fork before the blocks are taken."""
+CSV blocks formatted by a forked writer give the in-process bytes, a failed
+write raises here and leaves no writer and no temporary file, and the writer
+forks before the blocks are taken."""
 
-import multiprocessing
 import os
 import re
+import signal
 import stat
 
 import numpy as np
@@ -49,19 +50,25 @@ def blocks(*columns):
 
 
 def test_worker_pool_matches_in_process(tmp_path, cpus):
-    # 2345 rows in 500-row blocks: five blocks, the last one partial
+    # 2345 rows in 500-row blocks: five blocks, the last one partial; with two
+    # usable CPUs one forked writer formats and writes them
     rng = np.random.default_rng(3)
     columns = [np.arange(2345), rng.standard_normal(2345), rng.standard_normal(2345) ** 3]
     written = {}
-    for count, pool_size in ((1, 0), (2, 2)):
+    for count, writers in ((1, 0), (2, 1)):
         forks = cpus(count)
         path = tmp_path / f"cpus{count}.csv"
         fileio._write_csv(str(path), "i,a,b", *blocks(*columns))
-        assert len(forks) == pool_size
+        assert len(forks) == writers
         written[count] = path.read_bytes()
     assert written[1] == written[2]
     assert written[1].count(b"\n") == 2346
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _Unprintable:
@@ -70,54 +77,84 @@ class _Unprintable:
 
 
 def test_worker_error_propagates(tmp_path, cpus):
-    # a value that fails to format in a worker fails the write: no temporary
-    # file is left and the existing target keeps its content
+    # a value that fails to format in the writer fails the write: its error is
+    # raised here, no temporary file is left and the target keeps its content
     forks = cpus(2)
     target = tmp_path / "out.csv"
     target.write_text("old\n")
     values = np.array([1.0] * 1200 + [_Unprintable()], dtype=object)
     with pytest.raises(RuntimeError, match=r"repr in process \d+") as exc:
         fileio._write_csv(str(target), "v", *blocks(values))
-    assert int(re.search(r"\d+", str(exc.value)).group()) in forks
+    assert [int(re.search(r"\d+", str(exc.value)).group())] == forks
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
+    assert_no_child_left()
+
+
+def test_consumer_error_ends_pool(tmp_path, cpus, monkeypatch):
+    # a write to the temporary file that fails in the writer after the header
+    # and one block is raised here; the writer is reaped, its temporary file
+    # is gone and the target keeps its content
+    forks = cpus(2)
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    real_open = open
+
+    def open_failing_after_two_writes(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if isinstance(file, str):  # the temporary file, not a pipe
+            writes = []
+
+            def write(text):
+                writes.append(text)
+                if len(writes) > 2:
+                    raise OSError("disk full")
+                return type(fh).write(fh, text)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(fileio, "open", open_failing_after_two_writes, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        fileio._write_csv(str(target), "v", *blocks(np.arange(2345.0)))
+    assert len(forks) == 1
+    assert_no_child_left()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
 
 
-def test_consumer_error_ends_pool(tmp_path, cpus, monkeypatch):
-    # a write that fails after the header and one block is raised here, and
-    # closing fork_map's generator ends its workers and clears its handoff;
-    # `exc` keeps the traceback, and so the generator, alive meanwhile
+def test_killed_writer_fails_the_write(tmp_path, cpus):
+    # a writer killed mid-stream reports nothing: the write fails with its
+    # exit status, and this process unlinks the temporary file it left
     forks = cpus(2)
     target = tmp_path / "out.csv"
     target.write_text("old\n")
 
-    def failing_write(path, chunks):
-        next(chunks), next(chunks)
-        raise OSError("disk full")
+    def columns():
+        for k in range(6):
+            if k == 2:
+                os.kill(forks[0], signal.SIGKILL)
+            yield [np.arange(1000.0)]
 
-    monkeypatch.setattr(fileio, "write_atomic", failing_write)
-    with pytest.raises(OSError, match="disk full") as exc:
-        fileio._write_csv(str(target), "v", *blocks(np.arange(2345.0)))
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
-    assert fileio._fork_fn is None
+    with pytest.raises(RuntimeError, match=r"exited with status -9"):
+        fileio._write_csv(str(target), "v", columns(), 6)
+    assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
 
 
-def test_items_are_taken_after_the_fork_and_as_needed(cpus):
-    # the pool forks before the first item is taken, so its workers inherit
-    # nothing a lazy sampler builds; after that this process takes one item
-    # per result, and holds at most one more than the two workers in flight
+def test_items_are_taken_after_the_fork_and_as_needed(tmp_path, cpus):
+    # the writer forks before the first block is taken, so it inherits
+    # nothing a lazy sampler builds
     forks = cpus(2)
     taken = []
 
-    def items():
+    def columns():
         for k in range(6):
             taken.append(len(forks))
-            yield k
+            yield [np.arange(k * 10, k * 10 + 10)]
 
-    for k, result in enumerate(fileio.fork_map(lambda k: k * k, items(), 6)):
-        assert result == k * k
-        assert len(taken) <= k + 3
-    assert taken == [2] * 6
-    assert multiprocessing.active_children() == []
+    fileio._write_csv(str(tmp_path / "out.csv"), "k", columns(), 6)
+    assert taken == [1] * 6
+    assert (tmp_path / "out.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in range(60))
+    assert_no_child_left()
