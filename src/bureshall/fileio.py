@@ -1,17 +1,12 @@
 """Atomic text-file writes, shared by the CLI reports and manifests, the
-one CSV formatter behind the sample, density and figure-2 CSVs, and the one
-fan-out of independent jobs over forked workers, `fork_map`.
-
-`fork_map(fn, items)` returns [fn(item) for item in items].  The calling
-process maps the first item; when the process may run on two or more CPUs,
-forked workers map the rest meanwhile, else the caller maps every item.
-Either way the results are the same.  `verify identities` checks its shares
-of the suite through it.
-
-A CSV of two or more blocks, on two or more usable CPUs, is formatted and
-written by one writer process, forked before the first block is drawn, so it
-inherits only the small heap the caller had before sampling.  The caller
-draws each block and pickles its columns into a pipe; no text comes back.
+one CSV formatter behind the sample, density and figure-2 CSVs, and `_fork`,
+the one way the package starts a process: a forked child inherits the
+function and its arguments, and pickles back only the outcome.  Its users:
+`fork_map`, through which `verify identities` maps one share of its suite
+per usable CPU, and the writer of a CSV of two or more blocks, forked before
+the first block is drawn, so it inherits only the small heap the caller had
+before sampling; the caller pickles each block's columns into a pipe, and no
+text comes back.
 """
 
 from __future__ import annotations
@@ -20,9 +15,6 @@ import os
 import threading
 from itertools import chain
 from typing import Callable, Iterable, Sequence
-
-# the function that fork_map's workers apply; set before they fork
-_fork_fn = None
 
 
 def _temp_path(path: str) -> str:
@@ -59,42 +51,78 @@ def _fork_workers(jobs: int) -> int:
     return processes if processes > 1 and hasattr(os, "fork") else 1
 
 
-def _apply(item):
-    return _fork_fn(item)
+def _fork(fn: Callable, *args) -> Callable:
+    """Run fn(*args) in a forked child and return a join() for its outcome.
+
+    The child pickles fn's result, or the exception it raised, into a report
+    pipe and leaves by os._exit, so it never returns into the caller's
+    frames; its status is 0 only once the report is written.  join(), called
+    once, reads the report to its end, reaps the child, then returns the
+    result or raises the child's exception.  A child that left no report (it
+    was killed, or its outcome did not pickle) makes join() raise
+    RuntimeError naming its exit status."""
+    import pickle
+
+    report_r, report_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(report_r)
+            try:
+                outcome = fn(*args), None
+            except BaseException as exc:
+                outcome = None, exc
+            with open(report_w, "wb") as fh:
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(report_w)
+
+    def join():
+        with open(report_r, "rb") as fh:
+            report = fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise RuntimeError(f"forked process {pid} exited with status {status}")
+        result, exc = pickle.loads(report)
+        if exc is not None:
+            raise exc
+        return result
+
+    return join
 
 
 def fork_map(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], in order.
-
-    This process applies `fn` to the first item.  When `_fork_workers`
-    allows two or more processes, a pool of len(items) - 1 of them, capped
-    at the usable CPUs less one, applies `fn` to the rest meanwhile.  Workers
-    inherit `fn` (set in a module global before the fork), so only items and
-    results are pickled.  An exception in a worker is raised here.
-    Otherwise every item is mapped in-process.  multiprocessing is imported
-    only for a pool."""
-    global _fork_fn
-    processes = _fork_workers(len(items))
-    if processes < 2:
-        return list(map(fn, items))
-    import multiprocessing  # imported here so that no other path pays for it
-
-    _fork_fn = fn
+    """[fn(item) for item in items], in order: this process maps items[0]
+    while one forked child per other item maps that item (see _fork), so the
+    caller sizes `items`.  A child's exception is raised here.  Every child is
+    reaped; if this process's own item raises, that error is raised."""
+    joins = []
     try:
-        with multiprocessing.get_context("fork").Pool(processes - 1) as pool:
-            rest = pool.map_async(_apply, items[1:])
-            first = fn(items[0])
-            return [first, *rest.get()]
+        for item in items[1:]:
+            joins.append(_fork(fn, item))
+        results = [fn(items[0])]
+        while joins:
+            results.append(joins.pop(0)())
+        return results
     finally:
-        _fork_fn = None
+        for join in joins:  # left by an error here, which is the one raised
+            try:
+                join()
+            except BaseException:
+                pass
 
 
 def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None:
     """Write CSV rows under `header`, each value as its Python repr
     (round-trip floats).  Each of the `count` blocks is a list of
     equal-length columns, formatted with one row template, so the whole file
-    never sits in memory.  With two or more blocks and usable CPUs, one
-    forked writer process formats and writes them (see _forked_write)."""
+    never sits in memory.  With two or more blocks, where os.fork exists, a
+    writer child formats and writes them while this process pickles their
+    columns into a pipe, then an end marker (None).  No failure leaves the
+    temporary file, and an error here wins over the writer's."""
     import numpy as np  # imported here so that only sampling loads numpy
 
     def block(columns: list) -> str:
@@ -102,69 +130,39 @@ def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None
         row = ",".join(["%r"] * len(cells)) + "\n"
         return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
-    if _fork_workers(count) < 2:
+    if count < 2 or not hasattr(os, "fork"):
         write_atomic(path, chain([header + "\n"], map(block, blocks)))
-    else:
-        _forked_write(path, header, blocks, block)
-
-
-def _forked_write(path: str, header: str, blocks: Iterable, block: Callable) -> None:
-    """write_atomic(path, header and block(columns) for each of `blocks`),
-    formatted and written by one writer process, forked before the first
-    block is taken.  This process pickles each block's columns into a pipe,
-    then an end marker (None), and renames the temporary file once the
-    writer has exited with status 0.  The writer ends with os._exit, so it
-    never returns into the caller's frames.  If it fails, or reads the end
-    of the pipe with no end marker (this process failed or was killed), it
-    unlinks the file, sends its exception back through a second pipe, which
-    is raised here, and exits with status 1.  Every path reaps the writer."""
+        return
     import pickle
 
     tmp = _temp_path(path)
     data_r, data_w = os.pipe()
-    report_r, report_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(data_w)
-            os.close(report_r)
-            # leaving the with closes the pipe, so a caller blocked on a
-            # full pipe gets EPIPE before the report is written
-            with open(data_r, "rb") as source, open(tmp, "x") as out:
-                out.write(header + "\n")
-                while (columns := pickle.load(source)) is not None:
-                    out.write(block(columns))
-            status = 0
-        except BaseException as exc:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            # an exception that cannot be pickled, or a caller that is gone,
-            # ends the report early: the caller then reports the exit status
-            with open(report_w, "wb") as fh:
-                fh.write(pickle.dumps(exc))
-        finally:
-            os._exit(status)
 
-    os.close(data_r)
-    os.close(report_w)
-    try:
+    def send() -> None:
+        os.close(data_r)  # so that a write after the writer has failed gets EPIPE
         try:
             with open(data_w, "wb") as sink:
                 for columns in blocks:
                     pickle.dump(columns, sink, pickle.HIGHEST_PROTOCOL)
                 pickle.dump(None, sink)
         except BrokenPipeError:
-            pass  # the writer stopped reading; its exception is raised below
-        finally:
-            # read the report to its end, which the writer's exit marks,
-            # before reaping it, so that a long report cannot block the writer
-            with open(report_r, "rb") as fh:
-                report = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise (pickle.loads(report) if report else
-                   RuntimeError(f"CSV writer process {pid} exited with status {status}"))
+            pass  # the writer stopped reading; joining it raises its error
+
+    def write() -> None:
+        # pickle.load raises EOFError at the end of a pipe with no end
+        # marker: the sender failed or was killed
+        os.close(data_w)
+        try:
+            with open(data_r, "rb") as fh, open(tmp, "x") as out:
+                columns = iter(lambda: pickle.load(fh), None)
+                out.writelines(chain([header + "\n"], map(block, columns)))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+    try:
+        fork_map(lambda job: job(), [send, write])  # the writer forks before a block is taken
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):  # the writer was killed before it could unlink it

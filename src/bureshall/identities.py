@@ -37,8 +37,8 @@ Inadmissible parameters raise, never skip silently.
 The verification suite, `identity_checks`, is a list of independent jobs,
 one entry-point call each.  It deals them into one share per usable CPU,
 each striding through every family of jobs, maps the shares with
-`fileio.fork_map` (share 0 in the calling process, the others in forked
-workers), and returns the outcomes in the suite's order.
+`fileio.fork_map` (share 0 in the calling process, each other share in a
+forked child), and returns the outcomes in the suite's order.
 """
 
 from __future__ import annotations
@@ -923,9 +923,9 @@ def identity_checks(max_m: int) -> list[tuple[str, dict, bool, Optional[str]]]:
     CPUs (`fileio._fork_workers`), share p holds jobs p, p + k, p + 2k, ... of
     each of those three families, and `fileio.fork_map` evaluates the shares:
     the calling process takes share 0, so it reaches every entry point, and
-    k - 1 forked workers take the others.  Only the outcomes cross
-    processes, and an exception in a worker is raised here.  With one usable
-    CPU every job runs here."""
+    one forked child takes each other share.  Only the outcomes cross
+    processes, and an exception in a child is raised here.  With one usable
+    CPU, or where os.fork is missing, every job runs here."""
     families = [
         [(_identity_case, cs) for cs in default_grid(max_m=max_m)],
         [(_degeneracies, m) for m in range(1, _DEGENERACY_MAX_M + 1)],

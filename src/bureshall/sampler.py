@@ -32,10 +32,10 @@ block at a time, in sample order: about _ROWS kept rows of whole steps from
 the kernel, and one draw of _MATRIX_BLOCK matrices from the matrix backend.
 A reader such as the CSV writer takes each block's spectra and traces as it
 comes, and no block is kept, so no command holds all samples x m floats; the
-batch keeps only every sample's entropy.  On two or more usable CPUs the CSV
-writer hands each block's columns to a writer process, forked before the
-first block is drawn, which formats and writes them while the kernel draws
-the next block.  The kernel's block size changes no drawn value: it draws
+batch keeps only every sample's entropy.  For a batch of two or more blocks
+the CSV writer hands each block's columns to a writer process, forked before
+the first block is drawn, which formats and writes them while the kernel
+draws the next block.  The kernel's block size changes no drawn value: it draws
 _BLOCK steps at a time into buffers allocated once, and the matrix backend
 fills the same four normal arrays at every draw.
 
@@ -483,8 +483,7 @@ def k_statistics(values, chain_index=None) -> KStats:
 def write_sample_csv(batch: SampleBatch, path: str) -> None:
     """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats,
     each block of the batch as it is drawn (through fileio._write_csv, in a
-    forked writer process when the batch has two or more blocks and two or
-    more CPUs are usable)."""
+    forked writer process when the batch has two or more blocks)."""
     m = batch.provenance.dims.m
     header = "chain,step,theta,S," + ",".join(f"lambda_{i+1}" for i in range(m))
     blocks = ([b.chain_index, b.step_index, b.thetas, b.entropies, *b.spectra.T] for b in batch)

@@ -467,10 +467,9 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
-    # only `verify identities` imports multiprocessing, for its worker pool,
-    # and only with two or more usable CPUs; the child sees two, so a sample
-    # CSV of three blocks goes through a writer forked by os.fork, and the
-    # last line shows that the guard can fail
+    # no command imports multiprocessing: the child sees two usable CPUs, so
+    # `verify identities` maps a share in a forked child and a sample CSV of
+    # three blocks goes through a forked writer, both started by os.fork
     code = textwrap.dedent("""
         import os, sys, bureshall.cli as cli
         os.sched_getaffinity = lambda pid: {0, 1}
@@ -484,7 +483,7 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False"] * 3 + ["loaded True"]
+    assert loaded == ["loaded False"] * 4
 
 
 def _running(pgid: int) -> list[int]:
@@ -503,13 +502,15 @@ def _running(pgid: int) -> list[int]:
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                     reason="needs os.fork and the /proc process table")
-def test_killed_simulate_leaves_no_temporary_file(tmp_path):
+@pytest.mark.parametrize("count", [1, 2])
+def test_killed_simulate_leaves_no_temporary_file(tmp_path, count):
     # a SIGKILLed command runs no cleanup of its own; its forked CSV writer
     # reads the end of the pipe with no end marker, unlinks the temporary
-    # file and exits.  The child sees two usable CPUs, so it forks the writer
-    code = textwrap.dedent("""
+    # file and exits.  The child runs on `count` CPUs; it forks the writer
+    # either way
+    code = textwrap.dedent(f"""
         import os, sys, bureshall.cli as cli
-        os.sched_getaffinity = lambda pid: {0, 1}
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{count}])
         sys.exit(cli.main(["simulate", "--m", "4", "--n", "6", "--samples", "2000000",
                            "--seed", "1", "--out", "out.csv"]))
     """)
@@ -605,7 +606,7 @@ def test_benchmark_tracer_hooks(tmp_path, argv, layer_spans, psi_callers):
     # look up at call time, and keys each by `polygamma.HalfInteger.of`; every
     # span named psi_callers calls psi_exact, so one that bound it early would
     # leave such a span without a counted call.  The MCMC CSV spans two
-    # blocks, so with two or more usable CPUs a forked writer writes it
+    # blocks, so a forked writer writes it
     spans_path = tmp_path / "spans.json"
     run = subprocess.run([sys.executable, TRACE_CHILD, str(spans_path), *argv],
                          env=_child_env(tmp_path), cwd=tmp_path, capture_output=True,

@@ -1,7 +1,8 @@
-"""Atomic writer tests: written files get the mode that open() would give,
-CSV blocks formatted by a forked writer give the in-process bytes, a failed
-write raises here and leaves no writer and no temporary file, and the writer
-forks before the blocks are taken."""
+"""Atomic writer and fork tests: written files get the mode that open()
+would give, CSV blocks formatted by a forked writer give the in-process
+bytes, a failed write raises here and leaves no writer and no temporary
+file, the writer forks before the blocks are taken, and every failure of
+`fork_map` is raised here and leaves no child."""
 
 import os
 import re
@@ -49,21 +50,24 @@ def blocks(*columns):
     return ([col[start:start + ROWS] for col in columns] for start in starts), len(starts)
 
 
-def test_worker_pool_matches_in_process(tmp_path, cpus):
-    # 2345 rows in 500-row blocks: five blocks, the last one partial; with two
-    # usable CPUs one forked writer formats and writes them
+def test_worker_pool_matches_in_process(tmp_path, cpus, monkeypatch):
+    # 2345 rows in 500-row blocks: five blocks, the last one partial; on one
+    # usable CPU or two, one forked writer formats and writes them, and where
+    # os.fork is missing this process does, with the same bytes
     rng = np.random.default_rng(3)
     columns = [np.arange(2345), rng.standard_normal(2345), rng.standard_normal(2345) ** 3]
     written = {}
-    for count, writers in ((1, 0), (2, 1)):
+    for name, count in (("cpus1", 1), ("cpus2", 2), ("nofork", 2)):
         forks = cpus(count)
-        path = tmp_path / f"cpus{count}.csv"
+        if name == "nofork":
+            monkeypatch.delattr(os, "fork")
+        path = tmp_path / f"{name}.csv"
         fileio._write_csv(str(path), "i,a,b", *blocks(*columns))
-        assert len(forks) == writers
-        written[count] = path.read_bytes()
-    assert written[1] == written[2]
-    assert written[1].count(b"\n") == 2346
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv"]
+        assert len(forks) == (name != "nofork")
+        written[name] = path.read_bytes()
+    assert written["cpus1"] == written["cpus2"] == written["nofork"]
+    assert written["cpus1"].count(b"\n") == 2346
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv", "nofork.csv"]
 
 
 def assert_no_child_left():
@@ -157,4 +161,43 @@ def test_items_are_taken_after_the_fork_and_as_needed(tmp_path, cpus):
     fileio._write_csv(str(tmp_path / "out.csv"), "k", columns(), 6)
     assert taken == [1] * 6
     assert (tmp_path / "out.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in range(60))
+    assert_no_child_left()
+
+
+def test_fork_map_killed_child(cpus):
+    # a child killed before it reports fails the map with its exit status
+    forks = cpus(3)
+
+    def square(k):
+        if k == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k * k
+
+    with pytest.raises(RuntimeError, match=r"exited with status -9"):
+        fileio.fork_map(square, range(3))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_fork_map_unpicklable_result(cpus):
+    # a result that cannot be pickled leaves no report, which fails the map
+    # with the child's nonzero status, not a silent status 0
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"exited with status 1"):
+        fileio.fork_map(lambda k: (lambda: k), range(2))
+    assert_no_child_left()
+
+
+def test_fork_map_caller_error_wins(cpus):
+    # this process's own item fails, and so does every child's: the error
+    # raised is this process's, and every child is reaped
+    caller = os.getpid()
+    forks = cpus(3)
+
+    def failing(k):
+        raise ValueError(f"item {k} in process {os.getpid()}")
+
+    with pytest.raises(ValueError, match=f"item 0 in process {caller}$"):
+        fileio.fork_map(failing, range(3))
+    assert len(forks) == 2
     assert_no_child_left()

@@ -123,16 +123,19 @@ class TestOmega:
 
 
 class TestSplit:
-    """The suite's jobs split between this process and forked workers."""
+    """The suite's jobs split between this process and forked children."""
 
-    def test_report_independent_of_cpus(self, cpus):
+    def test_report_independent_of_cpus(self, cpus, monkeypatch):
+        # one usable CPU, two, and two where os.fork is missing
         reports = {}
-        for count, pool_size in ((1, 0), (2, 1)):
+        for name, count, pool_size in (("cpus1", 1, 0), ("cpus2", 2, 1), ("nofork", 2, 0)):
             forks = cpus(count)
-            reports[count] = json.dumps(cli.verify_identities_report(max_m=3), indent=2)
+            if name == "nofork":
+                monkeypatch.delattr(os, "fork")
+            reports[name] = json.dumps(cli.verify_identities_report(max_m=3), indent=2)
             assert len(forks) == pool_size
-        assert reports[1] == reports[2]
-        assert json.loads(reports[1])["all_passed"]
+        assert reports["cpus1"] == reports["cpus2"] == reports["nofork"]
+        assert json.loads(reports["cpus1"])["all_passed"]
 
     def test_caller_reaches_every_entry_point(self, monkeypatch, cpus):
         # with more usable CPUs than the suite has degeneracy jobs, this process
