@@ -174,11 +174,11 @@ def _cmd_simulate(args) -> int:
             print(f"warning: acceptance after burn-in {batch.kernel['acceptance']:.4f} is below "
                   f"{_ACCEPT_MIN / 2}, so the chains may not have mixed; a longer --burn-in "
                   "lets the step size settle", file=sys.stderr)
-    se1, se2, se3 = ("n/a" if math.isnan(se) else f"{se:.{digits}f}"
-                     for se, digits in ((st.se1, 6), (st.se2, 6), (st.se3, 7)))
-    print(f"k1 = {st.k1:.6f} +- {se1}   kappa1 = {cs.kappa1_f:.6f}")
-    print(f"k2 = {st.k2:.6f} +- {se2}   kappa2 = {cs.kappa2_f:.6f}")
-    print(f"k3 = {st.k3:.7f} +- {se3}   kappa3 = {cs.kappa3_f:.7f}")
+    for order, k, se, kappa in zip((1, 2, 3), st[:3], st[3:],
+                                   (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f)):
+        se_text = "n/a" if math.isnan(se) else f"{se:.6g}"
+        z_text = f"{(k - kappa) / se:+.2f}" if se > 0 else "n/a"  # also at a NaN SE
+        print(f"k{order} = {k:.6g} +- {se_text}   kappa{order} = {kappa:.6g}   z = {z_text}")
     if len(batch) < 3 * _MIN_BATCHES:
         print(f"standard errors need at least {3 * _MIN_BATCHES} samples "
               f"({_MIN_BATCHES} batches of 3), got {len(batch)}")

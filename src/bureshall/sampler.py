@@ -8,18 +8,19 @@ Two backends:
 
   and projects x -> lambda = x / theta.  The factorization h(x) dx =
   f(lambda) g(theta) dtheta dlambda (theta ~ Gamma(d)) makes the projected
-  spectra exactly Bures-Hall distributed and independent of theta.  So each
-  Metropolis-within-Gibbs step draws theta ~ Gamma(d) exactly, then makes one
-  random-walk move on ln x that changes only the spectrum's shape; each of
-  the two leaves the target invariant (Tierney 1994, Ann. Statist. 22:1701).
-  Chains run vectorized; every chain owns an RNG stream spawned from (seed,
-  chain index), so batches are bit-reproducible and merging is deterministic
-  by chain index; the chains share only the step size that burn-in tunes, so
-  without burn-in a chain's rows do not depend on the chains beside it.  The
-  chains run in two phases: burn-in, in windows of _TUNE_WINDOW steps with
-  the step size retuned between them, then one run per output block with
-  the step size frozen.  The step loop is bound by per-call numpy overhead
-  on small arrays, so a step does little: its draws, and every part of the
+  spectra exactly Bures-Hall distributed and independent of theta.  So the
+  chains integrate theta out: each step makes one random-walk move on the
+  marginal of the spectrum's shape, and each kept spectrum gets an exact
+  draw of theta ~ Gamma(d) (the collapsed sampler of Liu 1994, JASA
+  89:958).  Chains run vectorized; every chain owns two RNG streams, for
+  its moves and its traces, spawned from (seed, chain index), so batches
+  are bit-reproducible and merging is deterministic by chain index; the
+  chains share only the step size that burn-in tunes, so without burn-in a
+  chain's rows do not depend on the chains beside it.  The chains run in
+  two phases: burn-in, in windows of _TUNE_WINDOW steps with the step size
+  retuned between them, then one run per output block with the step size
+  frozen.  The step loop is bound by per-call numpy overhead on small
+  arrays, so a step does little: its draws, and every part of the
   acceptance test that does not depend on the state, come from step-major
   blocks, and it evaluates the pair term once, with one log.
 
@@ -65,7 +66,7 @@ class _Chain(NamedTuple):
 
 class ChainConfig(_Chain):
     """Metropolis chain settings, validated on construction.  The trace is
-    drawn exactly at every step, so the only step size is the shape move's:
+    integrated out of the kernel, so the only step size is the shape move's:
     it starts at 0.25/sqrt(m), burn-in tunes it to acceptance in [0.2, 0.5],
     and it stays frozen after.  It has no lower bound (see _retune)."""
 
@@ -187,8 +188,8 @@ def _retune(sigma: float, rate: float) -> float:
     """Shrink a step whose acceptance rate fell below _ACCEPT_MIN, widen one
     above 0.5 up to _STEP_MAX, which binds only at m = 1, where the move is
     empty.  No lower bound: the target narrows like 1/sqrt(n), and the step
-    must follow; a step below the float spacing of ln x proposes the state
-    itself, which is accepted, so the next window widens it again."""
+    must follow; a step below the relative float spacing of v proposes the
+    state itself, which is accepted, so the next window widens it again."""
     if rate < _ACCEPT_MIN:
         return sigma * 0.6
     if rate > 0.5:
@@ -196,11 +197,11 @@ def _retune(sigma: float, rate: float) -> float:
     return sigma
 
 
-def _pair_term(x: np.ndarray, pairs: np.ndarray):
+def _pair_term(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Row-wise pair term sum_{i<j} [2 ln|x_i - x_j| - ln(x_i + x_j)] of the
-    unconstrained log-density, together with the row sums of x (the traces).
-    The log-density at x is the pair term + alpha * sum(ln x) - sum(x).  The
-    pair term is homogeneous: scaling a row by c adds m(m - 1)/2 * ln c.
+    unconstrained log-density, which at x is the pair term + alpha *
+    sum(ln x) - sum(x).  The pair term is homogeneous: scaling a row by c
+    adds m(m - 1)/2 * ln c.
 
     pairs is concat(i, j) over the index pairs i < j.  Coinciding x_i give
     log 0 = -inf, so call inside np.errstate(divide="ignore").
@@ -212,7 +213,7 @@ def _pair_term(x: np.ndarray, pairs: np.ndarray):
     d *= d
     d /= a + b
     np.log(d, out=d)
-    return d.sum(axis=1), x.sum(axis=1)
+    return d.sum(axis=1)
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -247,33 +248,29 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
     """mcmc_chain's (spectra, thetas) blocks: block_steps kept steps each,
     the last one fewer and trimmed to config.samples rows.
 
-    A chain's state is a point v > 0 on the ray of its spectrum, lambda =
-    v / s with s = sum(v), kept as u = ln v with s and the pair term q at v.
-    A step draws the trace theta ~ Gamma(d) exactly, which leaves the target
-    invariant since theta is independent of lambda, and so sets
-    x = theta v / s.  It then makes one random-walk move x' = x e^delta,
-    symmetric in ln x, under the log-density of ln x.  Its increment
-    delta = sigma * (normal - mean(normal)) sums to 0: the next step draws
-    the trace afresh anyway, so the move changes only the shape, and sum(u)
-    stays fixed.  With z = v e^delta, the homogeneous pair term
-    changes by pair(z) - q and the trace term by theta (sum(z) / s - 1), so
-    the move is accepted when
+    theta is independent of lambda and the pair term is homogeneous, so
+    the marginal of the spectrum's shape has log-density pair(v) - d ln
+    sum(v) at the point v of its ray with sum(ln v) fixed.  A chain's state
+    is such a v > 0, with the pair term q at v and s, the running sum of v.
+    A step makes one random-walk move z = v e^delta, symmetric in ln v,
+    whose increment delta = sigma * (normal - mean(normal)) sums to 0.
+    With e = expm1(delta) it is accepted when
 
-        pair(z) - q - theta sum(z) / s + [theta - ln U] > 0,
+        pair(z) - q - d log1p(sum(v e) / s) > ln U,
 
-    and then v = z.  The increments and the bracket, the bias, are laid down
-    with the draws, a block of _BLOCK steps at a time, step-major so that one
-    step's draws for all chains are contiguous; each chain fills its slice
-    in a fixed order (normals, uniforms, traces).
+    and then v = z and s += sum(v e).  No term grows like n, where a test
+    on the trace theta ~ m n rounds by about theta 2^-53.  e and ln U are
+    laid down with the draws, a block of _BLOCK steps at a time, step-major
+    so that one step's draws for all chains are contiguous; each chain
+    fills its slice in a fixed order (normals, uniforms).
 
     The chains run in two phases.  Burn-in runs _TUNE_WINDOW steps at a
     time; after each window it retunes sigma and rescales the increments
     left in the draw block, and its last, partial window runs untuned.
     sigma then stays frozen, and each output block is block_steps *
-    thinning steps, of which every thinning-th reports lambda =
-    exp(u) / sum(exp(u)) and the trace of the state: sum(x') if the chain
-    accepted, else theta.  Each block is a new array, since a reader may
-    still hold the ones before.
+    thinning steps, of which every thinning-th reports lambda = v / sum(v)
+    and an exact Gamma(d) trace from the chain's second generator.  Each
+    block is a new array, since a reader may still hold the ones before.
     """
     m = dims.m
     d_shape = float(dims.d)
@@ -283,28 +280,28 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
 
     children = np.random.SeedSequence(config.seed).spawn(n_chains)
     gens = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    trace_gens = [np.random.Generator(np.random.PCG64(child.spawn(1)[0])) for child in children]
 
     # the pairs i < j as concat(i, j); empty at m = 1, where the pair term is 0
     pairs = np.concatenate(np.triu_indices(m, 1))
-    x = np.empty((n_chains, m))
+    v = np.empty((n_chains, m))
     for c, g in enumerate(gens):
-        x[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
+        v[c] = g.gamma(dims.alpha + 1.0, 1.0, size=m)
     # draws that round to equal floats give q = -inf, and the chain accepts
     # its first proposal whose coordinates differ
     with np.errstate(divide="ignore"):
-        q, s = _pair_term(x, pairs)
-    u = np.log(x)
+        q = _pair_term(v, pairs)
+    s = v.sum(axis=1)
 
     sigma = 0.25 / math.sqrt(m)
-    deltas = np.empty((_BLOCK, n_chains, m))
-    bias = np.empty((_BLOCK, n_chains))
-    thetas = np.empty((_BLOCK, n_chains))
+    growth = np.empty((_BLOCK, n_chains, m))  # expm1(delta)
+    log_u = np.empty((_BLOCK, n_chains))
     t = nblock = 0  # t steps of the nblock in the draw buffers are done
     accepted = 0  # in the tuning window, then after burn-in
 
-    def run(steps: int, lam_out=None, theta_out=None) -> None:
+    def run(steps: int, lam_out=None) -> None:
         """Advance every chain by steps steps, keeping every thinning-th
-        state in lam_out and theta_out when they are given."""
+        spectrum in lam_out when it is given."""
         nonlocal t, nblock, undrawn, accepted
         with np.errstate(divide="ignore"):
             for i in range(steps):
@@ -313,37 +310,35 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
                     undrawn -= nblock
                     block = slice(0, nblock)
                     for c, g in enumerate(gens):
-                        deltas[block, c] = g.standard_normal((nblock, m))
-                        bias[block, c] = g.random(nblock)
-                        thetas[block, c] = g.standard_gamma(d_shape, nblock)
-                    deltas[block] -= deltas[block].mean(axis=2, keepdims=True)
-                    deltas[block] *= sigma
-                    np.log(bias[block], out=bias[block])
-                    np.subtract(thetas[block], bias[block], out=bias[block])
+                        growth[block, c] = g.standard_normal((nblock, m))
+                        log_u[block, c] = g.random(nblock)
+                    growth[block] -= growth[block].mean(axis=2, keepdims=True)
+                    growth[block] *= sigma
+                    np.expm1(growth[block], out=growth[block])
+                    np.log(log_u[block], out=log_u[block])
 
-                y = u + deltas[t]
-                z = np.exp(y)
-                pair, trace = _pair_term(z, pairs)
-                x_trace = thetas[t] / s
-                x_trace *= trace
-                gain = pair - x_trace
-                gain += bias[t]
+                w = v * growth[t]
+                z = w + v
+                pair = _pair_term(z, pairs)
+                grown = w.sum(axis=1)
+                gain = pair - d_shape * np.log1p(grown / s)
+                gain -= log_u[t]
                 accept = gain > q
-                np.copyto(u, y, where=accept[:, None])
+                np.copyto(v, z, where=accept[:, None])
                 np.copyto(q, pair, where=accept)
-                np.copyto(s, trace, where=accept)
+                np.add(s, grown, out=s, where=accept)
                 accepted += np.count_nonzero(accept)
 
                 if lam_out is not None and i % thinning == thinning - 1:
-                    lam = np.exp(u, out=lam_out[i // thinning])
-                    lam /= lam.sum(axis=1, keepdims=True)  # exactly 1 at m = 1
-                    theta_out[i // thinning] = np.where(accept, x_trace, thetas[t])
+                    np.divide(v, v.sum(axis=1, keepdims=True), out=lam_out[i // thinning])
                 t += 1
 
     for _ in range(config.burn_in // _TUNE_WINDOW):
         run(_TUNE_WINDOW)
         tuned = _retune(sigma, accepted / (_TUNE_WINDOW * n_chains))
-        deltas[t:nblock] *= tuned / sigma
+        rest = np.log1p(growth[t:nblock], out=growth[t:nblock])
+        rest *= tuned / sigma
+        np.expm1(rest, out=rest)
         sigma, accepted = tuned, 0
     run(config.burn_in % _TUNE_WINDOW)
     accepted = 0
@@ -351,8 +346,8 @@ def _mcmc_draws(dims: EnsembleDims, config: ChainConfig, block_steps: int,
     for first in range(0, kept_per_chain, block_steps):
         size = min(block_steps, kept_per_chain - first)
         lam_out = np.empty((size, n_chains, m))
-        theta_out = np.empty((size, n_chains))
-        run(size * thinning, lam_out, theta_out)
+        run(size * thinning, lam_out)
+        theta_out = np.stack([g.standard_gamma(d_shape, size) for g in trace_gens], axis=1)
         after_burn_in = (first + size) * thinning
         kernel.update(step_size=sigma, acceptance=float(accepted / (after_burn_in * n_chains)))
         rows = min(size * n_chains, config.samples - first * n_chains)

@@ -209,6 +209,25 @@ class TestSimulateCommand:
         column = header.split(",").index("S")
         assert [row.split(",")[column] for row in rows] == ["0.0"] * 3
 
+    def test_prints_each_cumulant_with_its_z(self, outdir, capsys):
+        # at (3, 1000) kappa2 and kappa3 are about 4e-7 and -3e-10, which six
+        # and seven fixed decimals printed as 0.000000 and -0.0000000
+        import numpy as np
+        from bureshall.cumulants import EnsembleDims, cumulant_set
+        from bureshall.sampler import k_statistics
+
+        assert main(["simulate", "--m", "3", "--n", "1000", "--samples", "2000", "--seed", "5",
+                     "--burn-in", "3000", "--out", "s.csv"]) == 0
+        out = capsys.readouterr().out
+        data = np.loadtxt(outdir / "s.csv", delimiter=",", skiprows=1)
+        st = k_statistics(data[:, 3], data[:, 0])
+        cs = cumulant_set(EnsembleDims(3, 1000))
+        for order, k, se, kappa in zip((1, 2, 3), st[:3], st[3:],
+                                       (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f)):
+            assert (f"k{order} = {k:.6g} +- {se:.6g}   kappa{order} = {kappa:.6g}   "
+                    f"z = {(k - kappa) / se:+.2f}\n") in out
+        assert "0.000000" not in out
+
     @pytest.mark.parametrize("m, n, warns", [(3, 10 ** 13, True), (4, 6, False), (1, 3, False)],
                              ids=["stalled", "mixed", "m1"])
     def test_stalled_chain_warns(self, outdir, capsys, m, n, warns):
@@ -229,7 +248,7 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "nan" not in out
         short = samples < 90
-        assert out.count("+- n/a") == (3 if short else 0)
+        assert out.count("+- n/a") == out.count("z = n/a") == (3 if short else 0)
         assert ("standard errors need at least 90 samples (30 batches of 3), got 50"
                 in out) == short
 
