@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.  Every
 randomized command takes an explicit seed, and every file-producing run
-writes a manifest listing the SHA-256 of each emitted file.  Output paths
+writes a manifest listing the SHA-256 of each emitted file, from a process
+forked at the start of the run (see `manifest`).  Output paths
 without a directory component land in $BURESHALL_OUT_DIR (default: cwd).  An
 output path that names a directory or cannot be written, or two outputs that
 are one file, is a usage error, found before any sampling or verification
@@ -25,7 +26,6 @@ import math
 import os
 import sys
 
-from . import __version__
 from .cumulants import EnsembleDims, cumulant_set, kappa1, kappa2, kappa3
 
 OUT_DIR_ENV = "BURESHALL_OUT_DIR"
@@ -71,49 +71,6 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
-def _sha256(path: str) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(args, kernel: dict | None = None) -> str:
-    """Write the manifest of a simulate or verify run next to its first output:
-    the argv that `main` parsed, the seeds, the SHA-256 of every output and,
-    for an MCMC run, the kernel's diagnostics."""
-    # imported here, like hashlib in _sha256, so that only the commands that
-    # write a manifest load them
-    import datetime
-    import json
-
-    from .fileio import write_atomic
-
-    seed = getattr(args, "seed", None)
-    seeds = [] if seed is None else [seed]
-    if getattr(args, "fig", None) == 2:
-        seeds = _fig2_seeds(seed)
-    manifest = {
-        "command": "simulate" if args.command == "simulate" else f"verify-{args.target}",
-        "argv": args.argv,
-        "seeds": seeds,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [
-            {"path": p, "sha256": _sha256(p), "bytes": os.path.getsize(p)}
-            for p in args.outputs
-        ],
-    }
-    if kernel:
-        manifest["kernel"] = kernel
-    path = args.outputs[0] + ".manifest.json"
-    write_atomic(path, json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # cumulants
 # ---------------------------------------------------------------------------
@@ -145,7 +102,9 @@ def _cmd_cumulants(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, write_manifest) -> int:
+    """Draw the samples, stream them to the CSV, hand the kernel's
+    diagnostics to `write_manifest`, then print the k-statistics."""
     # imported here (and in the figure targets) so that only sampling loads numpy
     from .sampler import (_ACCEPT_MIN, _MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
                           sample_matrix_model_batch, write_sample_csv)
@@ -160,7 +119,7 @@ def _cmd_simulate(args) -> int:
         batch = mcmc_chain(dims, config)
     out = args.outputs[0]
     write_sample_csv(batch, out)
-    manifest = _write_manifest(args, batch.kernel)
+    manifest = write_manifest(batch.kernel)
 
     st = k_statistics(batch.entropies, batch.chain_index)
     cs = cumulant_set(dims)
@@ -348,8 +307,11 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, write_manifest) -> int:
+    """Run the target, write its report as the JSON encoder's chunks, never
+    as one string, then `write_manifest()`, also when a check failed."""
     import json
+    from itertools import chain
 
     from .fileio import write_atomic
 
@@ -363,8 +325,8 @@ def _cmd_verify(args) -> int:
     else:
         report = verify_figure2_report(args.samples, args.seed, args.outputs[1])
 
-    write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    _write_manifest(args)
+    write_atomic(report_path, chain(json.JSONEncoder(indent=2).iterencode(report), ["\n"]))
+    write_manifest()
 
     if report["all_passed"]:
         print(f"verify {args.target}: PASS ({report_path})")
@@ -462,14 +424,21 @@ def main(argv=None) -> int:
     if getattr(args, "fig", None) == 2 and _fig2_seeds(args.seed)[-1] >= 2 ** 64:
         parser.error(f"figure 2 uses seeds --seed .. --seed+{len(_FIG2_SPOTS) - 1}, "
                      "which must stay below 2^64")
-    if args.command != "cumulants":
-        # fail before sampling rather than after it
-        args.outputs = _output_paths(args)
-        if len(set(map(os.path.realpath, args.outputs))) < len(args.outputs):
-            parser.error(f"outputs {' and '.join(args.outputs)} are one file")
-        for problem in filter(None, map(_unwritable, args.outputs)):
-            parser.error(problem)
-    return args.func(args)
+    if args.command == "cumulants":
+        return args.func(args)
+    # fail before sampling rather than after it
+    args.outputs = _output_paths(args)
+    if len(set(map(os.path.realpath, args.outputs))) < len(args.outputs):
+        parser.error(f"outputs {' and '.join(args.outputs)} are one file")
+    for problem in filter(None, map(_unwritable, args.outputs)):
+        parser.error(problem)
+    # recorded in the run manifest, with args.argv and args.outputs
+    args.seeds = [] if getattr(args, "seed", None) is None else [args.seed]
+    if getattr(args, "fig", None) == 2:
+        args.seeds = _fig2_seeds(args.seed)
+    from .manifest import run_with_manifest  # so that `cumulants` does not compile it
+
+    return run_with_manifest(args)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ function and its arguments, and pickles back only the outcome.  Its users:
 per usable CPU, and the writer of a CSV of two or more blocks, forked before
 the first block is drawn, so it inherits only the small heap the caller had
 before sampling; the caller pickles each block's columns into a pipe, and no
-text comes back.
+text comes back.  That pipe asks for _PIPE_SIZE bytes, Linux's default
+`pipe-max-size`, so that the caller can hand over several blocks while the
+writer formats one; where the size cannot be set, the pipe keeps the default
+(64 KiB on Linux).  `manifest` also forks, through `_fork`, the process
+that writes a run's manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import os
 import threading
 from itertools import chain
 from typing import Callable, Iterable, Sequence
+
+_PIPE_SIZE = 1 << 20
 
 
 def _temp_path(path: str) -> str:
@@ -133,10 +139,15 @@ def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None
     if count < 2 or not hasattr(os, "fork"):
         write_atomic(path, chain([header + "\n"], map(block, blocks)))
         return
+    import fcntl
     import pickle
 
     tmp = _temp_path(path)
     data_r, data_w = os.pipe()
+    try:
+        fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+    except (AttributeError, OSError):  # no such fcntl here, or the size was refused
+        pass
 
     def send() -> None:
         os.close(data_r)  # so that a write after the writer has failed gets EPIPE

@@ -505,6 +505,80 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     assert loaded == ["loaded False"] * 4
 
 
+def test_run_process_leaves_openssl_unloaded(tmp_path):
+    # a simulate or verify run forks the process that writes its manifest
+    # before it starts, and that process alone hashes the outputs, so the
+    # verify targets without numpy never load hashlib (and with it OpenSSL's
+    # _hashlib) or datetime.  The sampling commands load both anyway, since
+    # numpy.random imports secrets, but they hash nothing either.
+    # `cumulants` writes no manifest and forks no process
+    code = textwrap.dedent("""
+        import os, sys, bureshall.cli as cli
+        from bureshall import manifest
+        os.sched_getaffinity = lambda pid: {0, 1}
+        fork, forks, sha256 = os.fork, [], manifest._sha256
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        def hashing(path):
+            with open(os.path.join(os.environ["BURESHALL_OUT_DIR"], "hashed.txt"), "a") as fh:
+                print(os.getpid() == run, file=fh)
+            return sha256(path)
+
+        os.fork, manifest._sha256, run = counting_fork, hashing, os.getpid()
+        assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
+        print("forks", len(forks))
+        for argv in (["verify", "oracles"], ["verify", "identities", "--max-m", "1"]):
+            assert cli.main(argv) == 0
+            print("loaded", [name for name in ("hashlib", "_hashlib", "datetime")
+                             if name in sys.modules])
+        for argv in (["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
+                      "--chains", "8", "--burn-in", "100"],
+                     ["verify", "figures", "--fig", "2", "--samples", "10000", "--seed", "1"]):
+            assert cli.main(argv) == 0
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    lines = [line for line in out.stdout.splitlines() if line.startswith(("forks", "loaded"))]
+    assert lines == ["forks 0"] + ["loaded []"] * 2
+    # one hash per output, none in the run's process: a report each, the
+    # sample CSV, and figure 2's report and CSV
+    assert (tmp_path / "hashed.txt").read_text().split() == ["False"] * 5
+    manifests = sorted(p.name for p in tmp_path.glob("*.manifest.json"))
+    assert manifests == ["figure2_report.json.manifest.json", "identities_report.json.manifest.json",
+                         "oracles_report.json.manifest.json", "samples.csv.manifest.json"]
+
+
+def test_failed_run_leaves_no_manifest_process(outdir, monkeypatch):
+    # an error in the run reaches the caller; the manifest process, forked
+    # before the run, reads the end of its pipe, writes nothing and is reaped
+    from bureshall import quadrature
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("quadrature failed")
+
+    monkeypatch.setattr(quadrature, "moment_oracle", failing)
+    with pytest.raises(RuntimeError, match="quadrature failed"):
+        main(["verify", "oracles"])
+    assert list(outdir.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_manifest_without_fork(outdir, monkeypatch):
+    # where os.fork is missing, the run's own process writes the manifest
+    monkeypatch.delattr(os, "fork")
+    assert main(["verify", "identities", "--max-m", "1"]) == 0
+    manifest = json.loads((outdir / "identities_report.json.manifest.json").read_text())
+    report = (outdir / "identities_report.json").read_bytes()
+    assert manifest["outputs"][0]["sha256"] == hashlib.sha256(report).hexdigest()
+    assert manifest["seeds"] == []
+
+
 def _running(pgid: int) -> list[int]:
     """The processes of process group `pgid` that have not exited, from /proc."""
     pids = []

@@ -1,13 +1,16 @@
 """Atomic writer and fork tests: written files get the mode that open()
 would give, CSV blocks formatted by a forked writer give the in-process
 bytes, a failed write raises here and leaves no writer and no temporary
-file, the writer forks before the blocks are taken, and every failure of
+file, the writer forks before the blocks are taken, its data pipe holds
+several blocks while it is stalled on one, and every failure of
 `fork_map` is raised here and leaves no child."""
 
+import fcntl
 import os
 import re
 import signal
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +164,42 @@ def test_items_are_taken_after_the_fork_and_as_needed(tmp_path, cpus):
     fileio._write_csv(str(tmp_path / "out.csv"), "k", columns(), 6)
     assert taken == [1] * 6
     assert (tmp_path / "out.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in range(60))
+    assert_no_child_left()
+
+
+class _Stall:
+    """A value whose repr waits until `flag` exists, for at most 10 s, and
+    reads 'handed' if it appeared, 'stalled' if it did not."""
+
+    def __init__(self, flag):
+        self.flag = flag
+
+    def __repr__(self):
+        deadline = time.monotonic() + 10
+        while not os.path.exists(self.flag):
+            if time.monotonic() > deadline:
+                return "stalled"
+            time.sleep(0.01)
+        return "handed"
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs F_SETPIPE_SZ")
+def test_caller_runs_ahead_of_a_stalled_writer(tmp_path, cpus):
+    # the data pipe holds several blocks: while the writer is stalled on the
+    # first block, this process hands over four more of 64 KB each, which a
+    # default 64 KiB pipe would not take
+    cpus(2)
+    flag = tmp_path / "handed"
+
+    def columns():
+        yield [np.array([_Stall(str(flag))], dtype=object)]
+        for _ in range(4):
+            yield [np.arange(8000.0)]
+        flag.touch()
+        yield [np.arange(3.0)]
+
+    fileio._write_csv(str(tmp_path / "out.csv"), "v", columns(), 6)
+    assert (tmp_path / "out.csv").read_text().splitlines()[1] == "handed"
     assert_no_child_left()
 
 

@@ -446,6 +446,20 @@ class TestCsv:
         assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
         assert len(forks) == len(self.SEEDED_DIGESTS)
 
+    def test_seeded_output_bytes_through_a_default_pipe(self, tmp_path, monkeypatch, cpus):
+        # where the writer's data pipe cannot be deepened, it keeps the
+        # default size and the same bytes reach the CSV
+        import fcntl
+
+        def refused(fd, cmd, arg=0):
+            raise PermissionError("pipe size refused")
+
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+        monkeypatch.setattr(sampler, "_ROWS", 500)
+        forks = cpus(1)
+        assert self.csv_digests(tmp_path) == self.SEEDED_DIGESTS
+        assert len(forks) == len(self.SEEDED_DIGESTS)
+
     @pytest.mark.parametrize("count", [1, 2])
     def test_sampler_error_mid_stream(self, tmp_path, monkeypatch, cpus, count):
         # the matrix backend's round-off check fails in its second block of
