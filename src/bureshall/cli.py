@@ -103,8 +103,8 @@ def _cmd_cumulants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args, write_manifest) -> int:
-    """Draw the samples, stream them to the CSV, hand the kernel's
-    diagnostics to `write_manifest`, then print the k-statistics."""
+    """Draw the samples, stream them to the CSV, hand the kernel's diagnostics
+    to `write_manifest`, which returns the manifest's path, then print."""
     # imported here (and in the figure targets) so that only sampling loads numpy
     from .sampler import (_ACCEPT_MIN, _MIN_BATCHES, ChainConfig, k_statistics, mcmc_chain,
                           sample_matrix_model_batch, write_sample_csv)
@@ -309,7 +309,7 @@ def verify_figure2_report(samples: int, seed: int, csv_path: str) -> dict:
 
 def _cmd_verify(args, write_manifest) -> int:
     """Run the target, write its report as the JSON encoder's chunks, never
-    as one string, then `write_manifest()`, also when a check failed."""
+    as one string, then hand over to `write_manifest()`, also on a failed check."""
     import json
     from itertools import chain
 

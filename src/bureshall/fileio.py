@@ -1,22 +1,18 @@
 """Atomic text-file writes, shared by the CLI reports and manifests, the
 one CSV formatter behind the sample, density and figure-2 CSVs, and `_fork`,
 the one way the package starts a process: a forked child inherits the
-function and its arguments, and pickles back only the outcome.  Its users:
-`fork_map`, through which `verify identities` maps one share of its suite
-per usable CPU, and the writer of a CSV of two or more blocks, forked before
-the first block is drawn, so it inherits only the small heap the caller had
-before sampling; the caller pickles each block's columns into a pipe, and no
-text comes back.  That pipe asks for _PIPE_SIZE bytes, Linux's default
-`pipe-max-size`, so that the caller can hand over several blocks while the
-writer formats one; where the size cannot be set, the pipe keeps the default
-(64 KiB on Linux).  `manifest` also forks, through `_fork`, the process
-that writes a run's manifest.
+function and its arguments, and pickles back only the outcome.  Its one
+caller is `fork_map`, through which `verify identities` maps one share of
+its suite per usable CPU, and `_feed` hands items through a pipe to one
+forked consumer: the CSV writer, or the process that writes a run's
+manifest (see `manifest`).
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import suppress
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +33,11 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
     file in the same directory and an atomic rename; the directory is created
     if missing.  The temporary file is named for this process and thread and
     created exclusively, with the mode that open() gives under the umask."""
-    tmp = _temp_path(path)
+    _write_via(_temp_path(path), path, content)
+
+
+def _write_via(tmp: str, path: str, content: str | Iterable[str]) -> None:
+    """write_atomic through the temporary file `tmp`, which no failure leaves."""
     try:
         with open(tmp, "x") as fh:
             fh.writelines([content] if isinstance(content, str) else content)
@@ -121,14 +121,69 @@ def fork_map(fn: Callable, items: Sequence) -> list:
                 pass
 
 
-def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None:
+class _End(Exception):
+    """A feed's end: put sends it after the last item (a class pickles by
+    reference, so it arrives as itself) and raises it once the consumer ended."""
+
+
+def _feed(produce: Callable, consume: Callable):
+    """Return produce(put), run here, while one forked child runs
+    consume(items) over what put(item) pickles into a pipe of _PIPE_SIZE
+    bytes (Linux's default `pipe-max-size`, where it can be set), so that
+    this process can run several items ahead.  An error in produce is raised
+    as it is and ends `items` with EOFError, as does this process's death.
+    An error in consume is raised here, and the next put stops produce.  If
+    consume returns early, the child drops the items left."""
+    import fcntl
+    import pickle
+
+    data_r, data_w = os.pipe()
+    with suppress(AttributeError, OSError):  # no such fcntl here, or the size was refused
+        fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+
+    def send():
+        os.close(data_r)  # so that a put after the consumer has ended gets EPIPE
+
+        def put(item) -> None:
+            data = memoryview(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+            try:
+                while data:
+                    data = data[os.write(data_w, data):]
+            except BrokenPipeError as exc:
+                raise _End from exc
+
+        try:
+            result = produce(put)
+            put(_End)
+            return result
+        except _End:
+            return None  # the consumer has failed: joining it raises its error
+        finally:
+            os.close(data_w)
+
+    def receive():
+        os.close(data_w)
+        with open(data_r, "rb") as fh:
+            def items():
+                # EOFError at the end of a pipe with no marker: produce
+                # failed or this process died
+                while (item := pickle.load(fh)) is not _End:
+                    yield item
+
+            remaining = items()
+            consume(remaining)
+            for _ in remaining:  # consume returned early: drop the items left
+                pass
+
+    return fork_map(lambda job: job(), [send, receive])[0]
+
+
+def _write_csv(path: str, header: str, blocks: Iterable) -> None:
     """Write CSV rows under `header`, each value as its Python repr
-    (round-trip floats).  Each of the `count` blocks is a list of
+    (round-trip floats), like write_atomic.  Each block is a list of
     equal-length columns, formatted with one row template, so the whole file
-    never sits in memory.  With two or more blocks, where os.fork exists, a
-    writer child formats and writes them while this process pickles their
-    columns into a pipe, then an end marker (None).  No failure leaves the
-    temporary file, and an error here wins over the writer's."""
+    never sits in memory.  Where os.fork exists, a writer child formats and
+    writes the blocks (see _feed), and an error here wins over the writer's."""
     import numpy as np  # imported here so that only sampling loads numpy
 
     def block(columns: list) -> str:
@@ -136,46 +191,19 @@ def _write_csv(path: str, header: str, blocks: Iterable, count: int = 1) -> None
         row = ",".join(["%r"] * len(cells)) + "\n"
         return (row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
-    if count < 2 or not hasattr(os, "fork"):
-        write_atomic(path, chain([header + "\n"], map(block, blocks)))
-        return
-    import fcntl
-    import pickle
-
     tmp = _temp_path(path)
-    data_r, data_w = os.pipe()
+
+    def write(columns: Iterable) -> None:
+        _write_via(tmp, path, chain([header + "\n"], map(block, columns)))
+
+    def send(put: Callable) -> None:
+        for columns in blocks:
+            put(columns)
+
+    if not hasattr(os, "fork"):
+        return write(blocks)
     try:
-        fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
-    except (AttributeError, OSError):  # no such fcntl here, or the size was refused
-        pass
-
-    def send() -> None:
-        os.close(data_r)  # so that a write after the writer has failed gets EPIPE
-        try:
-            with open(data_w, "wb") as sink:
-                for columns in blocks:
-                    pickle.dump(columns, sink, pickle.HIGHEST_PROTOCOL)
-                pickle.dump(None, sink)
-        except BrokenPipeError:
-            pass  # the writer stopped reading; joining it raises its error
-
-    def write() -> None:
-        # pickle.load raises EOFError at the end of a pipe with no end
-        # marker: the sender failed or was killed
-        os.close(data_w)
-        try:
-            with open(data_r, "rb") as fh, open(tmp, "x") as out:
-                columns = iter(lambda: pickle.load(fh), None)
-                out.writelines(chain([header + "\n"], map(block, columns)))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    try:
-        fork_map(lambda job: job(), [send, write])  # the writer forks before a block is taken
-        os.replace(tmp, path)
-    except BaseException:
+        _feed(send, write)
+    finally:
         if os.path.exists(tmp):  # the writer was killed before it could unlink it
             os.unlink(tmp)
-        raise

@@ -4,7 +4,7 @@ timestamp, the SHA-256 and size of every output and, for an MCMC run, the
 kernel's diagnostics.
 
 `run_with_manifest` forks the process that writes it, through
-`fileio._fork`, before the run starts, while the heap is still small.  That
+`fileio._feed`, before the run starts, while the heap is still small.  That
 process alone loads hashlib (with OpenSSL), datetime and json for the
 manifest, and loads them while the run works.  Only the commands that write
 a manifest import this module, so `cumulants` compiles none of it.
@@ -27,10 +27,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(args, kernel: dict | None = None) -> str:
-    """Write the manifest of the run that `args` describes and return its
-    path.  It runs in the process that `run_with_manifest` forks, or in the
-    run's own where os.fork is missing."""
+def write_manifest(args, path: str, kernel: dict | None) -> None:
+    """Write the manifest of the run that `args` describes to `path`.  It
+    runs in the process that `run_with_manifest` forks, or in the run's own
+    where os.fork is missing."""
     # imported here, like hashlib in _sha256, so that only the process that
     # writes the manifest loads them
     import datetime
@@ -51,60 +51,34 @@ def write_manifest(args, kernel: dict | None = None) -> str:
     }
     if kernel:
         manifest["kernel"] = kernel
-    path = args.outputs[0] + ".manifest.json"
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
-    return path
 
 
 def run_with_manifest(args) -> int:
     """Run a simulate or verify command as `args.func(args, write)`: write(kernel)
     hands the run's kernel diagnostics (or None) to the manifest process and
-    returns the manifest's path.
+    returns the manifest's path.  That process, forked through `fileio._feed`,
+    writes the manifest from the first item it reads; the run joins it after
+    the command's body, so its error is raised after the run's stdout.  A run
+    that raises before write() leaves no manifest."""
+    path = args.outputs[0] + ".manifest.json"
 
-    The manifest process waits for one pickled message on a pipe, not for
-    the pipe's end, since every process the run forks later inherits the
-    write end.  If the run fails first, the pipe is closed and the process
-    reaped: it reads the pipe's end once the run's own children are gone,
-    and writes no manifest."""
+    def run(put) -> int:
+        def write(kernel: dict | None = None) -> str:
+            put(kernel)
+            return path
+
+        return args.func(args, write)
+
     if not hasattr(os, "fork"):
-        return args.func(args, lambda kernel=None: write_manifest(args, kernel))
-    import pickle
+        return run(lambda kernel: write_manifest(args, path, kernel))
+    from .fileio import _feed
 
-    from .fileio import _fork
-
-    kernel_r, kernel_w = os.pipe()
-
-    def wait_and_write() -> str | None:
-        os.close(kernel_w)
+    def wait_and_write(kernels) -> None:
         # loaded while the run works, so that its end does not wait for them
         import datetime
         import hashlib
         import json
-        with open(kernel_r, "rb") as fh:
-            try:
-                kernel = pickle.load(fh)
-            except EOFError:  # the run failed
-                return None
-        return write_manifest(args, kernel)
+        write_manifest(args, path, next(kernels))
 
-    join = _fork(wait_and_write)
-    os.close(kernel_r)
-    sink = open(kernel_w, "wb")
-
-    def write(kernel: dict | None = None) -> str:
-        try:
-            with sink:
-                pickle.dump(kernel, sink, pickle.HIGHEST_PROTOCOL)
-        except BrokenPipeError:
-            pass  # the process has ended; joining it raises its error
-        return join()
-
-    try:
-        return args.func(args, write)
-    finally:
-        if not sink.closed:  # the run failed before its manifest
-            sink.close()
-            try:
-                join()
-            except BaseException:
-                pass  # the run's error is the one raised
+    return _feed(run, wait_and_write)

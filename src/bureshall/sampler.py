@@ -33,12 +33,12 @@ block at a time, in sample order: about _ROWS kept rows of whole steps from
 the kernel, and one draw of _MATRIX_BLOCK matrices from the matrix backend.
 A reader such as the CSV writer takes each block's spectra and traces as it
 comes, and no block is kept, so no command holds all samples x m floats; the
-batch keeps only every sample's entropy.  For a batch of two or more blocks
-the CSV writer hands each block's columns to a writer process, forked before
-the first block is drawn, which formats and writes them while the kernel
-draws the next block.  The kernel's block size changes no drawn value: it draws
-_BLOCK steps at a time into buffers allocated once, and the matrix backend
-fills the same four normal arrays at every draw.
+batch keeps only every sample's entropy.  The CSV writer hands each block's
+columns to a writer process, forked before the first block is drawn, which
+formats and writes them while the kernel draws the next block.  The
+kernel's block size changes no drawn value: it draws _BLOCK steps at a
+time into buffers allocated once, and the matrix backend fills the same
+four normal arrays at every draw.
 
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
@@ -110,21 +110,19 @@ class Block(NamedTuple):
 class SampleBatch:
     """The samples of one run, drawn a block at a time as they are read.
 
-    Iterating yields the `blocks` Blocks in sample order, each drawn when it
-    is asked for, and can be done once; no block is kept.  entropies fills
-    in as the blocks are drawn, and reading it draws the blocks that are
-    left.  Sample r is chain r % chains at step first_step + stride *
-    (r // chains): MCMC samples are step-major over the chains, and the
-    matrix backend is one chain of consecutive steps.  So chain_index and
-    step_index are computed when read, not kept.  len() counts the samples.
-    kernel holds the MCMC kernel's diagnostics as the blocks are drawn (see
-    mcmc_chain); the matrix backend leaves it empty.
+    Iterating yields its Blocks in sample order, each drawn when it is asked
+    for, and can be done once; no block is kept.  entropies fills in as the
+    blocks are drawn, and reading it draws the blocks that are left.  Sample
+    r is chain r % chains at step first_step + stride * (r // chains): MCMC
+    samples are step-major over the chains, and the matrix backend is one
+    chain of consecutive steps.  So chain_index and step_index are computed
+    when read, not kept.  len() counts the samples.  kernel holds the MCMC
+    kernel's diagnostics as the blocks are drawn (see mcmc_chain); the
+    matrix backend leaves it empty.
     """
 
-    def __init__(self, draws: Iterator, samples: int, blocks: int, chains: int,
-                 first_step: int, stride: int, provenance: Provenance,
-                 kernel: Optional[dict] = None):
-        self.blocks = blocks
+    def __init__(self, draws: Iterator, samples: int, chains: int, first_step: int, stride: int,
+                 provenance: Provenance, kernel: Optional[dict] = None):
         self.provenance = provenance
         self.kernel = {} if kernel is None else kernel
         self._layout = chains, first_step, stride
@@ -235,9 +233,8 @@ def mcmc_chain(dims: EnsembleDims, config: ChainConfig) -> SampleBatch:
     """
     n_chains = config.chain_count
     block_steps = max(1, _ROWS // n_chains)
-    blocks = -(-config.samples // (block_steps * n_chains))
     kernel: dict = {}
-    return SampleBatch(_mcmc_draws(dims, config, block_steps, kernel), config.samples, blocks,
+    return SampleBatch(_mcmc_draws(dims, config, block_steps, kernel), config.samples,
                        chains=n_chains, first_step=config.burn_in + config.thinning - 1,
                        stride=config.thinning, provenance=Provenance(dims, config),
                        kernel=kernel)
@@ -381,7 +378,7 @@ def sample_matrix_model_batch(m: int, count: int, seed: int) -> SampleBatch:
         raise ValueError("m must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    return SampleBatch(_matrix_draws(m, count, seed), count, -(-count // _MATRIX_BLOCK), chains=1,
+    return SampleBatch(_matrix_draws(m, count, seed), count, chains=1,
                        first_step=0, stride=1,
                        provenance=Provenance(EnsembleDims(m, m), None))
 
@@ -478,8 +475,8 @@ def k_statistics(values, chain_index=None) -> KStats:
 def write_sample_csv(batch: SampleBatch, path: str) -> None:
     """Write `chain,step,theta,S,lambda_1..lambda_m` with round-trip floats,
     each block of the batch as it is drawn (through fileio._write_csv, in a
-    forked writer process when the batch has two or more blocks)."""
+    writer process forked before the first block is drawn)."""
     m = batch.provenance.dims.m
     header = "chain,step,theta,S," + ",".join(f"lambda_{i+1}" for i in range(m))
     blocks = ([b.chain_index, b.step_index, b.thetas, b.entropies, *b.spectra.T] for b in batch)
-    _write_csv(path, header, blocks, batch.blocks)
+    _write_csv(path, header, blocks)

@@ -569,6 +569,40 @@ def test_failed_run_leaves_no_manifest_process(outdir, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_manifest_process_error_is_raised(outdir, monkeypatch):
+    # the forked manifest process inherits the failing hash: its error is
+    # raised in the run once the command's body is done, and it leaves no
+    # manifest, no temporary file and no process
+    from bureshall import manifest
+
+    def failing(path):
+        raise OSError(f"cannot hash {os.path.basename(path)}")
+
+    monkeypatch.setattr(manifest, "_sha256", failing)
+    with pytest.raises(OSError, match="cannot hash s.csv"):
+        main(["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1",
+              "--chains", "8", "--burn-in", "100", "--out", "s.csv"])
+    assert sorted(p.name for p in outdir.iterdir()) == ["s.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closed_stdout_fails_the_command(tmp_path):
+    # a print to a closed stdout raises BrokenPipeError in the run, which is
+    # not the end of the manifest process's pipe: the command exits with
+    # status 1 and the error on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "bureshall.cli", "verify", "identities",
+                              "--max-m", "1"], env=_child_env(tmp_path), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert "BrokenPipeError" in run.stderr
+
+
 def test_manifest_without_fork(outdir, monkeypatch):
     # where os.fork is missing, the run's own process writes the manifest
     monkeypatch.delattr(os, "fork")

@@ -2,8 +2,9 @@
 would give, CSV blocks formatted by a forked writer give the in-process
 bytes, a failed write raises here and leaves no writer and no temporary
 file, the writer forks before the blocks are taken, its data pipe holds
-several blocks while it is stalled on one, and every failure of
-`fork_map` is raised here and leaves no child."""
+several blocks while it is stalled on one, every failure of `fork_map` is
+raised here and leaves no child, and `_feed` keeps a consumer's early
+return, a producer's own BrokenPipeError and a consumer's error apart."""
 
 import fcntl
 import os
@@ -48,29 +49,32 @@ ROWS = 500
 
 def blocks(*columns):
     """The columns as blocks of ROWS rows, taken lazily as a sampler hands
-    them out, and the number of blocks."""
+    them out."""
     starts = range(0, len(columns[0]), ROWS)
-    return ([col[start:start + ROWS] for col in columns] for start in starts), len(starts)
+    return ([col[start:start + ROWS] for col in columns] for start in starts)
 
 
 def test_worker_pool_matches_in_process(tmp_path, cpus, monkeypatch):
-    # 2345 rows in 500-row blocks: five blocks, the last one partial; on one
-    # usable CPU or two, one forked writer formats and writes them, and where
-    # os.fork is missing this process does, with the same bytes
+    # 2345 rows in 500-row blocks: five blocks, the last one partial, and the
+    # same rows as one block; on one usable CPU or two, one forked writer
+    # formats and writes them, and where os.fork is missing this process
+    # does, with the same bytes
     rng = np.random.default_rng(3)
     columns = [np.arange(2345), rng.standard_normal(2345), rng.standard_normal(2345) ** 3]
     written = {}
-    for name, count in (("cpus1", 1), ("cpus2", 2), ("nofork", 2)):
+    for name, count in (("cpus1", 1), ("cpus2", 2), ("one_block", 1), ("nofork", 2),
+                        ("one_block_nofork", 1)):
         forks = cpus(count)
         if name == "nofork":
             monkeypatch.delattr(os, "fork")
         path = tmp_path / f"{name}.csv"
-        fileio._write_csv(str(path), "i,a,b", *blocks(*columns))
-        assert len(forks) == (name != "nofork")
+        fileio._write_csv(str(path), "i,a,b",
+                          [columns] if name.startswith("one_block") else blocks(*columns))
+        assert len(forks) == (name in ("cpus1", "cpus2", "one_block"))
         written[name] = path.read_bytes()
-    assert written["cpus1"] == written["cpus2"] == written["nofork"]
+    assert len(set(written.values())) == 1
     assert written["cpus1"].count(b"\n") == 2346
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus1.csv", "cpus2.csv", "nofork.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in written)
 
 
 def assert_no_child_left():
@@ -91,7 +95,7 @@ def test_worker_error_propagates(tmp_path, cpus):
     target.write_text("old\n")
     values = np.array([1.0] * 1200 + [_Unprintable()], dtype=object)
     with pytest.raises(RuntimeError, match=r"repr in process \d+") as exc:
-        fileio._write_csv(str(target), "v", *blocks(values))
+        fileio._write_csv(str(target), "v", blocks(values))
     assert [int(re.search(r"\d+", str(exc.value)).group())] == forks
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
@@ -123,7 +127,7 @@ def test_consumer_error_ends_pool(tmp_path, cpus, monkeypatch):
 
     monkeypatch.setattr(fileio, "open", open_failing_after_two_writes, raising=False)
     with pytest.raises(OSError, match="disk full"):
-        fileio._write_csv(str(target), "v", *blocks(np.arange(2345.0)))
+        fileio._write_csv(str(target), "v", blocks(np.arange(2345.0)))
     assert len(forks) == 1
     assert_no_child_left()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
@@ -144,7 +148,7 @@ def test_killed_writer_fails_the_write(tmp_path, cpus):
             yield [np.arange(1000.0)]
 
     with pytest.raises(RuntimeError, match=r"exited with status -9"):
-        fileio._write_csv(str(target), "v", columns(), 6)
+        fileio._write_csv(str(target), "v", columns())
     assert_no_child_left()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
@@ -161,7 +165,7 @@ def test_items_are_taken_after_the_fork_and_as_needed(tmp_path, cpus):
             taken.append(len(forks))
             yield [np.arange(k * 10, k * 10 + 10)]
 
-    fileio._write_csv(str(tmp_path / "out.csv"), "k", columns(), 6)
+    fileio._write_csv(str(tmp_path / "out.csv"), "k", columns())
     assert taken == [1] * 6
     assert (tmp_path / "out.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in range(60))
     assert_no_child_left()
@@ -198,7 +202,7 @@ def test_caller_runs_ahead_of_a_stalled_writer(tmp_path, cpus):
         flag.touch()
         yield [np.arange(3.0)]
 
-    fileio._write_csv(str(tmp_path / "out.csv"), "v", columns(), 6)
+    fileio._write_csv(str(tmp_path / "out.csv"), "v", columns())
     assert (tmp_path / "out.csv").read_text().splitlines()[1] == "handed"
     assert_no_child_left()
 
@@ -239,4 +243,57 @@ def test_fork_map_caller_error_wins(cpus):
     with pytest.raises(ValueError, match=f"item 0 in process {caller}$"):
         fileio.fork_map(failing, range(3))
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_feed_consumer_returns_early(cpus):
+    # a consumer that returns after one item leaves the items after it, and
+    # the end marker, to be dropped: produce runs to its end and its result
+    # comes back
+    forks = cpus(1)
+
+    def produce(put):
+        for k in range(5):
+            put(np.arange(10_000.0) + k)
+        return "produced"
+
+    assert fileio._feed(produce, lambda items: next(items)) == "produced"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_feed_producer_broken_pipe_is_its_own(cpus):
+    # a BrokenPipeError that produce raises itself, from a closed stdout say,
+    # is not the consumer's end: it is raised as it is
+    cpus(1)
+    error = BrokenPipeError(32, "stdout closed")
+
+    def produce(put):
+        put([1.0])
+        raise error
+
+    with pytest.raises(BrokenPipeError) as exc:
+        fileio._feed(produce, lambda items: list(items))
+    assert exc.value is error
+    assert_no_child_left()
+
+
+def test_feed_consumer_error_stops_the_producer(cpus):
+    # a consumer that fails on its first item ends the feed: its error is
+    # raised here, and the producer, whose pipe holds about four of these
+    # 256 KiB items, stops at its next put in place of drawing all 64
+    cpus(1)
+    taken = []
+
+    def produce(put):
+        for k in range(64):
+            taken.append(k)
+            put(np.full(32_768, float(k)))
+
+    def consume(items):
+        raise ValueError(f"refused item {next(items)[0]:g}")
+
+    with pytest.raises(ValueError, match="refused item 0"):
+        fileio._feed(produce, consume)
+    assert len(taken) <= 8, taken
     assert_no_child_left()
