@@ -26,7 +26,7 @@ from .fileio import _write_csv
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 compat
 
 _GRID = (-6.0, 6.0, 1201)  # density_comparison's grid: lo, hi, point count
-_BINS = "fd"  # Freedman-Diaconis histogram bins
+_CHUNK = 16_384  # samples per np.histogram call
 
 
 class DensityGrid(NamedTuple):
@@ -56,12 +56,29 @@ def edgeworth_pdf(x, coef: float):
     return gaussian_pdf(x) * (1.0 + coef * (x ** 3 - 3.0 * x))
 
 
-def _histogram_on_grid(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    counts, edges = np.histogram(samples, bins=_BINS, density=True)
+def _fd_histogram(std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.histogram(std, bins="fd", density=True), step by step as numpy
+    computes it, but with std's percentiles taken in place (which reorders
+    it) and the counts summed over chunks of _CHUNK samples, so that no
+    temporary is as long as std."""
+    lo, hi = std.min(), std.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    p75, p25 = np.percentile(std, [75, 25], overwrite_input=True)
+    width = 2.0 * (p75 - p25) * std.size ** (-1.0 / 3.0)  # Freedman-Diaconis
+    bins = int(np.ceil((hi - lo) / width)) if width else 1
+    counts = sum(np.histogram(std[i:i + _CHUNK], bins, range=(lo, hi))[0]
+                 for i in range(0, len(std), _CHUNK))
+    edges = np.linspace(lo, hi, bins + 1)
+    return counts / np.diff(edges) / counts.sum(), edges
+
+
+def _histogram_on_grid(std: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    density, edges = _fd_histogram(std)
     idx = np.searchsorted(edges, xs, side="right") - 1
     vals = np.zeros_like(xs)
-    inside = (idx >= 0) & (idx < len(counts))
-    vals[inside] = counts[idx[inside]]
+    inside = (idx >= 0) & (idx < len(density))
+    vals[inside] = density[idx[inside]]
     return vals
 
 
@@ -69,15 +86,20 @@ def density_comparison(samples, dims: EnsembleDims) -> DensityComparison:
     """Histogram of standardized samples against the two model densities.
 
     Samples are standardized as (S - kappa1)/sqrt(kappa2) with the exact
-    cumulants.  Distances are computed on _GRID: L1 by the trapezoid rule,
-    sup as the max pointwise gap.  Needs at least 10^4 samples.
+    cumulants, into one copy; the samples are left as they are.  The
+    histogram has numpy's Freedman-Diaconis ("fd") bins and densities, and
+    besides that copy no temporary is as long as the samples (see
+    _fd_histogram).
+    Distances are computed on _GRID: L1 by the trapezoid rule, sup as the
+    max pointwise gap.  Needs at least 10^4 samples.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {len(samples)}")
     xs = np.linspace(*_GRID)
     cs = _nondegenerate_set(dims)
-    std = (samples - cs.kappa1_f) / cs.sd
+    std = samples - cs.kappa1_f
+    std /= cs.sd
     gauss = gaussian_pdf(xs)
     edge = edgeworth_pdf(xs, cs.skew_coefficient)
     hist = _histogram_on_grid(std, xs)

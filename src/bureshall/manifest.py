@@ -5,16 +5,39 @@ kernel's diagnostics.
 
 `run_with_manifest` forks the process that writes it, through
 `fileio._feed`, before the run starts, while the heap is still small.  That
-process alone loads hashlib (with OpenSSL), datetime and json for the
-manifest, and loads them while the run works.  Only the commands that write
-a manifest import this module, so `cumulants` compiles none of it.
+process alone loads hashlib with OpenSSL, datetime and json for the
+manifest, and loads them while the run works; the run's own process hashes
+nothing, and keeps OpenSSL out even where numpy.random loads hashlib.  Only
+the commands that write a manifest import this module, so `cumulants`
+compiles none of it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 from . import __version__
+
+# hashlib's builtin algorithms, without which an `import hashlib` that finds
+# no _hashlib logs an error for each algorithm it lacks
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+
+
+def _without_openssl() -> None:
+    """Make `import _hashlib` fail in this process, unless it is loaded
+    already or a builtin algorithm is missing, so that hashlib, which
+    numpy.random loads through secrets and hmac, runs on its builtins and
+    OpenSSL is never mapped.  The builtins are found, not loaded, so that a
+    run without numpy loads none of them."""
+    from importlib.util import find_spec
+
+    try:
+        if all(find_spec(name) for name in _BUILTIN_HASHES):
+            sys.modules.setdefault("_hashlib", None)
+    except ValueError:  # find_spec of a name that sys.modules maps to None
+        pass
 
 
 def _sha256(path: str) -> str:
@@ -60,10 +83,14 @@ def run_with_manifest(args) -> int:
     returns the manifest's path.  That process, forked through `fileio._feed`,
     writes the manifest from the first item it reads; the run joins it after
     the command's body, so its error is raised after the run's stdout.  A run
-    that raises before write() leaves no manifest."""
+    that raises before write() leaves no manifest.  The run starts once that
+    process is forked, and without OpenSSL (see _without_openssl); where
+    os.fork is missing, it writes the manifest with hashlib's builtins."""
     path = args.outputs[0] + ".manifest.json"
 
     def run(put) -> int:
+        _without_openssl()
+
         def write(kernel: dict | None = None) -> str:
             put(kernel)
             return path

@@ -42,7 +42,7 @@ four normal arrays at every draw.
 
 Also here: the unbiased k-statistics with batch-means standard errors used
 by every Monte Carlo acceptance check, whose batches follow each chain when
-the chain index is given, and the sample CSV writer.
+the chain count is given, and the sample CSV writer.
 """
 
 from __future__ import annotations
@@ -116,16 +116,18 @@ class SampleBatch:
     r is chain r % chains at step first_step + stride * (r // chains): MCMC
     samples are step-major over the chains, and the matrix backend is one
     chain of consecutive steps.  So chain_index and step_index are computed
-    when read, not kept.  len() counts the samples.  kernel holds the MCMC
-    kernel's diagnostics as the blocks are drawn (see mcmc_chain); the
-    matrix backend leaves it empty.
+    when read, not kept; chains is the count that k_statistics takes.
+    len() counts the samples.  kernel holds the MCMC kernel's diagnostics
+    as the blocks are drawn (see mcmc_chain); the matrix backend leaves it
+    empty.
     """
 
     def __init__(self, draws: Iterator, samples: int, chains: int, first_step: int, stride: int,
                  provenance: Provenance, kernel: Optional[dict] = None):
         self.provenance = provenance
         self.kernel = {} if kernel is None else kernel
-        self._layout = chains, first_step, stride
+        self.chains = chains
+        self._steps = first_step, stride
         self._entropies = np.empty(samples)
         self._stream = self._fill(draws)
         self._read = False
@@ -135,13 +137,13 @@ class SampleBatch:
 
     def _indices(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The chain and step indices of samples start..stop-1."""
-        chains, first_step, stride = self._layout
+        first_step, stride = self._steps
         rows = np.arange(start, stop)
-        return rows % chains, first_step + stride * (rows // chains)
+        return rows % self.chains, first_step + stride * (rows // self.chains)
 
     @property
     def chain_index(self) -> np.ndarray:
-        return np.arange(len(self)) % self._layout[0]
+        return np.arange(len(self)) % self.chains
 
     @property
     def step_index(self) -> np.ndarray:
@@ -427,8 +429,10 @@ def _k123(values: np.ndarray) -> tuple[float, float, float]:
     n = len(values)
     mean = values.mean()
     centered = values - mean
-    m2 = float((centered ** 2).sum())
-    m3 = float((centered ** 3).mean())
+    # the loops of centered ** 2 and centered ** 3, into one buffer
+    powers = np.square(centered)
+    m2 = float(powers.sum())
+    m3 = float(np.power(centered, 3, out=powers).mean())
     k2 = m2 / (n - 1)
     k3 = n * n / ((n - 1) * (n - 2)) * m3
     return float(mean), k2, k3
@@ -438,17 +442,19 @@ _MIN_BATCHES = 30
 _MAX_BATCHES = 50
 
 
-def k_statistics(values, chain_index=None) -> KStats:
+def k_statistics(values, chains: int = 1) -> KStats:
     """Unbiased cumulant estimators k1, k2, k3 with batch-means standard errors.
 
     k1 is the sample mean, k2 the unbiased variance and
     k3 = N^2/((N-1)(N-2)) times the mean cubed deviation.  Standard errors
     come from the dispersion of per-batch estimates over non-overlapping
     batches: up to _MAX_BATCHES batches of length >= 3 (n // 3 caps their
-    number), and NaN when fewer than _MIN_BATCHES fit.  Given each value's
-    chain_index, batches are cut in chain-major order (a stable sort), so
-    they follow each chain; cut across the chains of mcmc_chain's step-major
-    output, they would span a few steps and understate the SEs.
+    number), and NaN when fewer than _MIN_BATCHES fit.  values are taken
+    step-major over `chains` chains, value r from chain r % chains, as
+    mcmc_chain lays them out (SampleBatch.chains); batches are cut in
+    chain-major order, values[c::chains] for c = 0, 1, ... joined, so they
+    follow each chain.  Cut across the chains, they would span a few steps
+    and understate the SEs.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 3:
@@ -459,8 +465,8 @@ def k_statistics(values, chain_index=None) -> KStats:
     n_batches = min(_MAX_BATCHES, n // 3)
     if n_batches < _MIN_BATCHES:
         return KStats(k1, k2, k3, math.nan, math.nan, math.nan)
-    if chain_index is not None:
-        values = values[np.argsort(chain_index, kind="stable")]
+    if chains > 1:
+        values = np.concatenate([values[c::chains] for c in range(chains)])
     batch_len = n // n_batches
     trimmed = values[: n_batches * batch_len].reshape(n_batches, batch_len)
     stats = np.array([_k123(row) for row in trimmed])

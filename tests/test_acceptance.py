@@ -131,7 +131,7 @@ def test_criterion_07_monte_carlo_vs_formulas():
         cfg = ChainConfig(samples=100_000, burn_in=2000, thinning=20,
                           chain_count=100, seed=202 + i)
         batch = mcmc_chain(dims, cfg)
-        st = k_statistics(batch.entropies, batch.chain_index)
+        st = k_statistics(batch.entropies, batch.chains)
         zs = (
             (st.k1 - float(kappa1(dims))) / st.se1,
             (st.k2 - float(kappa2(dims))) / st.se2,
@@ -165,7 +165,7 @@ def test_criterion_08_unconstrained_third_cumulant():
                           chain_count=100, seed=303 + i)
         exact_match &= (kappa3_unconstrained(dims) - _kappa3_T_oracle(dims)).is_zero()
         batch = collect(mcmc_chain(dims, cfg))
-        st = k_statistics(entropies_T(batch.thetas, batch.entropies), batch.chain_index)
+        st = k_statistics(entropies_T(batch.thetas, batch.entropies), cfg.chain_count)
         z = (st.k3 - float(kappa3_unconstrained(dims))) / st.se3
         ok_mc &= abs(z) <= 4
         details.append(f"({m},{n}) z={z:+.2f}")
@@ -197,7 +197,7 @@ def test_criterion_09_moment_conversion():
                           chain_count=100, seed=404 + i)
         batch = collect(mcmc_chain(dims, cfg))
         t_cubed = entropies_T(batch.thetas, batch.entropies) ** 3
-        st = k_statistics(t_cubed, batch.chain_index)
+        st = k_statistics(t_cubed, cfg.chain_count)
         z = (st.k1 - float(unconstrained_moments(dims)[2])) / st.se1
         ok_mc &= abs(z) <= 4
         details.append(f"({m},{n}) z={z:+.1f}")

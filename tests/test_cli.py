@@ -220,7 +220,7 @@ class TestSimulateCommand:
                      "--burn-in", "3000", "--out", "s.csv"]) == 0
         out = capsys.readouterr().out
         data = np.loadtxt(outdir / "s.csv", delimiter=",", skiprows=1)
-        st = k_statistics(data[:, 3], data[:, 0])
+        st = k_statistics(data[:, 3], int(data[:, 0].max()) + 1)  # the chain column's count
         cs = cumulant_set(EnsembleDims(3, 1000))
         for order, k, se, kappa in zip((1, 2, 3), st[:3], st[3:],
                                        (cs.kappa1_f, cs.kappa2_f, cs.kappa3_f)):
@@ -505,12 +505,25 @@ def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
     assert loaded == ["loaded False"] * 4
 
 
+def _manifests_match_outputs(directory) -> list[str]:
+    """The names of the manifests in `directory`, once each output that one
+    lists has been found on disk with its SHA-256 and size."""
+    names = []
+    for path in sorted(directory.glob("*.manifest.json")):
+        for out in json.loads(path.read_text())["outputs"]:
+            with open(out["path"], "rb") as fh:
+                data = fh.read()
+            assert [out["sha256"], out["bytes"]] == [hashlib.sha256(data).hexdigest(), len(data)]
+        names.append(path.name)
+    return names
+
+
 def test_run_process_leaves_openssl_unloaded(tmp_path):
     # a simulate or verify run forks the process that writes its manifest
     # before it starts, and that process alone hashes the outputs, so the
-    # verify targets without numpy never load hashlib (and with it OpenSSL's
-    # _hashlib) or datetime.  The sampling commands load both anyway, since
-    # numpy.random imports secrets, but they hash nothing either.
+    # verify targets without numpy never load hashlib or datetime.  In the
+    # sampling commands numpy.random loads hashlib, through secrets and hmac,
+    # but on its builtin algorithms: OpenSSL's _hashlib is blocked in the run.
     # `cumulants` writes no manifest and forks no process
     code = textwrap.dedent("""
         import os, sys, bureshall.cli as cli
@@ -535,22 +548,44 @@ def test_run_process_leaves_openssl_unloaded(tmp_path):
         for argv in (["verify", "oracles"], ["verify", "identities", "--max-m", "1"]):
             assert cli.main(argv) == 0
             print("loaded", [name for name in ("hashlib", "_hashlib", "datetime")
-                             if name in sys.modules])
+                             if sys.modules.get(name) is not None])
         for argv in (["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
                       "--chains", "8", "--burn-in", "100"],
                      ["verify", "figures", "--fig", "2", "--samples", "10000", "--seed", "1"]):
             assert cli.main(argv) == 0
+            print("openssl", sys.modules.get("_hashlib") is not None, "hashlib" in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=120)
-    lines = [line for line in out.stdout.splitlines() if line.startswith(("forks", "loaded"))]
-    assert lines == ["forks 0"] + ["loaded []"] * 2
+    lines = [line for line in out.stdout.splitlines()
+             if line.startswith(("forks", "loaded", "openssl"))]
+    assert lines == ["forks 0"] + ["loaded []"] * 2 + ["openssl False True"] * 2
     # one hash per output, none in the run's process: a report each, the
     # sample CSV, and figure 2's report and CSV
     assert (tmp_path / "hashed.txt").read_text().split() == ["False"] * 5
-    manifests = sorted(p.name for p in tmp_path.glob("*.manifest.json"))
-    assert manifests == ["figure2_report.json.manifest.json", "identities_report.json.manifest.json",
-                         "oracles_report.json.manifest.json", "samples.csv.manifest.json"]
+    assert _manifests_match_outputs(tmp_path) == [
+        "figure2_report.json.manifest.json", "identities_report.json.manifest.json",
+        "oracles_report.json.manifest.json", "samples.csv.manifest.json"]
+
+
+def test_openssl_stays_without_builtin_hashes(tmp_path):
+    # where hashlib's builtin algorithms are missing, as in some distribution
+    # builds, an import of hashlib without _hashlib logs "code for hash md5
+    # was not found" to stderr; the run then keeps OpenSSL, and stays quiet
+    code = textwrap.dedent("""
+        import sys
+        for name in ("_md5", "_sha1", "_sha2", "_sha256", "_sha512"):
+            sys.modules[name] = None
+        import bureshall.cli as cli
+        assert cli.main(["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
+                         "--chains", "8", "--burn-in", "100"]) == 0
+        print("openssl", sys.modules.get("_hashlib") is not None)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "openssl True" in out.stdout.splitlines()
+    assert _manifests_match_outputs(tmp_path) == ["samples.csv.manifest.json"]
 
 
 def test_failed_run_leaves_no_manifest_process(outdir, monkeypatch):

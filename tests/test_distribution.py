@@ -11,6 +11,7 @@ from scipy import integrate
 from bureshall.cumulants import DegenerateEnsembleError, EnsembleDims, cumulant_set, kappa3
 from bureshall.distribution import (
     DensityComparison,
+    _fd_histogram,
     density_comparison,
     edgeworth_pdf,
     gaussian_pdf,
@@ -105,6 +106,37 @@ class TestDensityComparison:
         assert isinstance(comp, DensityComparison)
         assert np.isfinite(comp.l1_gaussian) and np.isfinite(comp.l1_edgeworth)
         assert comp.l1_edgeworth <= 1.10 * comp.l1_gaussian
+
+    @pytest.mark.parametrize("case", ["entropies", "zero_iqr", "constant"])
+    def test_histogram_is_numpys_fd_histogram(self, case):
+        # counted in chunks, with the percentiles taken in place, the
+        # densities and edges are np.histogram's to the bit; a sample whose
+        # quartiles coincide gets one bin, and a constant one numpy's +-0.5
+        # outer edges
+        if case == "entropies":
+            cfg = ChainConfig(samples=50_001, burn_in=500, thinning=5, chain_count=40, seed=29)
+            cs = cumulant_set(EnsembleDims(4, 6))
+            std = (mcmc_chain(EnsembleDims(4, 6), cfg).entropies - cs.kappa1_f) / cs.sd
+        elif case == "zero_iqr":
+            rng = np.random.default_rng(31)
+            std = np.concatenate([rng.standard_normal(8_000), np.full(30_000, 0.25),
+                                  rng.standard_normal(8_000)])
+        else:
+            std = np.full(20_000, -1.5)
+        expected = np.histogram(std, bins="fd", density=True)
+        got = _fd_histogram(std.copy())
+        assert (len(got[0]) == 1) == (case != "entropies")
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        if case == "constant":
+            assert got[1].tolist() == [-2.0, -1.0]
+
+    def test_leaves_samples_unchanged(self):
+        rng = np.random.default_rng(37)
+        samples = rng.gamma(4.0, 0.05, size=30_000)
+        before = samples.copy()
+        density_comparison(samples, EnsembleDims(4, 6))
+        np.testing.assert_array_equal(samples, before)
 
     def test_csv_export(self, tmp_path):
         dims = EnsembleDims(4, 6)

@@ -92,6 +92,28 @@ class TestProjectionAndEntropy:
         assert t[2] == pytest.approx(4 * math.log(2))
 
 
+def _argsort_kstats(values: np.ndarray, chains: int) -> list:
+    """k_statistics as once computed: powers by ** and chain-major batches
+    from a stable argsort of each value's chain index."""
+    def k123(x):
+        n = len(x)
+        mean = x.mean()
+        centered = x - mean
+        m2 = float((centered ** 2).sum())
+        m3 = float((centered ** 3).mean())
+        return float(mean), m2 / (n - 1), n * n / ((n - 1) * (n - 2)) * m3
+
+    n = len(values)
+    n_batches = min(sampler._MAX_BATCHES, n // 3)
+    if n_batches < sampler._MIN_BATCHES:
+        return [*k123(values), math.nan, math.nan, math.nan]
+    ordered = values[np.argsort(np.arange(n) % chains, kind="stable")]
+    batch_len = n // n_batches
+    stats = np.array([k123(row) for row in
+                      ordered[: n_batches * batch_len].reshape(n_batches, batch_len)])
+    return [*k123(values), *(stats.std(axis=0, ddof=1) / math.sqrt(n_batches))]
+
+
 class TestKStatistics:
     def test_symmetric_data(self):
         st = k_statistics([1, 2, 3])
@@ -146,12 +168,20 @@ class TestKStatistics:
         var_chain_mean = (steps + 2 * np.sum((steps - lags) * phi ** lags)) / steps ** 2
         se_true = math.sqrt(var_chain_mean / chains)
         values = x.reshape(-1)
-        chain_index = np.tile(np.arange(chains), steps)
-        st = k_statistics(values, chain_index)
+        st = k_statistics(values, chains)
         assert st.se1 == pytest.approx(se_true, rel=0.25)
         assert st[:3] == k_statistics(values)[:3]
         # batches of a few steps across all chains see little of the drift
         assert k_statistics(values).se1 < 0.5 * se_true
+
+    @pytest.mark.parametrize("n, chains", [(3001, 7), (5000, 1), (10_000, 64), (89, 4)],
+                             ids=["7-chains", "1-chain", "ragged", "no-ses"])
+    def test_match_argsort_batches(self, n, chains):
+        # chain-major batches by strided slices, and the powers into one buffer,
+        # give the KStats of a stable argsort and ** to the bit, also when the
+        # chain count does not divide N, and below 90 values, where the SEs are NaN
+        values = np.random.default_rng(n).gamma(2.0, size=n) ** 3
+        np.testing.assert_array_equal(k_statistics(values, chains), _argsort_kstats(values, chains))
 
 
 class TestChainConfig:
@@ -210,7 +240,7 @@ class TestMcmc:
     def test_mean_entropy_2_2(self):
         cfg = ChainConfig(samples=60000, burn_in=2000, thinning=10, chain_count=60, seed=11)
         batch = mcmc_chain(EnsembleDims(2, 2), cfg)
-        st = k_statistics(batch.entropies, batch.chain_index)
+        st = k_statistics(batch.entropies, batch.chains)
         assert abs(st.k1 - K1_22) <= 4 * st.se1
 
     def test_entropies_T_identity(self):
@@ -254,7 +284,7 @@ class TestMcmc:
         cfg = ChainConfig(samples=200_000, burn_in=2000, thinning=10,
                           chain_count=100, seed=53)
         batch = mcmc_chain(dims, cfg)
-        st = k_statistics(batch.entropies, batch.chain_index)
+        st = k_statistics(batch.entropies, batch.chains)
         for value, se, ref in (
             (st.k1, st.se1, float(kappa1(dims))),
             (st.k2, st.se2, float(kappa2(dims))),
@@ -269,7 +299,7 @@ class TestMcmc:
         # chains barely moved, so the batch-means SEs understated the error
         dims = EnsembleDims(m, n)
         batch = mcmc_chain(dims, ChainConfig(samples=20_000, seed=5))
-        st = k_statistics(batch.entropies, batch.chain_index)
+        st = k_statistics(batch.entropies, batch.chains)
         assert 0.2 <= batch.kernel["acceptance"] <= 0.5
         ref = cumulant_set(dims)
         for value, se, kappa in ((st.k1, st.se1, ref.kappa1_f), (st.k2, st.se2, ref.kappa2_f),
@@ -282,7 +312,7 @@ class TestMcmc:
         # term of that size.  S itself is quantized from n ~ 10^15 on
         dims = EnsembleDims(3, 10 ** 14)
         batch = mcmc_chain(dims, ChainConfig(samples=80_000, burn_in=4000, seed=5))
-        st = k_statistics(batch.entropies, batch.chain_index)
+        st = k_statistics(batch.entropies, batch.chains)
         assert abs(st.k2 - cumulant_set(dims).kappa2_f) <= 4 * st.se2
 
     def test_start_with_equal_coordinates(self, tmp_path):
