@@ -11,12 +11,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.  Every
 randomized command takes an explicit seed, and every file-producing run
-writes a manifest listing the SHA-256 of each emitted file, from a process
-forked at the start of the run (see `manifest`).  Output paths
-without a directory component land in $BURESHALL_OUT_DIR (default: cwd).  An
-output path that names a directory or cannot be written, or two outputs that
-are one file, is a usage error, found before any sampling or verification
-starts.
+writes a manifest listing the SHA-256 of each emitted file (see
+`fileio.write_manifest`).  Output paths without a directory component land
+in $BURESHALL_OUT_DIR (default: cwd).  An output or manifest path that names
+a directory or cannot be written, or two that are one file, is a usage
+error, found before any sampling or verification starts.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def _cmd_cumulants(args) -> int:
     if args.exact:
         exact = {f"kappa{i}": k(dims).to_text() for i, k in enumerate((kappa1, kappa2, kappa3), 1)}
     if args.format == "json":
-        import json  # here, like hashlib in _sha256, so that text output skips it
+        import json  # here, so that text output skips it
 
         payload = {"m": args.m, "n": args.n, **values}
         if exact:
@@ -429,15 +428,16 @@ def main(argv=None) -> int:
         return args.func(args)
     # fail before sampling rather than after it
     args.outputs = _output_paths(args)
-    if len(set(map(os.path.realpath, args.outputs))) < len(args.outputs):
-        parser.error(f"outputs {' and '.join(args.outputs)} are one file")
-    for problem in filter(None, map(_unwritable, args.outputs)):
+    paths = [*args.outputs, args.outputs[0] + ".manifest.json"]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        parser.error(f"outputs {' and '.join(paths)} are one file")
+    for problem in filter(None, map(_unwritable, paths)):
         parser.error(problem)
     # recorded in the run manifest, with args.argv and args.outputs
     args.seeds = [] if getattr(args, "seed", None) is None else [args.seed]
     if getattr(args, "fig", None) == 2:
         args.seeds = _fig2_seeds(args.seed)
-    from .manifest import run_with_manifest  # so that `cumulants` does not compile it
+    from .fileio import run_with_manifest  # so that `cumulants` does not compile it
 
     return run_with_manifest(args)
 

@@ -1,22 +1,32 @@
-"""Atomic text-file writes, shared by the CLI reports and manifests, the
-one CSV formatter behind the sample, density and figure-2 CSVs, and `_fork`,
-the one way the package starts a process: a forked child inherits the
-function and its arguments, and pickles back only the outcome.  Its one
+"""Atomic file writes, shared by the CLI reports, CSVs and run manifests,
+the one CSV formatter behind the sample, density and figure-2 CSVs, and
+`_fork`, the one way the package starts a process: a forked child inherits
+the function and its arguments, and pickles back only the outcome.  Its one
 caller is `fork_map`, through which `verify identities` maps one share of
 its suite per usable CPU, and `_feed` hands items through a pipe to one
-forked consumer: the CSV writer, or the process that writes a run's
-manifest (see `manifest`).
+forked consumer, the CSV writer.
+
+Every output is written by `_write_via`, which hashes the bytes as it
+writes them, so `write_manifest` lists the SHA-256 and size of each output
+in the run's own process without reading it back.  Only the commands that
+write a manifest import this module, so `cumulants` compiles none of it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
+import time
 from contextlib import suppress
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 _PIPE_SIZE = 1 << 20
+
+# the SHA-256 and size of each file written here, by the path it was given,
+# until a manifest lists it
+_written: dict[str, tuple[str, int]] = {}
 
 
 def _temp_path(path: str) -> str:
@@ -33,19 +43,28 @@ def write_atomic(path: str, content: str | Iterable[str]) -> None:
     file in the same directory and an atomic rename; the directory is created
     if missing.  The temporary file is named for this process and thread and
     created exclusively, with the mode that open() gives under the umask."""
-    _write_via(_temp_path(path), path, content)
+    _written[path] = _write_via(_temp_path(path), path, content)
 
 
-def _write_via(tmp: str, path: str, content: str | Iterable[str]) -> None:
-    """write_atomic through the temporary file `tmp`, which no failure leaves."""
+def _write_via(tmp: str, path: str, content: str | Iterable[str]) -> tuple[str, int]:
+    """write_atomic through the temporary file `tmp`, which no failure leaves;
+    return the SHA-256 and size of the bytes written.  hashlib is imported
+    here, the one place that hashes, so that only a run that writes loads it."""
+    import hashlib
+
+    digest, size = hashlib.sha256(), 0
     try:
-        with open(tmp, "x") as fh:
-            fh.writelines([content] if isinstance(content, str) else content)
+        with open(tmp, "xb") as fh:
+            for text in [content] if isinstance(content, str) else content:
+                data = text.encode()
+                digest.update(data)
+                size += fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest(), size
 
 
 def _fork_workers(jobs: int) -> int:
@@ -127,13 +146,13 @@ class _End(Exception):
 
 
 def _feed(produce: Callable, consume: Callable):
-    """Return produce(put), run here, while one forked child runs
-    consume(items) over what put(item) pickles into a pipe of _PIPE_SIZE
-    bytes (Linux's default `pipe-max-size`, where it can be set), so that
-    this process can run several items ahead.  An error in produce is raised
-    as it is and ends `items` with EOFError, as does this process's death.
-    An error in consume is raised here, and the next put stops produce.  If
-    consume returns early, the child drops the items left."""
+    """Return consume(items), run in one forked child over what put(item)
+    pickles into a pipe of _PIPE_SIZE bytes (Linux's default
+    `pipe-max-size`, where it can be set), while produce(put) runs here, so
+    that this process can run several items ahead.  An error in produce is
+    raised as it is and ends `items` with EOFError, as does this process's
+    death.  An error in consume is raised here, and the next put stops
+    produce."""
     import fcntl
     import pickle
 
@@ -141,7 +160,7 @@ def _feed(produce: Callable, consume: Callable):
     with suppress(AttributeError, OSError):  # no such fcntl here, or the size was refused
         fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
 
-    def send():
+    def send() -> None:
         os.close(data_r)  # so that a put after the consumer has ended gets EPIPE
 
         def put(item) -> None:
@@ -153,11 +172,10 @@ def _feed(produce: Callable, consume: Callable):
                 raise _End from exc
 
         try:
-            result = produce(put)
+            produce(put)
             put(_End)
-            return result
         except _End:
-            return None  # the consumer has failed: joining it raises its error
+            pass  # the consumer has ended: joining it returns its result or raises its error
         finally:
             os.close(data_w)
 
@@ -170,20 +188,18 @@ def _feed(produce: Callable, consume: Callable):
                 while (item := pickle.load(fh)) is not _End:
                     yield item
 
-            remaining = items()
-            consume(remaining)
-            for _ in remaining:  # consume returned early: drop the items left
-                pass
+            return consume(items())
 
-    return fork_map(lambda job: job(), [send, receive])[0]
+    return fork_map(lambda job: job(), [send, receive])[1]
 
 
 def _write_csv(path: str, header: str, blocks: Iterable) -> None:
     """Write CSV rows under `header`, each value as its Python repr
     (round-trip floats), like write_atomic.  Each block is a list of
     equal-length columns, formatted with one row template, so the whole file
-    never sits in memory.  Where os.fork exists, a writer child formats and
-    writes the blocks (see _feed), and an error here wins over the writer's."""
+    never sits in memory.  Where os.fork exists, a writer child formats,
+    hashes and writes the blocks (see _feed), and an error here wins over
+    the writer's."""
     import numpy as np  # imported here so that only sampling loads numpy
 
     def block(columns: list) -> str:
@@ -193,17 +209,93 @@ def _write_csv(path: str, header: str, blocks: Iterable) -> None:
 
     tmp = _temp_path(path)
 
-    def write(columns: Iterable) -> None:
-        _write_via(tmp, path, chain([header + "\n"], map(block, columns)))
+    def write(columns: Iterable) -> tuple[str, int]:
+        return _write_via(tmp, path, chain([header + "\n"], map(block, columns)))
+
+    def forked_write(columns: Iterable) -> tuple[str, int]:
+        # the writer alone lifts the run's block (see _without_openssl), so
+        # that it hashes with OpenSSL, several times faster than the builtin
+        if sys.modules.get("_hashlib", False) is None:
+            del sys.modules["_hashlib"]
+            sys.modules.pop("hashlib", None)
+        return write(columns)
 
     def send(put: Callable) -> None:
         for columns in blocks:
             put(columns)
 
     if not hasattr(os, "fork"):
-        return write(blocks)
+        _written[path] = write(blocks)
+        return
     try:
-        _feed(send, write)
+        _written[path] = _feed(send, forked_write)
     finally:
         if os.path.exists(tmp):  # the writer was killed before it could unlink it
             os.unlink(tmp)
+
+
+# ---------------------------------------------------------------------------
+# run manifest
+# ---------------------------------------------------------------------------
+
+# hashlib's builtin algorithms, without which an `import hashlib` that finds
+# no _hashlib logs an error for each algorithm it lacks
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+
+
+def _without_openssl() -> None:
+    """Make `import _hashlib` fail in this process, unless it is loaded
+    already or a builtin algorithm is missing, so that hashlib, which
+    numpy.random loads through secrets and hmac and _write_via to hash,
+    runs on its builtins and OpenSSL is never mapped."""
+    from importlib.util import find_spec
+
+    try:
+        if all(find_spec(name) for name in _BUILTIN_HASHES):
+            sys.modules.setdefault("_hashlib", None)
+    except ValueError:  # find_spec of a name that sys.modules maps to None
+        pass
+
+
+def _timestamp() -> str:
+    """Now, in UTC, as YYYY-MM-DDTHH:MM:SS.ffffff+00:00 with all six digits
+    of the fraction, from the builtin time module: importing datetime
+    maps about half a MiB."""
+    seconds, ns = divmod(time.time_ns(), 1_000_000_000)
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}.{ns // 1000:06d}+00:00"
+
+
+def write_manifest(args, kernel: dict | None = None) -> str:
+    """Write the manifest of the run that `args` describes next to its first
+    output and return its path: the argv that `cli.main` parsed, the seeds,
+    the version, a timestamp, the SHA-256 and size that each output's write
+    recorded and, for an MCMC run, the kernel's diagnostics."""
+    import json
+
+    from . import __version__
+
+    path = args.outputs[0] + ".manifest.json"
+    manifest = {
+        "command": "simulate" if args.command == "simulate" else f"verify-{args.target}",
+        "argv": args.argv,
+        "seeds": args.seeds,
+        "version": __version__,
+        "timestamp": _timestamp(),
+        "outputs": [{"path": p, "sha256": sha256, "bytes": size}
+                    for p in args.outputs for sha256, size in [_written.pop(p)]],
+    }
+    if kernel:
+        manifest["kernel"] = kernel
+    write_atomic(path, json.dumps(manifest, indent=2) + "\n")
+    return path
+
+
+def run_with_manifest(args) -> int:
+    """Run a simulate or verify command as `args.func(args, write)`, without
+    OpenSSL (see _without_openssl): write(kernel), called once the outputs
+    are written, writes the manifest with the kernel's diagnostics, or
+    none, and returns its path.  A run that raises before it writes no
+    manifest."""
+    _without_openssl()
+    return args.func(args, lambda kernel=None: write_manifest(args, kernel))

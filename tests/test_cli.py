@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from datetime import datetime, timezone
 
 import jsonschema
 import pytest
@@ -162,13 +163,21 @@ class TestSimulateCommand:
         args = ["simulate", "--m", "2", "--n", "2", "--samples", "2000",
                 "--seed", "9", "--out", "s.csv", "--burn-in", "300",
                 "--thinning", "3", "--chains", "10"]
+        started = datetime.now(timezone.utc)
         assert main(args) == 0
+        ended = datetime.now(timezone.utc)
         csv_path = outdir / "s.csv"
         manifest_path = outdir / "s.csv.manifest.json"
         assert csv_path.exists() and manifest_path.exists()
         manifest = json.loads(manifest_path.read_text())
         jsonschema.validate(manifest, MANIFEST_SCHEMA)
         assert manifest["seeds"] == [9]
+        # a UTC time within the run, always with six fraction digits
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00",
+                            manifest["timestamp"])
+        stamp = datetime.fromisoformat(manifest["timestamp"])
+        assert stamp.utcoffset().total_seconds() == 0
+        assert started <= stamp <= ended
         digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
         assert manifest["outputs"][0]["sha256"] == digest
         out = capsys.readouterr().out
@@ -384,6 +393,24 @@ def test_out_of_range_input_is_usage_error(outdir, argv, capsys):
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda manifest: manifest.mkdir(), "s.csv.manifest.json names a directory"),
+    (lambda manifest: manifest.symlink_to(manifest.parent / "s.csv"), "are one file"),
+], ids=["directory", "symlink-to-output"])
+def test_unwritable_manifest_is_usage_error(outdir, capsys, make, error):
+    # the manifest path is checked with the outputs: the command exits 2
+    # before it samples, and writes nothing
+    manifest = outdir / "s.csv.manifest.json"
+    make(manifest)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--m", "3", "--n", "4", "--samples", "300", "--seed", "1",
+              "--out", str(outdir / "s.csv")])
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["s.csv.manifest.json"]
+    assert manifest.is_symlink() or list(manifest.iterdir()) == []
+
+
 _SIMULATE = ["simulate", "--m", "2", "--n", "2", "--samples", "100", "--seed", "1", "--out"]
 
 
@@ -519,17 +546,17 @@ def _manifests_match_outputs(directory) -> list[str]:
 
 
 def test_run_process_leaves_openssl_unloaded(tmp_path):
-    # a simulate or verify run forks the process that writes its manifest
-    # before it starts, and that process alone hashes the outputs, so the
-    # verify targets without numpy never load hashlib or datetime.  In the
-    # sampling commands numpy.random loads hashlib, through secrets and hmac,
-    # but on its builtin algorithms: OpenSSL's _hashlib is blocked in the run.
-    # `cumulants` writes no manifest and forks no process
+    # every output is hashed as it is written, and the run's own process
+    # writes the manifest: no command forks a process for it, and none reads
+    # an output back.  `cumulants` and `verify oracles` fork nothing, `verify
+    # identities` one share per CPU past the first, and the CSV commands one
+    # writer.  The run's process never loads OpenSSL's _hashlib, nor
+    # datetime where numpy, which loads it, is not loaded
     code = textwrap.dedent("""
-        import os, sys, bureshall.cli as cli
-        from bureshall import manifest
+        import builtins, os, sys, bureshall.cli as cli
         os.sched_getaffinity = lambda pid: {0, 1}
-        fork, forks, sha256 = os.fork, [], manifest._sha256
+        fork, forks, real_open = os.fork, [], builtins.open
+        out_dir = os.environ["BURESHALL_OUT_DIR"]
 
         def counting_fork():
             pid = fork()
@@ -537,32 +564,28 @@ def test_run_process_leaves_openssl_unloaded(tmp_path):
                 forks.append(pid)
             return pid
 
-        def hashing(path):
-            with open(os.path.join(os.environ["BURESHALL_OUT_DIR"], "hashed.txt"), "a") as fh:
-                print(os.getpid() == run, file=fh)
-            return sha256(path)
+        def opening(file, mode="r", *args, **kwargs):
+            if (isinstance(file, str) and file.startswith(out_dir)
+                    and not set(mode) & set("wxa+")):
+                raise AssertionError(f"{file} opened for reading")
+            return real_open(file, mode, *args, **kwargs)
 
-        os.fork, manifest._sha256, run = counting_fork, hashing, os.getpid()
-        assert cli.main(["cumulants", "--m", "4", "--n", "6"]) == 0
-        print("forks", len(forks))
-        for argv in (["verify", "oracles"], ["verify", "identities", "--max-m", "1"]):
-            assert cli.main(argv) == 0
-            print("loaded", [name for name in ("hashlib", "_hashlib", "datetime")
-                             if sys.modules.get(name) is not None])
-        for argv in (["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
+        os.fork, builtins.open = counting_fork, opening
+        for argv in (["cumulants", "--m", "4", "--n", "6"], ["verify", "oracles"],
+                     ["verify", "identities", "--max-m", "1"],
+                     ["simulate", "--m", "3", "--n", "4", "--samples", "5000", "--seed", "1",
                       "--chains", "8", "--burn-in", "100"],
                      ["verify", "figures", "--fig", "2", "--samples", "10000", "--seed", "1"]):
+            del forks[:]
             assert cli.main(argv) == 0
-            print("openssl", sys.modules.get("_hashlib") is not None, "hashlib" in sys.modules)
+            print("ran", argv[0], len(forks), [name for name in ("_hashlib", "datetime")
+                                               if sys.modules.get(name) is not None])
     """)
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path),
                          capture_output=True, text=True, check=True, timeout=120)
-    lines = [line for line in out.stdout.splitlines()
-             if line.startswith(("forks", "loaded", "openssl"))]
-    assert lines == ["forks 0"] + ["loaded []"] * 2 + ["openssl False True"] * 2
-    # one hash per output, none in the run's process: a report each, the
-    # sample CSV, and figure 2's report and CSV
-    assert (tmp_path / "hashed.txt").read_text().split() == ["False"] * 5
+    lines = [line for line in out.stdout.splitlines() if line.startswith("ran")]
+    assert lines == ["ran cumulants 0 []", "ran verify 0 []", "ran verify 1 []",
+                     "ran simulate 1 ['datetime']", "ran verify 1 ['datetime']"]
     assert _manifests_match_outputs(tmp_path) == [
         "figure2_report.json.manifest.json", "identities_report.json.manifest.json",
         "oracles_report.json.manifest.json", "samples.csv.manifest.json"]
@@ -589,8 +612,8 @@ def test_openssl_stays_without_builtin_hashes(tmp_path):
 
 
 def test_failed_run_leaves_no_manifest_process(outdir, monkeypatch):
-    # an error in the run reaches the caller; the manifest process, forked
-    # before the run, reads the end of its pipe, writes nothing and is reaped
+    # an error in the run reaches the caller, and leaves no output, no
+    # manifest and no process
     from bureshall import quadrature
 
     def failing(*args, **kwargs):
@@ -604,28 +627,38 @@ def test_failed_run_leaves_no_manifest_process(outdir, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_manifest_process_error_is_raised(outdir, monkeypatch):
-    # the forked manifest process inherits the failing hash: its error is
-    # raised in the run once the command's body is done, and it leaves no
-    # manifest, no temporary file and no process
-    from bureshall import manifest
+def test_writer_hash_error_is_raised(outdir, monkeypatch):
+    # the forked CSV writer inherits a hash that fails after the header: its
+    # error is raised in the run, which leaves no CSV, no manifest, no
+    # temporary file and no process
+    run, sha256 = os.getpid(), hashlib.sha256
 
-    def failing(path):
-        raise OSError(f"cannot hash {os.path.basename(path)}")
+    class Failing:
+        def __init__(self):
+            self.hash, self.updates = sha256(), 0
 
-    monkeypatch.setattr(manifest, "_sha256", failing)
-    with pytest.raises(OSError, match="cannot hash s.csv"):
+        def update(self, data):
+            self.updates += 1
+            if self.updates > 1 and os.getpid() != run:
+                raise OSError(f"cannot hash in process {os.getpid()}")
+            self.hash.update(data)
+
+        def hexdigest(self):
+            return self.hash.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Failing)
+    with pytest.raises(OSError, match=r"cannot hash in process \d+") as exc:
         main(["simulate", "--m", "3", "--n", "4", "--samples", "400", "--seed", "1",
               "--chains", "8", "--burn-in", "100", "--out", "s.csv"])
-    assert sorted(p.name for p in outdir.iterdir()) == ["s.csv"]
+    assert int(str(exc.value).rsplit(" ", 1)[1]) != run
+    assert list(outdir.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_closed_stdout_fails_the_command(tmp_path):
-    # a print to a closed stdout raises BrokenPipeError in the run, which is
-    # not the end of the manifest process's pipe: the command exits with
-    # status 1 and the error on stderr
+    # a print to a closed stdout raises BrokenPipeError in the run: the
+    # command exits with status 1 and the error on stderr
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -639,7 +672,7 @@ def test_closed_stdout_fails_the_command(tmp_path):
 
 
 def test_manifest_without_fork(outdir, monkeypatch):
-    # where os.fork is missing, the run's own process writes the manifest
+    # where os.fork is missing, the run's own process writes every output
     monkeypatch.delattr(os, "fork")
     assert main(["verify", "identities", "--max-m", "1"]) == 0
     manifest = json.loads((outdir / "identities_report.json.manifest.json").read_text())

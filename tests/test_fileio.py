@@ -1,12 +1,15 @@
 """Atomic writer and fork tests: written files get the mode that open()
 would give, CSV blocks formatted by a forked writer give the in-process
-bytes, a failed write raises here and leaves no writer and no temporary
-file, the writer forks before the blocks are taken, its data pipe holds
-several blocks while it is stalled on one, every failure of `fork_map` is
-raised here and leaves no child, and `_feed` keeps a consumer's early
-return, a producer's own BrokenPipeError and a consumer's error apart."""
+bytes, and each write records the SHA-256 and size of what it wrote, a
+failed write raises here and leaves no writer and no temporary file, the
+writer forks before the blocks are taken, its data pipe holds several
+blocks while it is stalled on one, every failure of `fork_map` is raised
+here and leaves no child, `_feed` keeps a producer's own BrokenPipeError
+and a consumer's error apart, and the manifest's timestamp keeps six
+fraction digits."""
 
 import fcntl
+import hashlib
 import os
 import re
 import signal
@@ -30,6 +33,7 @@ def test_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert fileio._written[str(tmp_path / "out.txt")] == (hashlib.sha256(b"x\n").hexdigest(), 2)
 
 
 def test_umask_untouched(tmp_path, monkeypatch):
@@ -72,6 +76,9 @@ def test_worker_pool_matches_in_process(tmp_path, cpus, monkeypatch):
                           [columns] if name.startswith("one_block") else blocks(*columns))
         assert len(forks) == (name in ("cpus1", "cpus2", "one_block"))
         written[name] = path.read_bytes()
+        # the digest and size of the bytes on disk, from the writer that wrote them
+        assert fileio._written[str(path)] == (hashlib.sha256(written[name]).hexdigest(),
+                                              len(written[name]))
     assert len(set(written.values())) == 1
     assert written["cpus1"].count(b"\n") == 2346
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in written)
@@ -246,22 +253,6 @@ def test_fork_map_caller_error_wins(cpus):
     assert_no_child_left()
 
 
-def test_feed_consumer_returns_early(cpus):
-    # a consumer that returns after one item leaves the items after it, and
-    # the end marker, to be dropped: produce runs to its end and its result
-    # comes back
-    forks = cpus(1)
-
-    def produce(put):
-        for k in range(5):
-            put(np.arange(10_000.0) + k)
-        return "produced"
-
-    assert fileio._feed(produce, lambda items: next(items)) == "produced"
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
 def test_feed_producer_broken_pipe_is_its_own(cpus):
     # a BrokenPipeError that produce raises itself, from a closed stdout say,
     # is not the consumer's end: it is raised as it is
@@ -297,3 +288,13 @@ def test_feed_consumer_error_stops_the_producer(cpus):
         fileio._feed(produce, consume)
     assert len(taken) <= 8, taken
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("time_ns, stamp", [
+    (1_700_000_000_000_000_000, "2023-11-14T22:13:20.000000+00:00"),
+    (1_700_000_000_123_456_789, "2023-11-14T22:13:20.123456+00:00"),
+], ids=["whole-second", "fraction"])
+def test_timestamp_keeps_six_fraction_digits(monkeypatch, time_ns, stamp):
+    # datetime's isoformat() would drop the fraction at a whole second
+    monkeypatch.setattr(time, "time_ns", lambda: time_ns)
+    assert fileio._timestamp() == stamp
